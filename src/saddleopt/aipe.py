@@ -66,6 +66,7 @@ class AipeState:
     h_tilde: list = field(default_factory=list)   # values at z~_t
     aborted: bool = False
     fixed_point: bool = False
+    stopped_by_probe: bool = False
     note: str = ""
 
 
@@ -160,6 +161,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
 
         record(z, z_tilde)
         if probe is not None and probe(best_pt):
+            st.stopped_by_probe = True
             st.note = "stopped by probe"
             break
         if stall_patience and stall >= stall_patience:
@@ -170,31 +172,40 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
 
 def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
                  delta: float, T: int, S: int, gap_oracle=None,
-                 stop_when=None):
-    """S epochs, each seeded from the previous best point.
+                 stop_when=None, stall_patience: int = STALL_PATIENCE,
+                 probe=None):
+    """The restart scheme: up to S epochs of order oracles.order, each
+    seeded from the previous epoch's best point (each epoch projects its
+    start point).  Returns (z, {"gaps": [...], "traces": [AipeState]}).
 
-    gap_oracle(z) -> float, if given, logs the per-epoch gap ratios on the
-    returned trace list; stop_when(z) -> bool allows certified early stops.
-    Epochs whose best recorded value stops improving by more than delta
-    end the loop: at that point the oracles can no longer resolve progress.
+    stall_patience and probe(best_point) -> bool are passed to every epoch.
+    The loop ends after an epoch that hits a proximal fixed point, aborts
+    on a failed prox certificate (callers turn aborted traces into flags)
+    or is stopped by probe, and once stop_when(z) -> bool certifies the
+    epoch's point.  A truthy stall_patience also ends it once an epoch's
+    best recorded value improves on the previous best by no more than
+    delta: the oracles can no longer resolve progress.  A falsy one turns
+    off this break along with the in-epoch stall exit (paper mode).
+    gap_oracle(z) -> float, if given, logs the gap at the start point and
+    after every epoch.
     """
-    z = domain.project(np.asarray(z0, float))
-    gaps = [] if gap_oracle is None else [float(gap_oracle(z))]
+    z = np.asarray(z0, float)
+    gaps = [] if gap_oracle is None \
+        else [float(gap_oracle(domain.project(z)))]
     traces = []
     prev_best = math.inf
     for _ in range(S):
         z, st = aipe_epoch(oracles, domain, z, gamma, delta, T,
-                           oracles.order)
+                           oracles.order, stall_patience, probe)
         traces.append(st)
         if gap_oracle is not None:
             gaps.append(float(gap_oracle(z)))
-        if st.fixed_point or st.aborted:
+        if st.fixed_point or st.aborted or st.stopped_by_probe:
             break
         if stop_when is not None and stop_when(z):
             break
-        vals = st.h_hat + st.h_tilde
-        cur_best = min(vals) if vals else prev_best
-        if cur_best > prev_best - delta:
+        cur_best = min(st.h_hat + st.h_tilde)
+        if stall_patience and cur_best > prev_best - delta:
             break
         prev_best = min(prev_best, cur_best)
     return z, {"gaps": gaps, "traces": traces}

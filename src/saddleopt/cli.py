@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lowerbound import anchored_eg_schedule, best_residual, check_run, \
-    run_alg_class
+from .lowerbound import experiment_row
 from .minimax import baseline_eg_solve, derive_parameters, solve
-from .problems import check_derivatives, from_config, hard_instance
+from .problems import check_derivatives, from_config
 
 RESULT_HEADER = ["row", "problem", "solver", "p", "eps", "seed", "residual",
                  "target_met", "oracle_calls", "flags"]
@@ -209,33 +208,6 @@ def _fit_groups(results) -> dict:
     return fits
 
 
-def lowerbound_experiment(p: int, T_list, schedule_fn=None) -> list:
-    """Floor-experiment rows: for each T, run the anchored extragradient
-    schedule on the unscaled chain instance and compare the best measured
-    residual with the analytic floor.  The unit-diameter column carries
-    the same measurement in the fixed-diameter normalization the
-    T-exponent -(3p-1)/2 refers to."""
-    rows = []
-    for T in T_list:
-        problem = hard_instance(p, T)
-        sched = (schedule_fn or anchored_eg_schedule)(T)
-        run = run_alg_class(problem, sched)
-        checks = check_run(problem, run)
-        measured = best_residual(problem, run)
-        floor = checks[0].floor
-        rows.append({
-            "T": T, "p": p,
-            "measured_residual": measured,
-            "analytic_floor": floor,
-            "ratio": measured / floor,
-            "support_violations": sum(1 for c in checks
-                                      if c.support_slack > 0),
-            "unit_diameter_residual":
-                measured / math.sqrt(2.0 * (T + 1)) ** p,
-        })
-    return rows
-
-
 def lowerbound_csv(rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -278,29 +250,45 @@ def run_check() -> int:
     return 1 if failures else 0
 
 
+# what reading a config and building its problem can raise
+CONFIG_ERRORS = (OSError, KeyError, TypeError, ValueError)
+
+
+def _bad_config(exc) -> int:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    print(f"saddlebench: bad config: {detail}", file=sys.stderr)
+    return 2
+
+
 def _cmd_solve(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    env_seed = os.environ.get("BENCH_SEED")
-    if env_seed is not None:
-        cfg["seed"] = int(env_seed)
-    eps = float(cfg.pop("eps"))
-    solver = cfg.pop("solver", "minimax_aipe")
-    paper = bool(cfg.pop("paper_value_mode", False))
-    problem = from_config(cfg)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        env_seed = os.environ.get("BENCH_SEED")
+        if env_seed is not None:
+            cfg["seed"] = int(env_seed)
+        eps = float(cfg.pop("eps"))
+        solver = cfg.pop("solver", "minimax_aipe")
+        paper = bool(cfg.pop("paper_value_mode", False))
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}")
+        problem = from_config(cfg)
+    except CONFIG_ERRORS as exc:
+        return _bad_config(exc)
     if solver == "minimax_aipe":
         mcfg = derive_parameters(problem, eps, practical_mode=not paper)
         _, report = solve(problem, eps, mcfg)
-    elif solver == "eg_baseline":
-        _, report = baseline_eg_solve(problem, eps)
     else:
-        raise SystemExit(f"unknown solver {solver!r}")
+        _, report = baseline_eg_solve(problem, eps)
     print(report.to_json())
     return 0 if (report.ok and report.residual <= eps) else 2
 
 
 def _cmd_bench(args) -> int:
-    config = BenchConfig.from_file(args.config)
+    try:
+        config = BenchConfig.from_file(args.config)
+    except CONFIG_ERRORS as exc:
+        return _bad_config(exc)
     summary = run_suite(config, args.out, jobs=args.jobs)
     print(json.dumps({k: summary[k] for k in
                       ("name", "rows", "flagged_rows", "unmet_rows",
@@ -316,12 +304,18 @@ def _cmd_lowerbound(args) -> int:
         T *= 2
     if not T_list:
         raise SystemExit("--tmax must be at least 4")
-    rows = lowerbound_experiment(args.p, T_list)
+    rows = [experiment_row(args.p, T) for T in T_list]
     text = lowerbound_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
+    if len(rows) >= 3:
+        # log-log slope of the unit-diameter residual against T
+        fit = fit_rate([(1.0 / r["T"], r["unit_diameter_residual"])
+                        for r in rows])
+        print(f"# unit-diameter residual ~ T^{fit.slope:.3f}",
+              file=sys.stderr)
     bad = any(r["ratio"] < 1.0 or r["support_violations"] for r in rows)
     return 2 if bad else 0
 

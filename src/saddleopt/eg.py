@@ -143,7 +143,7 @@ def _fill_config(problem: SaddleProblem, cfg: EgConfig) -> EgConfig:
     return replace(cfg, M=M, T3=T3, S3=S3)
 
 
-def _restarted_eg_full(problem: SaddleProblem, cfg: EgConfig, z0=None):
+def restarted_eg(problem: SaddleProblem, cfg: EgConfig, z0=None):
     """Restart loop with distance certification; returns (point, trace)."""
     cfg = _fill_config(problem, cfg)
     op = problem.operator()
@@ -188,11 +188,6 @@ def _restarted_eg_full(problem: SaddleProblem, cfg: EgConfig, z0=None):
     return best, full
 
 
-def restarted_eg(problem_h_eps: SaddleProblem, cfg: EgConfig, z0=None):
-    z, _ = _restarted_eg_full(problem_h_eps, cfg, z0)
-    return z
-
-
 def polish_step(op, domain: Domain, z, L_tilde: float):
     """One gradient step turning small distance into a small residual:
     z_hat = project(z - F(z)/L), c_hat = L (z - z_hat) - F(z) in N(z_hat);
@@ -230,7 +225,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
 
     attempt_cfg = cfg
     for attempt in range(2):
-        zS, trace = _restarted_eg_full(h_eps, attempt_cfg, z0)
+        zS, trace = restarted_eg(h_eps, attempt_cfg, z0)
         z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1)
         resid_vec = np.asarray(op(z_hat), float) + c_hat
         rx = float(np.linalg.norm(resid_vec[:dx]))

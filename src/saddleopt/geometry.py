@@ -264,20 +264,8 @@ def _check_beta(beta):
         raise ValueError(f"scale factor must be positive, got {beta}")
 
 
-def project(domain: Domain, z):
-    return domain.project(z)
-
-
 def tangent_residual(domain: Domain, z, Fz) -> float:
     return domain.tangent_residual(z, Fz)
-
-
-def diameter(domain: Domain) -> float:
-    return domain.diameter()
-
-
-def scale_domain(domain: Domain, beta: float) -> Domain:
-    return domain.scale(beta)
 
 
 # extra decoders (e.g. the ordered box in problems) register here

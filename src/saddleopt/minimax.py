@@ -28,7 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aipe import OracleBundle, aipe_epoch, gap_from_residual
+# aipe_epoch is unused here, but perfbench/tracer.py patches it at this
+# import site, so the name must stay
+from .aipe import (  # noqa: F401
+    STALL_PATIENCE, OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
+)
 from .eg import EgConfig, certified_distance, iprox_psi, polish_step
 from .problems import (
     PowerRegularized, SaddleProblem, join, regularize_f_eps, surrogate_g,
@@ -319,7 +323,8 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     y_dom = g_eps.y_domain
     mu_ucx_g = g_eps.mu_x / 2 ** (p - 1)
     flags = []
-    patience = 5 if cfg.practical_mode else None
+    # practical mode ends stalled epochs and restart loops early
+    patience = STALL_PATIENCE if cfg.practical_mode else None
     zeta2, zeta3 = cfg.zeta2, cfg.zeta3
 
     for attempt in range(2):
@@ -362,20 +367,11 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         bundle = OracleBundle(ifunc=mid_ifunc, igrad=mid_igrad,
                               iprox=mid_iprox, order=p)
         y = warm.get("y_mid")
-        y = y_dom.center() if y is None else y
-        prev_best = math.inf
-        for _ in range(cfg.S2):
-            y, st = aipe_epoch(bundle, y_dom, y, gamma, cfg.stall2, cfg.T2,
-                               p, stall_patience=patience)
-            if st.fixed_point or st.aborted:
-                if st.aborted:
-                    flags.append(st.note)
-                break
-            vals = st.h_hat + st.h_tilde
-            cur_best = min(vals) if vals else prev_best
-            if cfg.practical_mode and cur_best > prev_best - cfg.stall2:
-                break   # epochs stopped improving at the oracle accuracy
-            prev_best = min(prev_best, cur_best)
+        y, info = aipe_restart(bundle, y_dom,
+                               y_dom.center() if y is None else y, gamma,
+                               cfg.stall2, cfg.T2, cfg.S2,
+                               stall_patience=patience)
+        flags += [st.note for st in info["traces"] if st.aborted]
         warm["y_mid"] = y
         y_hat = np.asarray(y, float)
 
@@ -504,29 +500,13 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     bundle = OracleBundle(ifunc=out_ifunc, igrad=out_igrad,
                           iprox=out_iprox, order=p)
-    patience = 5 if cfg.practical_mode else None
-    x = z0[:problem.dx].copy()
+    patience = STALL_PATIENCE if cfg.practical_mode else None
     with tracker.level("outer"):
-        stopped = False
-        prev_best = math.inf
-        for _ in range(cfg.S1):
-            x, st = aipe_epoch(bundle, problem.x_domain, x, cfg.gamma,
-                               cfg.stall1, cfg.T1, p,
+        x, info = aipe_restart(bundle, problem.x_domain, z0[:problem.dx],
+                               cfg.gamma, cfg.stall1, cfg.T1, cfg.S1,
                                stall_patience=patience, probe=probe)
-            if st.note == "stopped by probe":
-                stopped = True
-                break
-            if st.aborted:
-                flags.append(st.note)
-                break
-            if st.fixed_point:
-                break
-            vals = st.h_hat + st.h_tilde
-            cur_best = min(vals) if vals else prev_best
-            if cfg.practical_mode and cur_best > prev_best - cfg.stall1:
-                break   # epochs stopped improving at the oracle accuracy
-            prev_best = min(prev_best, cur_best)
-        if not stopped:
+        flags += [st.note for st in info["traces"] if st.aborted]
+        if not info["traces"][-1].stopped_by_probe:
             recover(x)
 
     z_t, r = best["z"], best["r"]

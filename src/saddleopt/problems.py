@@ -225,10 +225,6 @@ class SaddleProblem:
         with self._lock:
             self._counter += 1
 
-    @property
-    def root(self) -> "SaddleProblem":
-        return self
-
     # -- oracles ----------------------------------------------------------
 
     def oracle_eval(self, z, order: int):
@@ -416,10 +412,6 @@ class PowerRegularized(SaddleProblem):
         self.mu2_x = base.mu2_x + extra_x
         self.mu2_y = base.mu2_y + extra_y
 
-    @property
-    def root(self):
-        return self.base.root
-
     def _count(self):
         pass  # the delegated base call does the counting
 
@@ -496,10 +488,6 @@ def surrogate_h(problem_f_eps: PowerRegularized, x_bar, y_bar,
         problem_f_eps.x_terms + [(gamma, np.asarray(x_bar, float))],
         problem_f_eps.y_terms + [(gamma, np.asarray(y_bar, float))],
         name=f"h_eps({problem_f_eps.base.name})")
-
-
-def oracle_eval(problem, z, order):
-    return problem.oracle_eval(z, order)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,38 @@ def test_restart_gap_halving_quartic():
         assert g1 <= 0.75 * g0 + 1e-12
 
 
+def test_restart_probe_stops_after_first_epoch():
+    h = quad_oracle([0.0, 0.0], lo=-3.0, hi=3.0)
+    bundle = exact_bundle(h, h.domain, M=2.0, order=1)
+    seen = []
+
+    def probe(z):
+        seen.append(np.array(z))
+        return True
+
+    z, info = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
+                           S=4, probe=probe)
+    (st,) = info["traces"]
+    assert st.stopped_by_probe and not st.aborted and not st.fixed_point
+    assert len(st.lam) == 1 and len(seen) == 1
+    assert np.array_equal(z, seen[0])
+
+
+def test_restart_without_patience_runs_past_a_stalled_epoch():
+    # the minimizer is reached in the first epoch, so the second one cannot
+    # improve the best value; a stall break would end the loop there
+    h = quad_oracle([0.5], lo=-1.0, hi=1.0)
+    bundle = exact_bundle(h, h.domain, M=2.0, order=1)
+    kw = dict(gamma=1.0, delta=1e-3, T=8, S=3)
+    _, info = aipe_restart(bundle, h.domain, [-1.0], **kw)
+    assert len(info["traces"]) == 2
+    _, info = aipe_restart(bundle, h.domain, [-1.0], stall_patience=None,
+                           **kw)
+    assert len(info["traces"]) == 3
+    assert min(info["traces"][1].h_hat + info["traces"][1].h_tilde) \
+        > min(info["traces"][0].h_hat + info["traces"][0].h_tilde) - 1e-3
+
+
 # ---------------------------------------------------------------------------
 # exact-oracle wrapper
 # ---------------------------------------------------------------------------

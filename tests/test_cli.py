@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from saddleopt.cli import (LOWERBOUND_HEADER, RESULT_HEADER, BenchConfig,
-                           fit_rate, lowerbound_csv, lowerbound_experiment,
-                           main, run_suite)
+                           fit_rate, lowerbound_csv, main, run_suite)
+from saddleopt.lowerbound import experiment_row
 
 QUAD2 = {"problem": "quadratic", "dim": 2, "p": 1}
 
@@ -139,7 +139,7 @@ def test_rate_fit_in_summary(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_lowerbound_rows_and_csv():
-    rows = lowerbound_experiment(1, [4, 8])
+    rows = [experiment_row(1, T) for T in (4, 8)]
     assert [r["T"] for r in rows] == [4, 8]
     for r in rows:
         assert r["ratio"] >= 1.0
@@ -169,12 +169,15 @@ def test_cli_solve(tmp_path, capsys):
 
 def test_cli_lowerbound(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
-    code = main(["lowerbound", "--p", "1", "--tmax", "8",
+    code = main(["lowerbound", "--p", "1", "--tmax", "16",
                  "--out", str(out_file)])
     assert code == 0
-    printed = capsys.readouterr().out
+    captured = capsys.readouterr()
+    printed = captured.out
     assert printed == out_file.read_text()
     assert printed.splitlines()[0] == ",".join(LOWERBOUND_HEADER)
+    assert len(printed.splitlines()) == 4          # header + T = 4, 8, 16
+    assert captured.err.startswith("# unit-diameter residual ~ T^-")
 
 
 def test_cli_bench(tmp_path, capsys):
@@ -192,3 +195,24 @@ def test_cli_bench(tmp_path, capsys):
 def test_cli_check(capsys):
     assert main(["check"]) == 0
     assert "check: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, cfg, detail", [
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "solver": "eg_baseline"}, "'solver'"),
+    ("solve", dict(QUAD2, solver="eg_baseline"), "missing key 'eps'"),
+    ("solve", {"problem": "no_such_kind", "eps": 1e-2},
+     "unknown problem kind 'no_such_kind'"),
+])
+def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
+                                           detail):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path)]
+    if command == "bench":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("saddlebench: bad config: ")
+    assert detail in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -3,7 +3,7 @@ import pytest
 
 from saddleopt.eg import (
     EgConfig, certified_distance, eg_epoch, iprox_psi, polish_step,
-    restarted_eg, _restarted_eg_full, uc_modulus,
+    restarted_eg, uc_modulus,
 )
 from saddleopt.geometry import Box
 from saddleopt.problems import (
@@ -125,14 +125,14 @@ def test_epoch_contraction_rate():
 def test_restart_from_saddle_is_fixed():
     h = make_h_eps(7)
     z_star = reference_saddle(h)
-    out = restarted_eg(h, EgConfig(zeta3=1e-6), z0=z_star)
+    out, _ = restarted_eg(h, EgConfig(zeta3=1e-6), z0=z_star)
     assert np.linalg.norm(out - z_star) <= 1e-5
 
 
 def test_restart_certifies_distance():
     h = make_h_eps(8, gamma=0.8, mu=0.2)
     z_star = reference_saddle(h)
-    out, tr = _restarted_eg_full(h, EgConfig(zeta3=1e-5))
+    out, tr = restarted_eg(h, EgConfig(zeta3=1e-5))
     assert tr.certified
     assert np.linalg.norm(out - z_star) <= 1e-5 + 1e-7
 

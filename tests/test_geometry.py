@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
 from saddleopt.geometry import (
-    Ball, Box, DimensionMismatch, NotInDomain, Product, diameter,
-    domain_from_json, project, scale_domain, tangent_residual,
+    Ball, Box, DimensionMismatch, NotInDomain, Product, domain_from_json,
+    tangent_residual,
 )
 
 
@@ -87,10 +87,10 @@ def boundaryish_point(domain, rng):
 # ---------------------------------------------------------------------------
 
 def test_project_examples():
-    assert np.allclose(project(Box([0, 0], [1, 1]), [2, -1]), [1, 0])
-    assert np.allclose(project(Ball(np.zeros(2), 1.0), [3, 4]), [0.6, 0.8])
+    assert np.allclose(Box([0, 0], [1, 1]).project([2, -1]), [1, 0])
+    assert np.allclose(Ball(np.zeros(2), 1.0).project([3, 4]), [0.6, 0.8])
     dom = Product(Box([0], [1]), Ball(np.zeros(1), 2.0))
-    assert np.allclose(project(dom, [1.5, 3]), [1, 2])
+    assert np.allclose(dom.project([1.5, 3]), [1, 2])
 
 
 def test_project_idempotent_nonexpansive():
@@ -172,19 +172,19 @@ def test_residual_rejects_outside_point():
 # ---------------------------------------------------------------------------
 
 def test_diameter_examples():
-    assert diameter(Box([0] * 3, [1] * 3)) == pytest.approx(np.sqrt(3))
-    assert diameter(Ball(np.zeros(2), 5.0)) == 10
-    assert diameter(Product(Box([0, 0], [1, 1]),
-                            Box([0, 0], [1, 1]))) == pytest.approx(2.0)
+    assert Box([0] * 3, [1] * 3).diameter() == pytest.approx(np.sqrt(3))
+    assert Ball(np.zeros(2), 5.0).diameter() == 10
+    assert Product(Box([0, 0], [1, 1]),
+                   Box([0, 0], [1, 1])).diameter() == pytest.approx(2.0)
 
 
 def test_scale_examples():
-    d = scale_domain(Box([0], [1]), 2.0)
+    d = Box([0], [1]).scale(2.0)
     assert np.allclose([d.lo, d.hi], [[0], [0.5]])
-    d = scale_domain(Ball(np.zeros(2), 4.0), 4.0)
+    d = Ball(np.zeros(2), 4.0).scale(4.0)
     assert d.radius == 1.0
     with pytest.raises(ValueError):
-        scale_domain(Box([0], [1]), -1.0)
+        Box([0], [1]).scale(-1.0)
 
 
 @given(st.floats(0.01, 100), st.integers(0, 10_000))
@@ -192,7 +192,7 @@ def test_scale_examples():
 def test_scale_divides_diameter(beta, seed):
     rng = np.random.default_rng(seed)
     dom = random_domain(rng, int(rng.integers(1, 6)))
-    assert scale_domain(dom, beta).diameter() == pytest.approx(
+    assert dom.scale(beta).diameter() == pytest.approx(
         dom.diameter() / beta, rel=1e-12)
 
 
