@@ -6,14 +6,14 @@ proximal-point with restarts, the triple-loop minimax solver, hard-instance
 floor experiments, and a benchmark CLI (console script ``saddlebench``).
 """
 
-from .geometry import Ball, Box, Product, tangent_residual
+from .geometry import Ball, Box, Product
 from .minimax import MinimaxConfig, SolveReport, baseline_eg_solve, \
     derive_parameters, solve
 from .problems import SaddleProblem, from_config, hard_instance, \
     make_bilinear, make_power, make_quadratic
 
 __all__ = [
-    "Ball", "Box", "Product", "tangent_residual",
+    "Ball", "Box", "Product",
     "MinimaxConfig", "SolveReport", "baseline_eg_solve",
     "derive_parameters", "solve",
     "SaddleProblem", "from_config", "hard_instance",

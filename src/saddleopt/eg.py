@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import Domain
-from .problems import PowerRegularized, SaddleProblem, join, split
+from .problems import PowerRegularized, SaddleProblem, join, surrogate_h
 from .tensor_step import ProxCertificate, TensorStepConfig, tensor_step
 
 
@@ -213,10 +213,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     x_bar = np.asarray(x_bar, float)
     y_bar = np.asarray(y_bar, float)
     p = problem_g_eps.p
-    h_eps = PowerRegularized(
-        problem_g_eps.base, problem_g_eps.x_terms,
-        problem_g_eps.y_terms + [(float(gamma), y_bar)],
-        name=f"h_eps({problem_g_eps.base.name})")
+    h_eps = surrogate_h(problem_g_eps, y_bar, gamma)
     dx = h_eps.dx
     op = h_eps.operator()
     domain = h_eps.domain

@@ -264,10 +264,6 @@ def _check_beta(beta):
         raise ValueError(f"scale factor must be positive, got {beta}")
 
 
-def tangent_residual(domain: Domain, z, Fz) -> float:
-    return domain.tangent_residual(z, Fz)
-
-
 # extra decoders (e.g. the ordered box in problems) register here
 EXTRA_JSON_DECODERS = {}
 

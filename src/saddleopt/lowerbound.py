@@ -112,34 +112,6 @@ def anchored_eg_schedule(T: int, Lp: float = 1.0, c: float = 2.6) -> list:
     return schedule
 
 
-class _PartialOp:
-    """One block of the saddle operator with the other block frozen;
-    shaped like an operator for tensor_step (call + jacobian)."""
-
-    def __init__(self, problem, block, frozen):
-        self.problem = problem
-        self.block = block              # "x" or "y"
-        self.frozen = np.asarray(frozen, float)
-        self.order = problem.p
-
-    def _z(self, v):
-        if self.block == "x":
-            return join(v, self.frozen)
-        return join(self.frozen, v)
-
-    def __call__(self, v):
-        g = self.problem.oracle_eval(self._z(v), 1)[1]
-        dx = self.problem.dx
-        return g[:dx] if self.block == "x" else -g[dx:]
-
-    def jacobian(self, v):
-        H = self.problem.oracle_eval(self._z(v), 2)[2]
-        dx = self.problem.dx
-        if self.block == "x":
-            return np.asarray(H, float)[:dx, :dx]
-        return -np.asarray(H, float)[dx:, dx:]
-
-
 def _span_point(coeffs, history, t):
     if coeffs is None:
         return history[t].copy()
@@ -183,10 +155,10 @@ def run_alg_class(problem: SaddleProblem, schedule,
         x_bar, y_bar = xp, yp
         cfg = TensorStepConfig(order=step.q, M=M, vi_tol=vi_tol)
         if step.option == "A":
-            op = _PartialOp(problem, "x", y_bar)
+            op = problem.x_function(y_bar).grad_operator()
             x = tensor_step(op, problem.x_domain, x_bar, cfg)
         elif step.option == "B":
-            op = _PartialOp(problem, "y", x_bar)
+            op = problem.y_function(x_bar).grad_operator()
             y = tensor_step(op, problem.y_domain, y_bar, cfg)
         else:
             z = tensor_step(problem.operator(), problem.domain,

@@ -304,7 +304,7 @@ def ifunc_igrad_primal(problem_f_eps: PowerRegularized, x, delta: float,
 
 def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
               delta1: float, cfg: MinimaxConfig, warm: dict = None,
-              tracker: CountTracker = None):
+              tracker: CountTracker = None, flags: list = None):
     """Inexact proximal oracle for the primal envelope at x_bar.
 
     Runs the middle-loop acceleration on the dual envelope of g_eps =
@@ -312,7 +312,8 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     minimizer at the returned dual point and polishes it.  Returns
     (x_tilde, u_tilde, certificate); the certificate residual adds a
     Danskin-error bound (from the measured dual-side residual) to the
-    directly measured polished gradient.
+    directly measured polished gradient.  The middle level's flags (failed
+    dual prox certificates, aborted middle epochs) are appended to flags.
     """
     x_bar = np.asarray(x_bar, float)
     p = cfg.p
@@ -322,7 +323,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     dx = g_eps.dx
     y_dom = g_eps.y_domain
     mu_ucx_g = g_eps.mu_x / 2 ** (p - 1)
-    flags = []
+    flags = flags if flags is not None else []
     # practical mode ends stalled epochs and restart loops early
     patience = STALL_PATIENCE if cfg.practical_mode else None
     zeta2, zeta3 = cfg.zeta2, cfg.zeta3
@@ -371,7 +372,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                y_dom.center() if y is None else y, gamma,
                                cfg.stall2, cfg.T2, cfg.S2,
                                stall_patience=patience)
-        flags += [st.note for st in info["traces"] if st.aborted]
+        flags.extend(st.note for st in info["traces"] if st.aborted)
         warm["y_mid"] = y
         y_hat = np.asarray(y, float)
 
@@ -490,7 +491,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def out_iprox(xb, g, d):
         x_t, u_t, cert = iprox_phi(f_eps, xb, g, cfg.delta1, cfg, warm=warm,
-                                   tracker=tracker)
+                                   tracker=tracker, flags=flags)
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")

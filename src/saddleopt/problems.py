@@ -5,7 +5,8 @@ lower-bound experiments.
 A SaddleProblem bundles f, its derivatives up to order p in {1, 2}, the
 feasible sets X, Y, and Lipschitz constants.  Solvers only touch problems
 through ``oracle_eval`` (which counts calls) or views derived from it, so
-oracle-complexity accounting is exact.
+oracle-complexity accounting is exact: one query of any order on any view,
+regularized surrogates included, is one base call and counts once.
 """
 
 from __future__ import annotations
@@ -386,8 +387,9 @@ class PowerRegularized(SaddleProblem):
     """Base problem plus (p+1)-power proximal regularizers on each side.
 
     x_terms/y_terms are lists of (coefficient, center); x terms are added,
-    y terms subtracted, keeping the function convex-concave.  Oracle calls
-    delegate to the base problem, so the base counter keeps counting.
+    y terms subtracted, keeping the function convex-concave.  Each query
+    makes one base oracle_eval call of the same order, which checks the
+    order and the domain and counts once, then adds the regularizer terms.
     """
 
     def __init__(self, base: SaddleProblem, x_terms, y_terms, name=""):
@@ -401,8 +403,7 @@ class PowerRegularized(SaddleProblem):
         Dy = base.y_domain.diameter()
         L1 = base.L1 + p * max(mu_x * Dx ** (p - 1), mu_y * Dy ** (p - 1))
         Lp = base.Lp + math.factorial(p) * max(mu_x, mu_y)
-        super().__init__(base.x_domain, base.y_domain, p,
-                         self._val, self._grd, self._hes if p == 2 else None,
+        super().__init__(base.x_domain, base.y_domain, p, None, None,
                          L1=L1, Lp=Lp, name=name or f"reg({base.name})")
         self.mu_x = mu_x
         self.mu_y = mu_y
@@ -412,44 +413,28 @@ class PowerRegularized(SaddleProblem):
         self.mu2_x = base.mu2_x + extra_x
         self.mu2_y = base.mu2_y + extra_y
 
-    def _count(self):
-        pass  # the delegated base call does the counting
-
-    def _val(self, z):
-        x, y = split(z, self.base.dx)
-        v = self.base.oracle_eval(z, 0)[0]
+    def oracle_eval(self, z, order):
+        out = self.base.oracle_eval(z, order)
+        x, y = split(z, self.dx)
+        v = out[0]
         v += sum(_reg_value(x - w, c, self.p) for c, w in self.x_terms)
         v -= sum(_reg_value(y - w, c, self.p) for c, w in self.y_terms)
-        return v
-
-    def _grd(self, z):
-        x, y = split(z, self.base.dx)
-        g = np.array(self.base.oracle_eval(z, 1)[1], dtype=float)
-        for c, w in self.x_terms:
-            g[:self.dx] += _reg_grad(x - w, c, self.p)
-        for c, w in self.y_terms:
-            g[self.dx:] -= _reg_grad(y - w, c, self.p)
-        return g
-
-    def _hes(self, z):
-        x, y = split(z, self.base.dx)
-        H = np.array(self.base.oracle_eval(z, 2)[2], dtype=float)
-        for c, w in self.x_terms:
-            H[:self.dx, :self.dx] += _reg_hess(x - w, c, self.p)
-        for c, w in self.y_terms:
-            H[self.dx:, self.dx:] -= _reg_hess(y - w, c, self.p)
-        return H
-
-    def oracle_eval(self, z, order):
-        if order > self.p:
-            raise OrderError(f"order {order} oracle on a p={self.p} problem")
-        z = np.asarray(z, dtype=float)
-        out = [self._val(z)]
+        res = [v]
         if order >= 1:
-            out.append(self._grd(z))
+            g = np.array(out[1], dtype=float)
+            for c, w in self.x_terms:
+                g[:self.dx] += _reg_grad(x - w, c, self.p)
+            for c, w in self.y_terms:
+                g[self.dx:] -= _reg_grad(y - w, c, self.p)
+            res.append(g)
         if order >= 2:
-            out.append(self._hes(z))
-        return tuple(out)
+            H = np.array(out[2], dtype=float)
+            for c, w in self.x_terms:
+                H[:self.dx, :self.dx] += _reg_hess(x - w, c, self.p)
+            for c, w in self.y_terms:
+                H[self.dx:, self.dx:] -= _reg_hess(y - w, c, self.p)
+            res.append(H)
+        return tuple(res)
 
     @property
     def oracle_counter(self):
@@ -478,16 +463,15 @@ def surrogate_g(problem_f_eps: PowerRegularized, x_bar,
         name=f"g_eps({problem_f_eps.base.name})")
 
 
-def surrogate_h(problem_f_eps: PowerRegularized, x_bar, y_bar,
+def surrogate_h(problem_g_eps: PowerRegularized, y_bar,
                 gamma: float) -> PowerRegularized:
-    """h_eps: two-sided proximal surrogate at (x_bar, y_bar)."""
+    """h_eps: g_eps minus the y-side proximal power term at y_bar."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     return PowerRegularized(
-        problem_f_eps.base,
-        problem_f_eps.x_terms + [(gamma, np.asarray(x_bar, float))],
-        problem_f_eps.y_terms + [(gamma, np.asarray(y_bar, float))],
-        name=f"h_eps({problem_f_eps.base.name})")
+        problem_g_eps.base, problem_g_eps.x_terms,
+        problem_g_eps.y_terms + [(gamma, np.asarray(y_bar, float))],
+        name=f"h_eps({problem_g_eps.base.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def make_h_eps(seed, p=1, gamma=0.5, mu=0.1):
     z0 = prob.domain.center()
     f_eps = regularize_f_eps(prob, z0, mu, mu)
     x0, y0 = split(z0, prob.dx)
-    return surrogate_h(f_eps, x0, y0, gamma)
+    return surrogate_h(surrogate_g(f_eps, x0, gamma), y0, gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from scipy.optimize import nnls
 
 from saddleopt.geometry import (
     Ball, Box, DimensionMismatch, NotInDomain, Product, domain_from_json,
-    tangent_residual,
 )
 
 
@@ -116,11 +115,11 @@ def test_dimension_mismatch():
 
 def test_residual_trivial_examples():
     box = Box([0, 0], [1, 1])
-    assert tangent_residual(box, [0, 0], [1, 1]) == pytest.approx(0, abs=1e-12)
-    assert tangent_residual(box, [0.5, 0.5], [1, 1]) == pytest.approx(
+    assert box.tangent_residual([0, 0], [1, 1]) == pytest.approx(0, abs=1e-12)
+    assert box.tangent_residual([0.5, 0.5], [1, 1]) == pytest.approx(
         np.sqrt(2), abs=1e-12)
     # frozen oracle value: brute_residual(box, (0,0.5), (1,-2)) == 2.0
-    assert tangent_residual(box, [0, 0.5], [1, -2]) == pytest.approx(
+    assert box.tangent_residual([0, 0.5], [1, -2]) == pytest.approx(
         2.0, abs=1e-12)
 
 
@@ -131,7 +130,7 @@ def test_residual_matches_brute_force():
         dom = random_domain(rng, dim)
         z = boundaryish_point(dom, rng)
         F = rng.normal(scale=2, size=dim)
-        r = tangent_residual(dom, z, F)
+        r = dom.tangent_residual(z, F)
         assert r == pytest.approx(brute_residual(dom, z, F), abs=1e-8)
 
 
@@ -143,7 +142,7 @@ def test_residual_zero_iff_projected_stationary():
         dom = random_domain(rng, dim)
         z = boundaryish_point(dom, rng)
         F = rng.normal(size=dim)
-        r = tangent_residual(dom, z, F)
+        r = dom.tangent_residual(z, F)
         moved = np.linalg.norm(dom.project(z - eta * F) - z) / eta
         if r <= 1e-12:
             assert moved <= 1e-8
@@ -158,13 +157,13 @@ def test_residual_interior_is_norm():
         z = dom.center()
         F = rng.normal(size=4)
         if dom.interior_margin(z) > 1e-6:
-            assert tangent_residual(dom, z, F) == pytest.approx(
+            assert dom.tangent_residual(z, F) == pytest.approx(
                 np.linalg.norm(F), abs=1e-12)
 
 
 def test_residual_rejects_outside_point():
     with pytest.raises(NotInDomain):
-        tangent_residual(Box([0], [1]), [2.0], [1.0])
+        Box([0], [1]).tangent_residual([2.0], [1.0])
 
 
 # ---------------------------------------------------------------------------

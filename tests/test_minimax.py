@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from saddleopt import minimax
 from saddleopt.geometry import Box
 from saddleopt.minimax import (
     CountTracker, MinimaxConfig, baseline_eg_solve, derive_parameters,
@@ -249,6 +251,24 @@ def test_solve_quadratic_and_power():
         z, rep = solve(prob, 1e-3)
         assert rep.ok and rep.residual <= 1e-3
         assert not rep.flags
+
+
+def test_solve_reports_failed_dual_prox_certificate(monkeypatch):
+    # the middle level's flags reach the report, not just the outer ones
+    real = minimax.iprox_psi
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        y_t, v_t, cert = real(*args, **kwargs)
+        calls.append(cert)
+        if len(calls) == 1:
+            cert = replace(cert, ok=False)
+        return y_t, v_t, cert
+
+    monkeypatch.setattr(minimax, "iprox_psi", first_fails)
+    z, rep = solve(make_quadratic(2, seed=8), 1e-2)
+    assert calls
+    assert any(f.startswith("dual prox certificate") for f in rep.flags)
 
 
 def test_solve_accounting_identity():

@@ -7,10 +7,10 @@ from scipy.optimize import minimize
 
 from saddleopt.geometry import Box, domain_from_json
 from saddleopt.problems import (
-    GapEstimate, OrderedBox, OrderError, SaddleProblem, check_derivatives,
-    duality_gap, hard_instance, join, lin_hard_instance, make_bilinear,
-    make_power, make_quadratic, regularize_f_eps, split, surrogate_g,
-    surrogate_h,
+    GapEstimate, OrderedBox, OrderError, SaddleProblem, _reg_grad,
+    _reg_value, check_derivatives, duality_gap, from_config, hard_instance,
+    join, lin_hard_instance, make_bilinear, make_power, make_quadratic,
+    regularize_f_eps, split, surrogate_g, surrogate_h,
 )
 
 
@@ -60,6 +60,51 @@ def test_oracle_order_and_domain_errors():
         prob.oracle_eval([0.0, 0.0], 2)
     with pytest.raises(ValueError):
         prob.oracle_eval([5.0, 0.0], 0)
+
+
+def single_queries(prob, z):
+    """One zero-argument call per oracle query that prob's views offer."""
+    x, y = split(z, prob.dx)
+    op = prob.operator()
+    fx, fy = prob.x_function(y), prob.y_function(x)
+    queries = [lambda k=k: prob.oracle_eval(z, k) for k in range(prob.p + 1)]
+    queries += [lambda: op(z), lambda: fx.value(x), lambda: fx.grad(x),
+                lambda: fy.value(y), lambda: fy.grad(y)]
+    if prob.p == 2:
+        queries += [lambda: op.jacobian(z), lambda: fx.hess(x),
+                    lambda: fy.hess(y)]
+    return queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["bilinear", "quadratic", "power", "hard_new",
+                             "hard_lin"]),
+       p=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
+def test_one_query_counts_one_oracle_call_on_every_view(kind, p, seed):
+    base = from_config({"problem": kind, "p": p, "seed": seed % 5})
+    rng = np.random.default_rng(seed)
+    f_eps = regularize_f_eps(base, base.domain.sample(rng), 0.3, 0.2)
+    g_eps = surrogate_g(f_eps, base.x_domain.sample(rng), 0.5)
+    h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.7)
+    z = base.domain.sample(rng)
+    for prob in (base, f_eps, g_eps, h_eps):
+        for query in single_queries(prob, z):
+            before = prob.oracle_counter
+            query()
+            assert prob.oracle_counter == before + 1
+    # a regularized query is the base query plus the regularizer terms
+    v, g = base.oracle_eval(z, 1)
+    x, y = split(z, base.dx)
+    for prob in (f_eps, g_eps, h_eps):
+        rv, rg = prob.oracle_eval(z, 1)
+        ev = (v + sum(_reg_value(x - w, c, p) for c, w in prob.x_terms)
+              - sum(_reg_value(y - w, c, p) for c, w in prob.y_terms))
+        eg = np.concatenate([
+            g[:base.dx] + sum(_reg_grad(x - w, c, p) for c, w in prob.x_terms),
+            g[base.dx:] - sum(_reg_grad(y - w, c, p) for c, w in prob.y_terms),
+        ])
+        assert abs(rv - ev) <= 1e-12
+        assert np.max(np.abs(rg - eg)) <= 1e-12
 
 
 def test_quadratic_hessian_signs():
@@ -191,7 +236,7 @@ def test_surrogate_g_pulls_minimizer():
 def test_surrogate_h_examples():
     prob = zero_problem()
     feps = regularize_f_eps(prob, np.zeros(2), 1e-12, 1e-12)
-    h = surrogate_h(feps, np.zeros(1), np.zeros(1), 1.0)
+    h = surrogate_h(surrogate_g(feps, np.zeros(1), 1.0), np.zeros(1), 1.0)
     z = np.array([1.0, 1.0])
     assert h.oracle_eval(np.zeros(2), 0)[0] == pytest.approx(
         feps.oracle_eval(np.zeros(2), 0)[0])
@@ -206,8 +251,8 @@ def test_h_eps_uniform_monotonicity():
         base = make_bilinear(3, p=p, seed=2)
         feps = regularize_f_eps(base, base.domain.center(), 0.05, 0.05)
         gamma = 0.7
-        h = surrogate_h(feps, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3),
-                        gamma)
+        h = surrogate_h(surrogate_g(feps, rng.uniform(-1, 1, 3), gamma),
+                        rng.uniform(-1, 1, 3), gamma)
         mu = gamma / 2 ** (p - 1)
         F = h.operator()
         for _ in range(300):
