@@ -180,12 +180,12 @@ def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
 
     stall_patience and probe(best_point) -> bool are passed to every epoch.
     The loop ends after an epoch that hits a proximal fixed point, aborts
-    on a failed prox certificate (callers turn aborted traces into flags)
-    or is stopped by probe, and once stop_when(z) -> bool certifies the
-    epoch's point.  A truthy stall_patience also ends it once an epoch's
-    best recorded value improves on the previous best by no more than
-    delta: the oracles can no longer resolve progress.  A falsy one turns
-    off this break along with the in-epoch stall exit (paper mode).
+    on a failed prox certificate (only an iprox that returns certificates
+    can abort) or is stopped by probe, and once stop_when(z) -> bool
+    certifies the epoch's point.  A truthy stall_patience also ends it once
+    an epoch's best recorded value improves on the previous best by no more
+    than delta: the oracles can no longer resolve progress.  A falsy one
+    turns off this break along with the in-epoch stall exit.
     gap_oracle(z) -> float, if given, logs the gap at the start point and
     after every epoch.
     """

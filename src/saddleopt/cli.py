@@ -54,7 +54,6 @@ class BenchConfig:
     eps_grid: list
     solvers: list = field(default_factory=lambda: list(SOLVERS))
     seeds: list = field(default_factory=lambda: [0])
-    paper_value_mode: bool = False
     name: str = "bench"
 
     def __post_init__(self):
@@ -119,9 +118,7 @@ def _run_row(spec: dict) -> dict:
         out["problem"] = problem.name
         eps = float(spec["eps"])
         if spec["solver"] == "minimax_aipe":
-            cfg = derive_parameters(problem, eps,
-                                    practical_mode=not spec["paper_mode"])
-            _, report = solve(problem, eps, cfg)
+            _, report = solve(problem, eps, derive_parameters(problem, eps))
         else:
             _, report = baseline_eg_solve(problem, eps)
         out["residual"] = float(report.residual)
@@ -146,8 +143,7 @@ def run_suite(config: BenchConfig, out_dir: str, jobs: int = 1) -> dict:
             for eps in config.eps_grid:
                 for seed in config.seeds:
                     specs.append({"row": len(specs), "problem_cfg": prob_cfg,
-                                  "solver": solver, "eps": eps, "seed": seed,
-                                  "paper_mode": config.paper_value_mode})
+                                  "solver": solver, "eps": eps, "seed": seed})
     if jobs > 1 and len(specs) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_row, specs))
@@ -269,15 +265,13 @@ def _cmd_solve(args) -> int:
             cfg["seed"] = int(env_seed)
         eps = float(cfg.pop("eps"))
         solver = cfg.pop("solver", "minimax_aipe")
-        paper = bool(cfg.pop("paper_value_mode", False))
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
         problem = from_config(cfg)
     except CONFIG_ERRORS as exc:
         return _bad_config(exc)
     if solver == "minimax_aipe":
-        mcfg = derive_parameters(problem, eps, practical_mode=not paper)
-        _, report = solve(problem, eps, mcfg)
+        _, report = solve(problem, eps, derive_parameters(problem, eps))
     else:
         _, report = baseline_eg_solve(problem, eps)
     print(report.to_json())
@@ -302,8 +296,6 @@ def _cmd_lowerbound(args) -> int:
     while T <= args.tmax:
         T_list.append(T)
         T *= 2
-    if not T_list:
-        raise SystemExit("--tmax must be at least 4")
     rows = [experiment_row(args.p, T) for T in T_list]
     text = lowerbound_csv(rows)
     if args.out:
@@ -340,6 +332,8 @@ def main(argv=None) -> int:
     sub.add_parser("check", help="derivative and geometry self-tests")
 
     args = parser.parse_args(argv)
+    if args.command == "lowerbound" and args.tmax < 4:
+        p_lb.error("--tmax must be at least 4")
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "bench":

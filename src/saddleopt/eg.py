@@ -27,9 +27,7 @@ class EgConfig:
     T3: int = None           # epoch length; sized from the contraction bound
     S3: int = None           # number of epochs; sized from log2(D/zeta3)
     zeta3: float = 1e-6      # target distance to the surrogate saddle
-    adaptive_stop: bool = True
     vi_tol: float = 1e-10
-    max_inner_iters: int = 10_000
 
     def __post_init__(self):
         if self.T3 is not None and self.T3 < 1:
@@ -43,10 +41,8 @@ class EgTrace:
     step_norms: list = field(default_factory=list)
     etas: list = field(default_factory=list)
     residuals: list = field(default_factory=list)   # cheap projection-based
-    epoch_points: list = field(default_factory=list)
     oracle_calls: int = 0
     certified: bool = False
-    dist_bound: float = math.inf
 
 
 def certified_distance(residual: float, mu_uc: float, p: int,
@@ -97,7 +93,6 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
             # the model was solved exactly at z: zh solves the VI itself
             trace.step_norms.append(0.0)
             trace.residuals.append(0.0)
-            trace.epoch_points.append(zh)
             return zh, trace
         eta = math.factorial(q) / (M * d ** (q - 1))
         Fh = np.asarray(op(zh), float)
@@ -110,14 +105,12 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         trace.residuals.append(r)
         if stop_residual > 0.0 and r <= stop_residual:
             trace.certified = True
-            trace.epoch_points.append(zh)
             return zh, trace
     if not halves:
         return z, trace
     w = np.asarray(trace.etas)
     z_avg = (w[:, None] * np.asarray(halves)).sum(axis=0) / w.sum()
     z_avg = domain.project(z_avg)  # guard roundoff on faces
-    trace.epoch_points.append(z_avg)
     return z_avg, trace
 
 
@@ -157,33 +150,24 @@ def restarted_eg(problem: SaddleProblem, cfg: EgConfig, z0=None):
     full = EgTrace()
     best, best_bound = z, math.inf
     # residual level at which uniform monotonicity certifies the target
-    r_stop = max(2.0 * mu * cfg.zeta3 ** p / (p + 1), mu2 * cfg.zeta3) \
-        if cfg.adaptive_stop else 0.0
+    r_stop = max(2.0 * mu * cfg.zeta3 ** p / (p + 1), mu2 * cfg.zeta3)
     for _ in range(cfg.S3):
         z, tr = eg_epoch(op, domain, z, cfg.M, cfg.T3, p, cfg.vi_tol,
                          stop_residual=r_stop)
         full.step_norms += tr.step_norms
         full.etas += tr.etas
         full.residuals += tr.residuals
-        full.epoch_points.append(z)
         if tr.certified:
-            best, best_bound = z, certified_distance(tr.residuals[-1], mu, p,
-                                                     mu2=mu2)
+            best = z
             full.certified = True
             break
-        if cfg.adaptive_stop:
-            r = domain.tangent_residual(z, op(z))
-            bound = certified_distance(r, mu, p, mu2=mu2)
-            if bound < best_bound:
-                best, best_bound = z, bound
-            if bound <= cfg.zeta3:
-                full.certified = True
-                break
-    if not cfg.adaptive_stop:
         r = domain.tangent_residual(z, op(z))
-        best, best_bound = z, certified_distance(r, mu, p, mu2=mu2)
-        full.certified = best_bound <= cfg.zeta3
-    full.dist_bound = best_bound
+        bound = certified_distance(r, mu, p, mu2=mu2)
+        if bound < best_bound:
+            best, best_bound = z, bound
+        if bound <= cfg.zeta3:
+            full.certified = True
+            break
     full.oracle_calls = problem.oracle_counter - start
     return best, full
 

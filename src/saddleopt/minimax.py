@@ -11,11 +11,12 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
     surrogate h_eps, implementing the middle proximal oracle.
 
 Inexact function values and gradients of the envelopes come from nested
-uniformly convex minimizations (Danskin's rule).  In practical mode every
-level stops on measured certificates instead of worst-case iteration
-counts, and the outer loop halts as soon as a recovered primal-dual pair
-has tangent residual <= eps for the ORIGINAL operator -- which is also
-the guarantee the solver reports.
+uniformly convex minimizations (Danskin's rule).  The worst-case loop
+counts of the analysis (T1, T2, S1, S2) are only caps: every level stops
+on measured certificates and stalls, the inner tolerances are eps/100
+rather than a worst-case delta chain, and the outer loop halts as soon as
+a recovered primal-dual pair has tangent residual <= eps for the ORIGINAL
+operator -- which is also the guarantee the solver reports.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 # aipe_epoch is unused here, but perfbench/tracer.py patches it at this
 # import site, so the name must stay
 from .aipe import (  # noqa: F401
-    STALL_PATIENCE, OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
+    OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
 )
 from .eg import EgConfig, certified_distance, iprox_psi, polish_step
 from .problems import (
@@ -75,12 +76,10 @@ class MinimaxConfig:
     gamma: float
     mu_x: float
     mu_y: float
-    T1: int
-    T2: int
-    T3: int
-    S1: int
-    S2: int
-    S3: int
+    T1: int                # outer epoch-length cap
+    T2: int                # middle epoch-length cap
+    S1: int                # outer restart cap
+    S2: int                # middle restart cap
     delta1: float
     delta2: float
     stall1: float          # outer value-improvement resolution
@@ -91,9 +90,7 @@ class MinimaxConfig:
     L1_tilde: float        # Lipschitz of the regularized operator
     L1x_tilde: float       # x-side polish constant of g_eps
     L1g_tilde: float       # Lipschitz of the two-sided surrogate operator
-    Lpg_tilde: float       # pth-derivative constant of the surrogates
-    M_inner: float         # inner extragradient regularization (32 Lpg)
-    practical_mode: bool = True
+    M_inner: float         # inner extragradient regularization (4 Lpg)
 
     def __post_init__(self):
         for name in ("eps", "gamma", "mu_x", "mu_y", "delta1", "delta2",
@@ -101,7 +98,7 @@ class MinimaxConfig:
                      "L1_tilde", "L1x_tilde", "L1g_tilde", "M_inner"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("T1", "T2", "T3", "S1", "S2", "S3"):
+        for name in ("T1", "T2", "S1", "S2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -132,16 +129,15 @@ class SolveReport:
         })
 
 
-def derive_parameters(problem: SaddleProblem, eps: float,
-                      practical_mode: bool = True) -> MinimaxConfig:
+def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     """All solver constants from the problem's smoothness and geometry.
 
-    The zeta/delta chain is evaluated backwards from eps: zeta1 is the
-    primal-dual distance making the final polish residual <= eps/2 (the
-    regularizer gradients account for the other eps/2), each later level
-    gets a factor-4 safety margin, and the deltas follow the analytic
-    scalings delta_i ~ zeta_i^{2(p+2)/(p+1)} / mu^{1/(p+1)} capped at
-    eps/100 and floored at 1e-14.
+    zeta1 is the primal-dual distance making the final polish residual
+    <= eps/2 (the regularizer gradients account for the other eps/2),
+    zeta2 = zeta1/4 and zeta3 = zeta2/20.  The measured residual at the
+    recovered pair is the arbiter, so there is no worst-case delta chain:
+    delta1 = delta2 = eps/100.  T1, T2, S1 and S2 are the analysis's loop
+    counts, used as caps on loops that stop on measured progress.
     """
     p = problem.p
     Dx = problem.x_domain.diameter()
@@ -166,49 +162,27 @@ def derive_parameters(problem: SaddleProblem, eps: float,
     expo = 2.0 / (3 * p + 1)
     T1 = math.ceil(8.0 * (gamma / mu_x) ** expo)
     T2 = math.ceil(8.0 * (gamma / mu_y) ** expo)
-    T3 = max(1, math.ceil(
-        (2 ** (2 * p + 3) * Lpg / (gamma * math.factorial(p)))
-        ** (2.0 / (p + 1))))
 
     zeta1 = eps / (24.0 * L1t)
     zeta2 = zeta1 / 4.0
+    zeta3 = max(zeta2 / 20.0, 1e-14)
     # value improvements smaller than the worst-case value gap of the
     # distance targets are noise; stalls are judged against these
     stall1 = max(mu_x / (p + 1) * zeta1 ** (p + 1), 1e-14)
     stall2 = max(mu_y / (p + 1) * zeta2 ** (p + 1), 1e-14)
-    if practical_mode:
-        # the measured residual at the recovered pair is the arbiter, so
-        # the inner tolerances only need to be eps-scaled, not worst-case
-        delta1 = delta2 = eps / 100.0
-        zeta3 = max(zeta2 / 20.0, 1e-14)
-    else:
-        chain_pow = 2.0 * (p + 2) / (p + 1)
-        delta1 = max(min(zeta1 ** chain_pow / mu_x ** (1.0 / (p + 1)),
-                         eps / 100.0), 1e-14)
-        delta2 = max(min(zeta2 ** chain_pow / mu_y ** (1.0 / (p + 1)),
-                         eps / 100.0), 1e-14)
-        # inner distance so the dual prox certificate can close: both the
-        # polished residual 6 L zeta3 and the Danskin error from the
-        # certified x-distance must stay below delta2
-        mu_ucx_g = (gamma + mu_x) / 2 ** (p - 1)
-        z3_resid = delta2 / (12.0 * L1g)
-        z3_danskin = (2.0 * mu_ucx_g / (p + 1)) \
-            * (delta2 / (2.0 * L1g)) ** p / (6.0 * L1g)
-        zeta3 = max(min(zeta2 / 4.0, z3_resid, z3_danskin), 1e-14)
+    delta1 = delta2 = eps / 100.0
 
     S1 = max(1, math.ceil(math.log2(max(4.0 * L1t * DZ / eps, 2.0))))
     S2 = S1
-    S3 = max(1, math.ceil(math.log2(max(DZ / zeta3, 2.0))) + 2)
     return MinimaxConfig(
         eps=eps, p=p, gamma=gamma, mu_x=mu_x, mu_y=mu_y,
-        T1=T1, T2=T2, T3=T3, S1=S1, S2=S2, S3=S3,
+        T1=T1, T2=T2, S1=S1, S2=S2,
         delta1=delta1, delta2=delta2, stall1=stall1, stall2=stall2,
         zeta1=zeta1, zeta2=zeta2, zeta3=zeta3,
-        L1_tilde=L1t, L1x_tilde=L1x, L1g_tilde=L1g, Lpg_tilde=Lpg,
+        L1_tilde=L1t, L1x_tilde=L1x, L1g_tilde=L1g,
         # the contraction analysis wants 32 Lp; measured-stopping runs are
         # stable (and ~8x faster) at the much smaller regularization
-        M_inner=(4.0 if practical_mode else 32.0) * Lpg,
-        practical_mode=practical_mode)
+        M_inner=4.0 * Lpg)
 
 
 def _dist_to_gap(mu: float, p: int, dist: float) -> float:
@@ -312,8 +286,8 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     minimizer at the returned dual point and polishes it.  Returns
     (x_tilde, u_tilde, certificate); the certificate residual adds a
     Danskin-error bound (from the measured dual-side residual) to the
-    directly measured polished gradient.  The middle level's flags (failed
-    dual prox certificates, aborted middle epochs) are appended to flags.
+    directly measured polished gradient.  Failed dual prox certificates
+    are appended to flags; the middle loop keeps going past them.
     """
     x_bar = np.asarray(x_bar, float)
     p = cfg.p
@@ -324,8 +298,6 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     y_dom = g_eps.y_domain
     mu_ucx_g = g_eps.mu_x / 2 ** (p - 1)
     flags = flags if flags is not None else []
-    # practical mode ends stalled epochs and restart loops early
-    patience = STALL_PATIENCE if cfg.practical_mode else None
     zeta2, zeta3 = cfg.zeta2, cfg.zeta3
 
     for attempt in range(2):
@@ -353,26 +325,20 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                 z0 = None
                 if warm.get("x_val") is not None:
                     z0 = join(warm["x_val"], np.asarray(yb, float))
-                eg_cfg = EgConfig(M=cfg.M_inner, zeta3=zeta3,
-                                  T3=None if cfg.practical_mode else cfg.T3,
-                                  adaptive_stop=cfg.practical_mode)
+                eg_cfg = EgConfig(M=cfg.M_inner, zeta3=zeta3)
                 y_t, v_t, cert = iprox_psi(g_eps, x_bar, yb, g, cfg.delta2,
                                            eg_cfg, z0=z0)
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
                              f"> {cert.bound:.3e}")
-                if cfg.practical_mode:
-                    return y_t, v_t   # diagnostics only; keep going
-            return y_t, v_t, cert
+            return y_t, v_t
 
         bundle = OracleBundle(ifunc=mid_ifunc, igrad=mid_igrad,
                               iprox=mid_iprox, order=p)
         y = warm.get("y_mid")
-        y, info = aipe_restart(bundle, y_dom,
-                               y_dom.center() if y is None else y, gamma,
-                               cfg.stall2, cfg.T2, cfg.S2,
-                               stall_patience=patience)
-        flags.extend(st.note for st in info["traces"] if st.aborted)
+        y, _ = aipe_restart(bundle, y_dom,
+                            y_dom.center() if y is None else y, gamma,
+                            cfg.stall2, cfg.T2, cfg.S2)
         warm["y_mid"] = y
         y_hat = np.asarray(y, float)
 
@@ -472,7 +438,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def probe(x_best):
         _, r = recover(x_best)
-        return cfg.practical_mode and r <= eps
+        return r <= eps
 
     def out_ifunc(z, d):
         with tracker.level("outer"):
@@ -495,18 +461,14 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")
-            if cfg.practical_mode:
-                return x_t, u_t
-        return x_t, u_t, cert
+        return x_t, u_t
 
     bundle = OracleBundle(ifunc=out_ifunc, igrad=out_igrad,
                           iprox=out_iprox, order=p)
-    patience = STALL_PATIENCE if cfg.practical_mode else None
     with tracker.level("outer"):
         x, info = aipe_restart(bundle, problem.x_domain, z0[:problem.dx],
                                cfg.gamma, cfg.stall1, cfg.T1, cfg.S1,
-                               stall_patience=patience, probe=probe)
-        flags += [st.note for st in info["traces"] if st.aborted]
+                               probe=probe)
         if not info["traces"][-1].stopped_by_probe:
             recover(x)
 

@@ -317,9 +317,6 @@ class OperatorView:
         H = self.problem.oracle_eval(z, 2)[2]
         return self._sign[:, None] * H
 
-    def lipschitz(self):
-        return self.problem.L1
-
 
 @dataclass
 class FunctionOracle:
@@ -860,8 +857,22 @@ def check_derivatives(problem: SaddleProblem, z, tol: float = None,
 # config-driven construction
 # ---------------------------------------------------------------------------
 
+# the keys each problem kind reads besides problem, p and seed
+_KIND_KEYS = {"bilinear": {"dim", "L1"}, "quadratic": {"dim"},
+              "power": {"dim", "a"}, "hard_new": {"T", "Lp", "DZ"},
+              "hard_lin": {"T", "Lp"}}
+
+
 def from_config(cfg: dict) -> SaddleProblem:
+    """Builds a problem from a config dict; an unknown kind or a key the
+    kind does not read raises ValueError."""
     kind = cfg["problem"]
+    if kind not in _KIND_KEYS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    unknown = set(cfg) - _KIND_KEYS[kind] - {"problem", "p", "seed"}
+    if unknown:
+        raise ValueError(f"unknown keys for problem {kind!r}: "
+                         f"{', '.join(sorted(unknown))}")
     p = int(cfg.get("p", 1))
     seed = int(cfg.get("seed", 0))
     if kind == "bilinear":
@@ -876,7 +887,5 @@ def from_config(cfg: dict) -> SaddleProblem:
         return hard_instance(p, int(cfg.get("T", 4)),
                              Lp=float(cfg.get("Lp", 1.0)),
                              DZ=cfg.get("DZ"))
-    if kind == "hard_lin":
-        return lin_hard_instance(p, int(cfg.get("T", 1)),
-                                 Lp=float(cfg.get("Lp", 1.0)))
-    raise ValueError(f"unknown problem kind {kind!r}")
+    return lin_hard_instance(p, int(cfg.get("T", 1)),
+                             Lp=float(cfg.get("Lp", 1.0)))

@@ -180,6 +180,15 @@ def test_cli_lowerbound(tmp_path, capsys):
     assert captured.err.startswith("# unit-diameter residual ~ T^-")
 
 
+def test_cli_lowerbound_rejects_small_tmax(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lowerbound", "--p", "1", "--tmax", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tmax must be at least 4" in captured.err
+
+
 def test_cli_bench(tmp_path, capsys):
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps({"problems": [QUAD2],
@@ -203,6 +212,10 @@ def test_cli_check(capsys):
     ("solve", dict(QUAD2, solver="eg_baseline"), "missing key 'eps'"),
     ("solve", {"problem": "no_such_kind", "eps": 1e-2},
      "unknown problem kind 'no_such_kind'"),
+    ("solve", dict(QUAD2, eps=1e-2, paper_value_mode=True),
+     "unknown keys for problem 'quadratic': paper_value_mode"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "paper_value_mode": True}, "'paper_value_mode'"),
 ])
 def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
                                            detail):

@@ -313,15 +313,6 @@ def test_solve_report_json_roundtrip():
     assert blob["ok"] is True
 
 
-def test_solve_paper_mode_fixed_point():
-    # paper mode with worst-case loop counts is only affordable when the
-    # start is already the saddle: the first proximal step is a fixed point
-    prob = make_power(2, p=2, seed=0)
-    cfg = derive_parameters(prob, 1e-2, practical_mode=False)
-    z, rep = solve(prob, 1e-2, cfg)
-    assert rep.residual <= 1e-2
-
-
 # ---------------------------------------------------------------------------
 # baseline extragradient
 # ---------------------------------------------------------------------------

@@ -62,6 +62,34 @@ def test_oracle_order_and_domain_errors():
         prob.oracle_eval([5.0, 0.0], 0)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"problem": "bilinear", "dim": 2, "L1": 2.0},
+    {"problem": "quadratic", "dim": 2},
+    {"problem": "power", "dim": 2, "a": 0.5},
+    {"problem": "hard_new", "T": 4, "Lp": 2.0, "DZ": 3.0},
+    {"problem": "hard_lin", "T": 2, "Lp": 2.0},
+])
+def test_from_config_reads_each_kinds_keys(cfg):
+    prob = from_config(dict(cfg, p=1, seed=3))
+    if "dim" in cfg:
+        assert prob.dx == cfg["dim"]
+    if "Lp" in cfg:
+        assert prob.Lp == cfg["Lp"]
+    if "DZ" in cfg:
+        assert prob.domain.diameter() == pytest.approx(cfg["DZ"])
+
+
+@pytest.mark.parametrize("cfg, unknown", [
+    ({"problem": "quadratic", "dimm": 5}, "dimm"),
+    ({"problem": "hard_new", "dim": 3}, "dim"),
+    ({"problem": "power", "paper_value_mode": True, "x": 1},
+     "paper_value_mode, x"),
+])
+def test_from_config_rejects_unknown_keys(cfg, unknown):
+    with pytest.raises(ValueError, match=f"unknown keys .*: {unknown}$"):
+        from_config(dict(cfg, seed=0))
+
+
 def single_queries(prob, z):
     """One zero-argument call per oracle query that prob's views offer."""
     x, y = split(z, prob.dx)
