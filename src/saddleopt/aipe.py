@@ -221,18 +221,16 @@ def gap_from_residual(residual: float, mu: float, p: int) -> float:
     return (1.0 - 1.0 / q) * (max(residual, 0.0) ** q / mu) ** (1.0 / (q - 1))
 
 
-def estimate_initial_gap(func, domain: Domain, z0, n_probes: int = 16,
-                         seed: int = 0) -> float:
-    """Crude upper estimate of h(z0) - h*: spread against random feasible
-    probes, doubled (it only enters a logarithm)."""
-    rng = np.random.default_rng(seed)
+def estimate_initial_gap(func, domain: Domain, z0) -> float:
+    """Crude upper estimate of h(z0) - h*: spread against 16 random
+    feasible probes, doubled (it only enters a logarithm)."""
+    rng = np.random.default_rng(0)
     v0 = float(func(z0))
-    lowest = min(float(func(domain.sample(rng))) for _ in range(n_probes))
+    lowest = min(float(func(domain.sample(rng))) for _ in range(16))
     return 2.0 * max(v0 - lowest, 1e-12)
 
 
-def optms_restart(h: FunctionOracle, domain: Domain, z0, eps: float,
-                  T: int = None, max_S: int = None, vi_tol: float = 1e-10):
+def optms_restart(h: FunctionOracle, domain: Domain, z0, eps: float):
     """Exact-oracle accelerated solver for a uniformly convex function.
 
     The proximal oracle is a tensor step with M = 2 Lp; epochs stop early
@@ -243,9 +241,8 @@ def optms_restart(h: FunctionOracle, domain: Domain, z0, eps: float,
     if not h.mu > 0:
         raise ValueError("optms_restart needs a uniform-convexity modulus")
     p = h.p
-    cfg = TensorStepConfig(order=p, M=2.0 * h.Lp, vi_tol=vi_tol)
+    cfg = TensorStepConfig(order=p, M=2.0 * h.Lp)
     gamma = certified_gamma(p, h.Lp)
-    grad_op = h.grad_operator()
 
     bundle = OracleBundle(
         ifunc=lambda z, d: h.value(z),
@@ -254,12 +251,9 @@ def optms_restart(h: FunctionOracle, domain: Domain, z0, eps: float,
             lambda c: (c.z, c.u, c))(iprox_via_tensor(h, domain, zb, g, cfg)),
         order=p)
 
-    if T is None:
-        T = math.ceil(8.0 * (gamma / h.mu) ** (2.0 / (3 * p + 1)))
+    T = math.ceil(8.0 * (gamma / h.mu) ** (2.0 / (3 * p + 1)))
     delta_gap = estimate_initial_gap(h.value, domain, z0)
     S = max(1, math.ceil(math.log2(max(delta_gap / eps, 2.0))))
-    if max_S is not None:
-        S = min(S, max_S)
 
     def certified(z):
         r = domain.tangent_residual(z, h.grad(z))

@@ -60,6 +60,8 @@ class BenchConfig:
         self.eps_grid = [float(e) for e in self.eps_grid]
         if len(self.eps_grid) < 2:
             raise ValueError("eps grid needs at least 2 points")
+        if not all(e > 0 for e in self.eps_grid):
+            raise ValueError("every eps must be > 0")
         if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise ValueError("eps grid must be strictly decreasing")
         for s in self.solvers:
@@ -260,18 +262,24 @@ def _cmd_solve(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
         env_seed = os.environ.get("BENCH_SEED")
         if env_seed is not None:
             cfg["seed"] = int(env_seed)
         eps = float(cfg.pop("eps"))
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
         solver = cfg.pop("solver", "minimax_aipe")
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")
         problem = from_config(cfg)
+        params = (derive_parameters(problem, eps)
+                  if solver == "minimax_aipe" else None)
     except CONFIG_ERRORS as exc:
         return _bad_config(exc)
     if solver == "minimax_aipe":
-        _, report = solve(problem, eps, derive_parameters(problem, eps))
+        _, report = solve(problem, eps, params)
     else:
         _, report = baseline_eg_solve(problem, eps)
     print(report.to_json())

@@ -12,36 +12,19 @@ inexact proximal oracle needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Domain
 from .problems import PowerRegularized, SaddleProblem, join, surrogate_h
-from .tensor_step import ProxCertificate, TensorStepConfig, tensor_step
-
-
-@dataclass
-class EgConfig:
-    M: float = None          # default 32 * problem.Lp when unset
-    T3: int = None           # epoch length; sized from the contraction bound
-    S3: int = None           # number of epochs; sized from log2(D/zeta3)
-    zeta3: float = 1e-6      # target distance to the surrogate saddle
-    vi_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.T3 is not None and self.T3 < 1:
-            raise ValueError("T3 must be >= 1")
-        if self.S3 is not None and self.S3 < 1:
-            raise ValueError("S3 must be >= 1")
+from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
 
 
 @dataclass
 class EgTrace:
     step_norms: list = field(default_factory=list)
     etas: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)   # cheap projection-based
-    oracle_calls: int = 0
     certified: bool = False
 
 
@@ -74,7 +57,7 @@ def uc_modulus(problem: SaddleProblem) -> float:
 
 
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
-             vi_tol: float = 1e-10, stop_residual: float = 0.0):
+             stop_residual: float = 0.0):
     """T extragradient steps with order-q half-steps; returns the
     eta-weighted average of the half iterates and the per-step trace.
 
@@ -84,7 +67,7 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
     """
     z = domain.project(np.asarray(z0, float))
     trace = EgTrace()
-    cfg = TensorStepConfig(order=q, M=M, vi_tol=vi_tol)
+    cfg = TensorStepConfig(order=q, M=M)
     halves = []
     for _ in range(T):
         zh = tensor_step(op, domain, z, cfg)
@@ -92,7 +75,6 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         if d == 0.0 and q == 2:
             # the model was solved exactly at z: zh solves the VI itself
             trace.step_norms.append(0.0)
-            trace.residuals.append(0.0)
             return zh, trace
         eta = math.factorial(q) / (M * d ** (q - 1))
         Fh = np.asarray(op(zh), float)
@@ -102,7 +84,6 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         trace.etas.append(eta)
         # free residual estimate: reuse the operator value at the half point
         r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
-        trace.residuals.append(r)
         if stop_residual > 0.0 and r <= stop_residual:
             trace.certified = True
             return zh, trace
@@ -123,22 +104,18 @@ def default_epoch_length(problem: SaddleProblem, mono_coeff: float) -> int:
     return max(1, math.ceil(ratio ** (2.0 / (p + 1))))
 
 
-def _fill_config(problem: SaddleProblem, cfg: EgConfig) -> EgConfig:
-    M = cfg.M if cfg.M is not None else 32.0 * problem.Lp
+def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None):
+    """Restart loop with distance certification; returns (point, trace).
+
+    Each epoch runs T3 = default_epoch_length steps at regularization M,
+    enough to halve the distance to the saddle, and up to
+    S3 = ceil(log2(D/zeta3)) + 2 epochs (D the domain diameter) run until
+    the measured residual certifies distance <= zeta3.
+    """
     c_min = max(min(problem.mu_x, problem.mu_y), 1e-12)
-    T3 = cfg.T3 if cfg.T3 is not None else default_epoch_length(problem, c_min)
-    if cfg.S3 is None:
-        D = problem.domain.diameter()
-        S3 = max(1, math.ceil(math.log2(max(D / max(cfg.zeta3, 1e-300), 2.0)))
-                 + 2)
-    else:
-        S3 = cfg.S3
-    return replace(cfg, M=M, T3=T3, S3=S3)
-
-
-def restarted_eg(problem: SaddleProblem, cfg: EgConfig, z0=None):
-    """Restart loop with distance certification; returns (point, trace)."""
-    cfg = _fill_config(problem, cfg)
+    T3 = default_epoch_length(problem, c_min)
+    D = problem.domain.diameter()
+    S3 = math.ceil(math.log2(max(D / max(zeta3, 1e-300), 2.0))) + 2
     op = problem.operator()
     domain = problem.domain
     p = problem.p
@@ -146,17 +123,14 @@ def restarted_eg(problem: SaddleProblem, cfg: EgConfig, z0=None):
     mu2 = min(problem.mu2_x, problem.mu2_y)
     z = domain.project(np.asarray(z0, float)) if z0 is not None \
         else domain.center()
-    start = problem.oracle_counter
     full = EgTrace()
     best, best_bound = z, math.inf
     # residual level at which uniform monotonicity certifies the target
-    r_stop = max(2.0 * mu * cfg.zeta3 ** p / (p + 1), mu2 * cfg.zeta3)
-    for _ in range(cfg.S3):
-        z, tr = eg_epoch(op, domain, z, cfg.M, cfg.T3, p, cfg.vi_tol,
-                         stop_residual=r_stop)
+    r_stop = max(2.0 * mu * zeta3 ** p / (p + 1), mu2 * zeta3)
+    for _ in range(S3):
+        z, tr = eg_epoch(op, domain, z, M, T3, p, stop_residual=r_stop)
         full.step_norms += tr.step_norms
         full.etas += tr.etas
-        full.residuals += tr.residuals
         if tr.certified:
             best = z
             full.certified = True
@@ -165,10 +139,9 @@ def restarted_eg(problem: SaddleProblem, cfg: EgConfig, z0=None):
         bound = certified_distance(r, mu, p, mu2=mu2)
         if bound < best_bound:
             best, best_bound = z, bound
-        if bound <= cfg.zeta3:
+        if bound <= zeta3:
             full.certified = True
             break
-    full.oracle_calls = problem.oracle_counter - start
     return best, full
 
 
@@ -184,15 +157,17 @@ def polish_step(op, domain: Domain, z, L_tilde: float):
 
 
 def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
-              delta2: float, cfg: EgConfig, z0=None):
+              delta2: float, M: float, zeta3: float, z0=None):
     """Inexact proximal oracle for the middle loop's dual function.
 
     Psi(y) = min_x g_eps(x, y); its proximal subproblem at y_bar is the
     saddle of h_eps = g_eps - (gamma/(p+1))||y - y_bar||^{p+1}, solved by
-    restarted EG plus a polish.  The certificate's residual can't query
-    grad Psi exactly, so it is the measured y-block residual plus a
-    Lipschitz bound on the Danskin-gradient error, obtained from the
-    certified distance of the x block to its own minimizer.
+    restarted EG (regularization M, distance target zeta3) plus a polish.
+    The certificate's residual can't query grad Psi exactly, so it is the
+    measured y-block residual plus a Lipschitz bound on the Danskin-gradient
+    error, obtained from the certified distance of the x block to its own
+    minimizer.  A failed certificate gets one retry at the tenfold tighter
+    target zeta3/10, warm-started from the first attempt.
     """
     x_bar = np.asarray(x_bar, float)
     y_bar = np.asarray(y_bar, float)
@@ -204,9 +179,8 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     if z0 is None:
         z0 = join(x_bar, y_bar)
 
-    attempt_cfg = cfg
-    for attempt in range(2):
-        zS, trace = restarted_eg(h_eps, attempt_cfg, z0)
+    for target in (zeta3, zeta3 / 10.0):
+        zS, _ = restarted_eg(h_eps, M, target, z0)
         z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1)
         resid_vec = np.asarray(op(z_hat), float) + c_hat
         rx = float(np.linalg.norm(resid_vec[:dx]))
@@ -218,16 +192,10 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
         # gradient of Psi differs from the measured one by at most L1*dist
         mu_ucx = h_eps.mu_x / 2 ** (p - 1)
         dist_x = certified_distance(rx, mu_ucx, p, mu2=h_eps.mu2_x)
-        lam = float(gamma) * np.linalg.norm(y_hat - y_bar) ** (p - 1)
-        residual = ry + problem_g_eps.L1 * dist_x
-        bound = 0.5 * lam * np.linalg.norm(y_hat - y_bar) + delta2
-        cert = ProxCertificate(z=y_hat, u=v_hat, lam=lam, residual=residual,
-                               bound=bound, delta=delta2,
-                               ok=residual <= bound,
-                               inner_iters=trace.oracle_calls)
-        if cert.ok or attempt == 1:
-            return y_hat, v_hat, cert
-        # one automatic retry at a tighter inner target
-        attempt_cfg = replace(cfg, zeta3=attempt_cfg.zeta3 / 10.0, S3=None)
+        cert = prox_certificate(y_bar, y_hat, v_hat,
+                                ry + problem_g_eps.L1 * dist_x, gamma, p,
+                                delta2)
+        if cert.ok:
+            break
         z0 = zS
-    return y_hat, v_hat, cert  # pragma: no cover
+    return y_hat, v_hat, cert

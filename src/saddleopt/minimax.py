@@ -34,11 +34,11 @@ import numpy as np
 from .aipe import (  # noqa: F401
     OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
 )
-from .eg import EgConfig, certified_distance, iprox_psi, polish_step
+from .eg import certified_distance, iprox_psi, polish_step
 from .problems import (
     PowerRegularized, SaddleProblem, join, regularize_f_eps, surrogate_g,
 )
-from .tensor_step import ProxCertificate, TensorStepConfig, tensor_step
+from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
 
 LEVELS = ("outer", "middle", "inner", "polish")
 
@@ -191,7 +191,7 @@ def _dist_to_gap(mu: float, p: int, dist: float) -> float:
     return max(mu / (p + 1) * dist ** (p + 1), 1e-16)
 
 
-def _inner_min(oracle, target_gap, warm, max_iters=20_000):
+def _inner_min(oracle, target_gap, warm):
     """Uniformly convex restricted minimization for the envelope oracles.
 
     Accelerated projected gradient with gradient-based adaptive restart;
@@ -213,7 +213,7 @@ def _inner_min(oracle, target_gap, warm, max_iters=20_000):
     t = 1.0
     best_x, best_r = x, math.inf
     since_improve = 0
-    for k in range(max_iters):
+    for k in range(20_000):
         g_w = np.asarray(oracle.grad(w), float)
         if p == 1:
             x_new = dom.project(w - g_w / L)
@@ -252,8 +252,7 @@ def _inner_min(oracle, target_gap, warm, max_iters=20_000):
 
 
 def ifunc_igrad_primal(problem_f_eps: PowerRegularized, x, delta: float,
-                       L1_bound: float = None, warm=None,
-                       need_grad: bool = True):
+                       warm=None, need_grad: bool = True):
     """Inexact value and gradient of Phi(x) = max_y f_eps(x, y).
 
     The inner maximization runs to a value target of delta for the value;
@@ -266,8 +265,8 @@ def ifunc_igrad_primal(problem_f_eps: PowerRegularized, x, delta: float,
     oracle = problem_f_eps.y_function(x)   # convex: minimizes -f_eps(x, .)
     p = problem_f_eps.p
     if need_grad:
-        L1_bound = L1_bound or problem_f_eps.L1
-        target = min(delta, _dist_to_gap(oracle.mu, p, delta / L1_bound))
+        target = min(delta, _dist_to_gap(oracle.mu, p,
+                                         delta / problem_f_eps.L1))
     else:
         target = max(delta, 1e-16)
     y_hat = _inner_min(oracle, target, warm)
@@ -277,7 +276,7 @@ def ifunc_igrad_primal(problem_f_eps: PowerRegularized, x, delta: float,
 
 
 def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
-              delta1: float, cfg: MinimaxConfig, warm: dict = None,
+              cfg: MinimaxConfig, warm: dict = None,
               tracker: CountTracker = None, flags: list = None):
     """Inexact proximal oracle for the primal envelope at x_bar.
 
@@ -287,7 +286,8 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     (x_tilde, u_tilde, certificate); the certificate residual adds a
     Danskin-error bound (from the measured dual-side residual) to the
     directly measured polished gradient.  Failed dual prox certificates
-    are appended to flags; the middle loop keeps going past them.
+    are appended to flags; the middle loop keeps going past them.  A failed
+    certificate gets one retry with zeta2 and zeta3 ten times tighter.
     """
     x_bar = np.asarray(x_bar, float)
     p = cfg.p
@@ -298,9 +298,9 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     y_dom = g_eps.y_domain
     mu_ucx_g = g_eps.mu_x / 2 ** (p - 1)
     flags = flags if flags is not None else []
-    zeta2, zeta3 = cfg.zeta2, cfg.zeta3
 
-    for attempt in range(2):
+    for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
+                         (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
         def mid_ifunc(y, d):
             with tracker.level("middle"):
                 oracle = g_eps.x_function(np.asarray(y, float))
@@ -325,9 +325,8 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                 z0 = None
                 if warm.get("x_val") is not None:
                     z0 = join(warm["x_val"], np.asarray(yb, float))
-                eg_cfg = EgConfig(M=cfg.M_inner, zeta3=zeta3)
                 y_t, v_t, cert = iprox_psi(g_eps, x_bar, yb, g, cfg.delta2,
-                                           eg_cfg, z0=z0)
+                                           cfg.M_inner, zeta3, z0=z0)
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
                              f"> {cert.bound:.3e}")
@@ -348,11 +347,8 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                warm.get("x_val"))
             warm["x_val"] = x_hat
         with tracker.level("polish"):
-            gx = np.asarray(
-                g_eps.oracle_eval(join(x_hat, y_hat), 1)[1], float)[:dx]
-            x_dom = g_eps.x_domain
-            x_t = x_dom.project(x_hat - gx / cfg.L1x_tilde)
-            u_t = cfg.L1x_tilde * (x_hat - x_t) - gx
+            x_t, u_t = polish_step(oracle.grad_operator(), g_eps.x_domain,
+                                   x_hat, cfg.L1x_tilde)
             # measured residual at the polished point + Danskin error bound
             g_at = np.asarray(
                 g_eps.oracle_eval(join(x_t, y_hat), 1)[1], float)
@@ -363,17 +359,12 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         mu_ucy_f = problem_f_eps.mu_y / 2 ** (p - 1)
         dist_y = certified_distance(r_y, mu_ucy_f, p,
                                     mu2=problem_f_eps.mu2_y)
-        s = float(np.linalg.norm(x_t - x_bar))
-        lam = gamma * s ** (p - 1)
-        residual = float(np.linalg.norm(w)) + cfg.L1_tilde * dist_y
-        bound = 0.5 * lam * s + delta1
-        cert = ProxCertificate(z=x_t, u=u_t, lam=lam, residual=residual,
-                               bound=bound, delta=delta1,
-                               ok=residual <= bound)
-        if cert.ok or attempt == 1:
-            return x_t, u_t, cert
-        zeta2, zeta3 = zeta2 / 10.0, zeta3 / 10.0
-    return x_t, u_t, cert  # pragma: no cover
+        cert = prox_certificate(x_bar, x_t, u_t,
+                                float(np.linalg.norm(w))
+                                + cfg.L1_tilde * dist_y, gamma, p, cfg.delta1)
+        if cert.ok:
+            break
+    return x_t, u_t, cert
 
 
 def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
@@ -442,21 +433,19 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def out_ifunc(z, d):
         with tracker.level("outer"):
-            val, _, y = ifunc_igrad_primal(f_eps, z, d, cfg.L1_tilde,
-                                           warm.get("y_out"),
+            val, _, y = ifunc_igrad_primal(f_eps, z, d, warm.get("y_out"),
                                            need_grad=False)
             warm["y_out"] = y
             return val
 
     def out_igrad(z, d):
         with tracker.level("outer"):
-            _, g, y = ifunc_igrad_primal(f_eps, z, d, cfg.L1_tilde,
-                                         warm.get("y_out"))
+            _, g, y = ifunc_igrad_primal(f_eps, z, d, warm.get("y_out"))
             warm["y_out"] = y
             return g
 
     def out_iprox(xb, g, d):
-        x_t, u_t, cert = iprox_phi(f_eps, xb, g, cfg.delta1, cfg, warm=warm,
+        x_t, u_t, cert = iprox_phi(f_eps, xb, g, cfg, warm=warm,
                                    tracker=tracker, flags=flags)
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "

@@ -12,6 +12,7 @@ regularized surrogates included, is one base call and counts once.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -778,35 +779,12 @@ def lin_hard_instance(p: int, T: int, Lp: float = 1.0) -> SaddleProblem:
 # gap and derivative checking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GapEstimate:
-    value: float
-    error: float = 0.0
-
-    def __float__(self):
-        return float(self.value)
-
-
-def duality_gap(problem: SaddleProblem, z, inner_solver=None,
-                tol: float = 1e-8) -> GapEstimate:
-    """Gap(z) = max_y' f(x, y') - min_x' f(x', y).
-
-    Uses the problem's closed form when available, otherwise solves both
-    inner problems with `inner_solver(func_oracle, z0, tol) -> point`.
-    """
-    z = np.asarray(z, dtype=float)
-    if hasattr(problem, "_exact_gap"):
-        return GapEstimate(problem._exact_gap(z), 0.0)
-    if inner_solver is None:
-        raise ValueError("no closed-form gap; supply an inner solver")
-    x, y = problem.split(z)
-    fy = problem.y_function(x)     # minimizes -f(x, .)
-    yhat = inner_solver(fy, problem.y_domain.center(), tol)
-    fx = problem.x_function(y)
-    xhat = inner_solver(fx, problem.x_domain.center(), tol)
-    hi = problem.oracle_eval(join(x, yhat), 0)[0]
-    lo = problem.oracle_eval(join(xhat, y), 0)[0]
-    return GapEstimate(hi - lo, 2 * tol)
+def duality_gap(problem: SaddleProblem, z) -> float:
+    """Gap(z) = max_y' f(x, y') - min_x' f(x', y) from the problem's closed
+    form; a problem without one raises ValueError."""
+    if not hasattr(problem, "_exact_gap"):
+        raise ValueError(f"no closed-form gap for {problem.name}")
+    return float(problem._exact_gap(np.asarray(z, dtype=float)))
 
 
 @dataclass
@@ -863,9 +841,33 @@ _KIND_KEYS = {"bilinear": {"dim", "L1"}, "quadratic": {"dim"},
               "hard_lin": {"T", "Lp"}}
 
 
+def _int_key(cfg: dict, key: str, default: int, lo: int = 1,
+             hi: int = None) -> int:
+    """cfg[key] (or default) as an integer in [lo, hi]; bools are refused."""
+    v = cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) \
+            or v < lo or (hi is not None and v > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{key} must be an integer {span}, got {v!r}")
+    return int(v)
+
+
+def _positive_key(cfg: dict, key: str, default: float = None) -> float:
+    """cfg[key] as a finite real > 0, or default when the key is absent."""
+    if key not in cfg:
+        return default
+    v = cfg[key]
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+            or not (math.isfinite(v) and v > 0):
+        raise ValueError(f"{key} must be a finite number > 0, got {v!r}")
+    return float(v)
+
+
 def from_config(cfg: dict) -> SaddleProblem:
-    """Builds a problem from a config dict; an unknown kind or a key the
-    kind does not read raises ValueError."""
+    """Builds a problem from a config dict.  p is 1 or 2, seed an integer
+    >= 0, dim and T integers >= 1, and L1, Lp, DZ and a finite numbers > 0;
+    an unknown kind, a key the kind does not read or a value outside these
+    rules raises ValueError."""
     kind = cfg["problem"]
     if kind not in _KIND_KEYS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -873,19 +875,19 @@ def from_config(cfg: dict) -> SaddleProblem:
     if unknown:
         raise ValueError(f"unknown keys for problem {kind!r}: "
                          f"{', '.join(sorted(unknown))}")
-    p = int(cfg.get("p", 1))
-    seed = int(cfg.get("seed", 0))
+    p = _int_key(cfg, "p", 1, hi=2)
+    seed = _int_key(cfg, "seed", 0, lo=0)
     if kind == "bilinear":
-        return make_bilinear(int(cfg.get("dim", 3)), p, seed,
-                             L1=cfg.get("L1"))
+        return make_bilinear(_int_key(cfg, "dim", 3), p, seed,
+                             L1=_positive_key(cfg, "L1"))
     if kind == "quadratic":
-        return make_quadratic(int(cfg.get("dim", 3)), p, seed)
+        return make_quadratic(_int_key(cfg, "dim", 3), p, seed)
     if kind == "power":
-        return make_power(int(cfg.get("dim", 3)), p, seed,
-                          a=float(cfg.get("a", 1.0)))
+        return make_power(_int_key(cfg, "dim", 3), p, seed,
+                          a=_positive_key(cfg, "a", 1.0))
     if kind == "hard_new":
-        return hard_instance(p, int(cfg.get("T", 4)),
-                             Lp=float(cfg.get("Lp", 1.0)),
-                             DZ=cfg.get("DZ"))
-    return lin_hard_instance(p, int(cfg.get("T", 1)),
-                             Lp=float(cfg.get("Lp", 1.0)))
+        return hard_instance(p, _int_key(cfg, "T", 4),
+                             Lp=_positive_key(cfg, "Lp", 1.0),
+                             DZ=_positive_key(cfg, "DZ"))
+    return lin_hard_instance(p, _int_key(cfg, "T", 1),
+                             Lp=_positive_key(cfg, "Lp", 1.0))

@@ -24,7 +24,7 @@ quadratic violates the inequality with gamma = Lp.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,10 @@ from .geometry import Domain
 # running the constrained VI subsolver
 _INTERIOR_MARGIN = 1e-6
 _LAMBDA_FLOOR = 1e-12
+# bisection tolerance on the q=2 step size, and the iteration cap of both
+# the bisection and the constrained model-VI subsolver
+_BISECTION_TOL = 1e-12
+_MAX_INNER_ITERS = 10_000
 
 
 @dataclass
@@ -41,16 +45,14 @@ class TensorStepConfig:
     order: int = 1            # q, the step order (1 or 2)
     M: float = 1.0            # regularization strength
     vi_tol: float = 1e-10     # relative tangent-residual target for the model VI
-    max_inner_iters: int = 10_000
-    bisection_tol: float = 1e-12
 
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError(f"step order must be 1 or 2, got {self.order}")
         if not self.M > 0:
             raise ValueError("M must be positive")
-        if not (self.vi_tol > 0 and self.bisection_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.vi_tol > 0:
+            raise ValueError("vi_tol must be positive")
 
 
 @dataclass
@@ -68,9 +70,23 @@ class ProxCertificate:
     lam: float
     residual: float
     bound: float
-    delta: float = 0.0
     ok: bool = True
-    inner_iters: int = 0
+
+
+def prox_certificate(z_bar, z, u, residual, gamma: float, q: int,
+                     delta: float) -> ProxCertificate:
+    """The inexact-prox condition at z for the anchor z_bar:
+    lam = gamma ||z - z_bar||^{q-1}, bound = (lam/2)||z - z_bar|| + delta,
+    ok = residual <= bound.  residual is the measured norm, or a function
+    lam -> norm when the measurement itself needs lam.
+    """
+    s = float(np.linalg.norm(z - z_bar))
+    lam = float(gamma) * s ** (q - 1)
+    if callable(residual):
+        residual = residual(lam)
+    bound = 0.5 * lam * s + delta
+    return ProxCertificate(z=z, u=u, lam=lam, residual=residual, bound=bound,
+                           ok=residual <= bound)
 
 
 def taylor_operator(op, z_bar, z, q: int):
@@ -99,7 +115,7 @@ def model_operator(op, z_bar, cfg: TensorStepConfig):
     return G
 
 
-def _bisection_q2(F0, J, M, tol, max_iters):
+def _bisection_q2(F0, J, M):
     """Solve lam = (M/2)||s(lam)|| with s(lam) = -(J + lam I)^{-1} F0.
 
     For monotone J the map lam -> (M/2)||s(lam)|| is nonincreasing, so the
@@ -126,13 +142,13 @@ def _bisection_q2(F0, J, M, tol, max_iters):
         hi *= 4.0
     else:  # pragma: no cover - target(hi) <= (M/2)||F0||/hi always crosses
         raise RuntimeError("failed to bracket the q=2 step size")
-    for _ in range(max_iters):
+    for _ in range(_MAX_INNER_ITERS):
         mid = 0.5 * (lo + hi)
         if target(mid) > mid:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= _BISECTION_TOL * max(1.0, hi):
             break
     lam = 0.5 * (lo + hi)
     s = s_of(lam)
@@ -141,7 +157,7 @@ def _bisection_q2(F0, J, M, tol, max_iters):
     return s_of(lam), lam
 
 
-def _model_vi_subsolve(G, domain: Domain, z_start, lipschitz_est, tol, cfg):
+def _model_vi_subsolve(G, domain: Domain, z_start, lipschitz_est, tol):
     """Projected extragradient on the model VI, warm-started at z_start.
 
     The model is strongly monotone (M > Lp), so plain EG with a constant
@@ -153,11 +169,11 @@ def _model_vi_subsolve(G, domain: Domain, z_start, lipschitz_est, tol, cfg):
     best = z
     best_r = last_r = math.inf
     iters = 0
-    for it in range(cfg.max_inner_iters):
+    for it in range(_MAX_INNER_ITERS):
         w = domain.project(z - eta * G(z))
         z = domain.project(z - eta * G(w))
         iters = it + 1
-        if iters % 16 == 0 or iters == cfg.max_inner_iters:
+        if iters % 16 == 0 or iters == _MAX_INNER_ITERS:
             r = domain.tangent_residual(z, G(z))
             if r < best_r:
                 best_r, best = r, z
@@ -174,7 +190,7 @@ def _model_vi_subsolve(G, domain: Domain, z_start, lipschitz_est, tol, cfg):
 
 
 def _solve_model(op, domain: Domain, z_bar, cfg: TensorStepConfig):
-    """Solve the tensor-step VI; returns (z, vi_slack, inner_iters, ok)."""
+    """Solve the tensor-step VI; returns (z, vi_slack, iters, ok)."""
     z_bar = np.asarray(z_bar, float)
     F0 = np.asarray(op(z_bar), float)
     tol = cfg.vi_tol * (1.0 + np.linalg.norm(F0))
@@ -185,8 +201,7 @@ def _solve_model(op, domain: Domain, z_bar, cfg: TensorStepConfig):
         return z, 0.0, 0, True
 
     J = op.jacobian(z_bar)
-    s, _lam = _bisection_q2(F0, J, cfg.M, cfg.bisection_tol,
-                            cfg.max_inner_iters)
+    s, _lam = _bisection_q2(F0, J, cfg.M)
     cand = z_bar + s
     G = model_operator(op, z_bar, cfg)
     if domain.interior_margin(cand) >= _INTERIOR_MARGIN:
@@ -199,7 +214,7 @@ def _solve_model(op, domain: Domain, z_bar, cfg: TensorStepConfig):
     reach = min(domain.diameter(), 10.0 * (np.linalg.norm(s) + 1.0))
     lip = float(np.linalg.norm(J, 2)) + 1.5 * cfg.M * reach
     start = domain.project(cand)
-    z, r, iters, ok = _model_vi_subsolve(G, domain, start, lip, tol, cfg)
+    z, r, iters, ok = _model_vi_subsolve(G, domain, start, lip, tol)
     return z, r, iters, ok
 
 
@@ -228,10 +243,8 @@ def iprox_via_tensor(h_grad, domain: Domain, z_bar, gamma: float,
         h_grad = h_grad.grad_operator()
     z_bar = np.asarray(z_bar, float)
     F0 = np.asarray(h_grad(z_bar), float)
-    z, _slack, iters, _ok = _solve_model(h_grad, domain, z_bar, cfg)
+    z, _slack, _iters, _ok = _solve_model(h_grad, domain, z_bar, cfg)
     s = z - z_bar
-    snorm = float(np.linalg.norm(s))
-    q = cfg.order
 
     # leftover model force; its tangential part is inner-solve noise, the
     # normal part is the certified u
@@ -239,11 +252,8 @@ def iprox_via_tensor(h_grad, domain: Domain, z_bar, gamma: float,
     u = -np.asarray(G(z), float)
     u = u - domain.project_tangent(z, u)
 
-    lam = float(gamma) * snorm ** (q - 1)
-    residual = float(np.linalg.norm(
-        np.asarray(h_grad(z), float) + u + lam * s))
+    grad_z = np.asarray(h_grad(z), float)
     delta = cfg.vi_tol * (1.0 + np.linalg.norm(F0)) * 2.0
-    bound = 0.5 * lam * snorm + delta
-    return ProxCertificate(z=z, u=u, lam=lam, residual=residual, bound=bound,
-                           delta=delta, ok=residual <= bound,
-                           inner_iters=iters)
+    return prox_certificate(
+        z_bar, z, u, lambda lam: float(np.linalg.norm(grad_z + u + lam * s)),
+        gamma, cfg.order, delta)

@@ -19,7 +19,7 @@ from test_problems import uc_battery
 
 from saddleopt.aipe import aipe_restart
 from saddleopt.cli import BenchConfig, fit_rate, run_suite
-from saddleopt.eg import _fill_config, EgConfig, eg_epoch, polish_step
+from saddleopt.eg import default_epoch_length, eg_epoch, polish_step
 from saddleopt.geometry import Box
 from saddleopt.lowerbound import experiment_row, residual_floor
 from saddleopt.minimax import baseline_eg_solve, derive_parameters, solve
@@ -125,14 +125,15 @@ def test_criterion_06_inner_epoch_contraction():
         h = surrogate_h(surrogate_g(f_eps, x0, prob.Lp), y0,
                         prob.Lp)                    # gamma = Lp
         z_star = reference_saddle(h)
-        cfg = _fill_config(h, EgConfig())           # M = 32 * h.Lp
+        M = 32.0 * h.Lp
+        T3 = default_epoch_length(h, min(h.mu_x, h.mu_y))
         op = h.operator()
         z = h.domain.sample(np.random.default_rng(6))
         for _ in range(10):
             d_before = np.linalg.norm(z - z_star)
             if d_before < 1e-9:
                 break
-            z, _ = eg_epoch(op, h.domain, z, cfg.M, cfg.T3, p)
+            z, _ = eg_epoch(op, h.domain, z, M, T3, p)
             assert np.linalg.norm(z - z_star) <= 0.75 * d_before + 1e-12
     assert time.monotonic() - t0 < 120.0
 

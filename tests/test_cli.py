@@ -216,6 +216,11 @@ def test_cli_check(capsys):
      "unknown keys for problem 'quadratic': paper_value_mode"),
     ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
                "paper_value_mode": True}, "'paper_value_mode'"),
+    ("solve", "abc", "config must be a JSON object"),
+    ("solve", dict(QUAD2, eps=-1), "eps must be a finite number > 0"),
+    ("solve", dict(QUAD2, eps=1e9), "precision precondition violated"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, -1e-2]},
+     "every eps must be > 0"),
 ])
 def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
                                            detail):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from saddleopt.eg import (
-    EgConfig, certified_distance, eg_epoch, iprox_psi, polish_step,
-    restarted_eg, uc_modulus,
+    certified_distance, default_epoch_length, eg_epoch, iprox_psi,
+    polish_step, restarted_eg, uc_modulus,
 )
 from saddleopt.geometry import Box
 from saddleopt.problems import (
@@ -110,29 +110,28 @@ def test_epoch_contraction_rate():
     h = make_h_eps(5, gamma=0.5, mu=0.2)
     z_star = reference_saddle(h)
     op = h.operator()
-    cfg = EgConfig()
-    from saddleopt.eg import _fill_config
-    cfg = _fill_config(h, cfg)
+    M = 32.0 * h.Lp
+    T3 = default_epoch_length(h, min(h.mu_x, h.mu_y))
     z = h.domain.sample(np.random.default_rng(6))
     for _ in range(6):
         d_before = np.linalg.norm(z - z_star)
         if d_before < 1e-9:
             break
-        z, _ = eg_epoch(op, h.domain, z, cfg.M, cfg.T3, h.p)
+        z, _ = eg_epoch(op, h.domain, z, M, T3, h.p)
         assert np.linalg.norm(z - z_star) <= 0.75 * d_before + 1e-12
 
 
 def test_restart_from_saddle_is_fixed():
     h = make_h_eps(7)
     z_star = reference_saddle(h)
-    out, _ = restarted_eg(h, EgConfig(zeta3=1e-6), z0=z_star)
+    out, _ = restarted_eg(h, 32.0 * h.Lp, 1e-6, z0=z_star)
     assert np.linalg.norm(out - z_star) <= 1e-5
 
 
 def test_restart_certifies_distance():
     h = make_h_eps(8, gamma=0.8, mu=0.2)
     z_star = reference_saddle(h)
-    out, tr = restarted_eg(h, EgConfig(zeta3=1e-5))
+    out, tr = restarted_eg(h, 32.0 * h.Lp, 1e-5)
     assert tr.certified
     assert np.linalg.norm(out - z_star) <= 1e-5 + 1e-7
 
@@ -184,8 +183,9 @@ def test_iprox_psi_pure_regularizer():
     f_eps = regularize_f_eps(base, z0, 0.3, 0.3)
     x0, y0 = split(z0, base.dx)
     g_eps = surrogate_g(f_eps, x0, gamma=0.5)
-    y_t, v_t, cert = iprox_psi(g_eps, x0, y0, gamma=0.5, delta2=1e-6,
-                               cfg=EgConfig(zeta3=1e-9))
+    M = 32.0 * surrogate_h(g_eps, y0, 0.5).Lp
+    y_t, v_t, cert = iprox_psi(g_eps, x0, y0, gamma=0.5, delta2=1e-6, M=M,
+                               zeta3=1e-9)
     assert np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.lam * np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.ok
@@ -207,6 +207,7 @@ def test_iprox_psi_certificate_battery(p):
         g_eps = surrogate_g(f_eps, x_bar, gamma)
         y_t, v_t, cert = iprox_psi(
             g_eps, x_bar, y_bar, gamma, delta2=1e-2,
-            cfg=EgConfig(zeta3=1e-9 if p == 1 else 1e-10))
+            M=32.0 * surrogate_h(g_eps, y_bar, gamma).Lp,
+            zeta3=1e-9 if p == 1 else 1e-10)
         assert cert.ok, (p, seed, cert.residual, cert.bound)
         assert prob.y_domain.contains(y_t)

@@ -179,7 +179,7 @@ def test_ifunc_igrad_matches_closed_form_danskin():
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = prob.x_domain.sample(rng)
-        val, grad, y_hat = ifunc_igrad_primal(f_eps, x, 1e-9, f_eps.L1)
+        val, grad, y_hat = ifunc_igrad_primal(f_eps, x, 1e-9)
         assert val == pytest.approx(phi(x), abs=1e-6)
         assert np.linalg.norm(grad - phi_grad(x)) <= 1e-5
         # the returned maximizer matches A'x/(1+mu)
@@ -189,8 +189,8 @@ def test_ifunc_igrad_matches_closed_form_danskin():
 def test_ifunc_warm_start_returns_same_point():
     prob, f_eps, phi, _, _ = danskin_problem(dim=2, seed=5)
     x = np.array([0.3, -0.4])
-    v1, _, y1 = ifunc_igrad_primal(f_eps, x, 1e-10, f_eps.L1)
-    v2, _, y2 = ifunc_igrad_primal(f_eps, x, 1e-10, f_eps.L1, warm=y1)
+    v1, _, y1 = ifunc_igrad_primal(f_eps, x, 1e-10)
+    v2, _, y2 = ifunc_igrad_primal(f_eps, x, 1e-10, warm=y1)
     assert np.allclose(y1, y2, atol=1e-8)
     assert v2 == pytest.approx(v1, abs=1e-9)
 
@@ -206,7 +206,7 @@ def test_iprox_phi_tracks_surrogate_saddle():
     x_bar = np.array([0.3, -0.2, 0.5])
     g_eps = surrogate_g(f_eps, x_bar, cfg.gamma)
     x_star, _ = split(reference_saddle_g(g_eps), prob.dx)
-    x_t, u_t, cert = iprox_phi(f_eps, x_bar, cfg.gamma, cfg.delta1, cfg)
+    x_t, u_t, cert = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
     assert np.linalg.norm(x_t - x_star) <= 1e-3
     assert prob.x_domain.contains(x_t)
     # u lies in the normal cone: nonpositive against feasible directions
@@ -224,7 +224,7 @@ def test_iprox_phi_certificate_battery():
                                  cfg.mu_x, cfg.mu_y)
         rng = np.random.default_rng(100 + seed)
         x_bar = prob.x_domain.sample(rng)
-        x_t, u_t, cert = iprox_phi(f_eps, x_bar, cfg.gamma, cfg.delta1, cfg)
+        x_t, u_t, cert = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
         assert cert.ok, (seed, cert.residual, cert.bound)
         assert cert.residual <= cert.bound
 

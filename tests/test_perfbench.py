@@ -1,8 +1,12 @@
-"""The benchmark's tracer patches package names by their import sites; a
-deleted or renamed name must fail here, not only in a traced run."""
+"""The benchmark reaches the package through patched names (the tracer)
+and direct calls (the workloads); a deleted or renamed name or argument
+must fail here, not only in a benchmark run."""
 
 import importlib
+import inspect
 import pathlib
+
+from saddleopt import cli, lowerbound, minimax
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,3 +29,23 @@ def test_tracer_installs_and_restores_every_patched_name(monkeypatch):
         tracer.uninstall()
     for owner, attr, fn in saved:
         assert _current(owner, attr) is fn, f"{owner!r}.{attr} not restored"
+
+
+def test_benchmark_calls_match_the_library(monkeypatch):
+    """Every workload's inputs build, and the benchmark's direct library
+    calls bind to the current signatures."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        inputs = workloads.setup(name, 0)
+        if "config" in inputs:
+            inspect.signature(cli.run_suite).bind(inputs["config"], "out",
+                                                  jobs=2)
+        for c in inputs.get("cells", ()):
+            inspect.signature(minimax.solve).bind(
+                c["problem"], c["eps"], c["cfg"], z0=inputs["z0"])
+            inspect.signature(minimax.baseline_eg_solve).bind(
+                c["eg_problem"], c["eps"], z0=inputs["z0"])
+        for row in inputs.get("floors", ()):
+            inspect.signature(lowerbound.experiment_row).bind(
+                row["p"], row["T"], schedule=row["schedule"])

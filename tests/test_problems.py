@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from saddleopt.geometry import Box, domain_from_json
 from saddleopt.problems import (
-    GapEstimate, OrderedBox, OrderError, SaddleProblem, _reg_grad,
+    OrderedBox, OrderError, SaddleProblem, _reg_grad,
     _reg_value, check_derivatives, duality_gap, from_config, hard_instance,
     join, lin_hard_instance, make_bilinear, make_power, make_quadratic,
     regularize_f_eps, split, surrogate_g, surrogate_h,
@@ -88,6 +88,28 @@ def test_from_config_reads_each_kinds_keys(cfg):
 def test_from_config_rejects_unknown_keys(cfg, unknown):
     with pytest.raises(ValueError, match=f"unknown keys .*: {unknown}$"):
         from_config(dict(cfg, seed=0))
+
+
+@pytest.mark.parametrize("cfg, key", [
+    ({"problem": "quadratic", "dim": 2.7}, "dim"),
+    ({"problem": "quadratic", "dim": True}, "dim"),
+    ({"problem": "quadratic", "dim": 0}, "dim"),
+    ({"problem": "power", "p": 1.9}, "p"),
+    ({"problem": "power", "p": 3}, "p"),
+    ({"problem": "quadratic", "seed": -1}, "seed"),
+    ({"problem": "quadratic", "seed": 1.5}, "seed"),
+    ({"problem": "hard_new", "T": 2.5}, "T"),
+    ({"problem": "hard_lin", "T": 0}, "T"),
+    ({"problem": "bilinear", "L1": -1}, "L1"),
+    ({"problem": "bilinear", "L1": True}, "L1"),
+    ({"problem": "hard_new", "DZ": "3"}, "DZ"),
+    ({"problem": "hard_new", "Lp": float("inf")}, "Lp"),
+    ({"problem": "hard_lin", "Lp": float("nan")}, "Lp"),
+    ({"problem": "power", "a": 0.0}, "a"),
+])
+def test_from_config_rejects_bad_values(cfg, key):
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        from_config(cfg)
 
 
 def single_queries(prob, z):
@@ -410,6 +432,13 @@ def test_gap_example():
     prob = scalar_bilinear()
     g = duality_gap(prob, np.array([0.5, -0.5]))
     assert float(g) == pytest.approx(1.0)
+
+
+def test_gap_needs_a_closed_form():
+    prob = make_quadratic(2, seed=0)
+    del prob._exact_gap
+    with pytest.raises(ValueError, match="no closed-form gap"):
+        duality_gap(prob, prob.domain.center())
 
 
 def test_gap_zero_at_saddle():

@@ -6,7 +6,7 @@ from saddleopt.geometry import Box
 from saddleopt.problems import FunctionOracle, make_power
 from saddleopt.tensor_step import (
     TensorStepConfig, iprox_via_tensor, certified_gamma, model_operator,
-    taylor_operator, tensor_step,
+    prox_certificate, taylor_operator, tensor_step,
 )
 
 
@@ -165,6 +165,20 @@ def quad_oracle(dim=1, shift=0.0):
         value=lambda z: 0.5 * np.sum((z - c) ** 2),
         grad=lambda z: z - c,
         hess=lambda z: np.eye(dim), p=1, Lp=1.0)
+
+
+@pytest.mark.parametrize("q, lam", [(1, 0.5), (2, 1.0)])
+def test_prox_certificate_holds_at_equality(q, lam):
+    # s = 2, so bound = (lam/2) * 2 + delta = lam + 0.25 exactly
+    z_bar, z, u = np.array([0.0]), np.array([2.0]), np.array([0.0])
+    bound = lam + 0.25
+    cert = prox_certificate(z_bar, z, u, bound, 0.5, q, 0.25)
+    assert cert.lam == lam and cert.bound == bound and cert.ok
+    above = np.nextafter(bound, np.inf)
+    assert not prox_certificate(z_bar, z, u, above, 0.5, q, 0.25).ok
+    # a residual that needs lam receives it
+    cert = prox_certificate(z_bar, z, u, lambda l: l + 0.25, 0.5, q, 0.25)
+    assert cert.residual == bound and cert.ok
 
 
 def test_iprox_scalar_frozen():
