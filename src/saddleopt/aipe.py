@@ -33,16 +33,12 @@ class OracleBundle:
     igrad: callable
     iprox: callable
     order: int = 1                    # q, the prox-step order
-    nfunc: int = 0
-    ngrad: int = 0
     nprox: int = 0
 
     def func(self, z, delta):
-        self.nfunc += 1
         return float(self.ifunc(z, delta))
 
     def grad(self, z, delta):
-        self.ngrad += 1
         return np.asarray(self.igrad(z, delta), float)
 
     def prox(self, z_bar, gamma, delta):

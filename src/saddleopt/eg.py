@@ -26,6 +26,7 @@ class EgTrace:
     step_norms: list = field(default_factory=list)
     etas: list = field(default_factory=list)
     certified: bool = False
+    F: np.ndarray = None       # operator value at the returned point, if known
 
 
 def certified_distance(residual: float, mu_uc: float, p: int,
@@ -57,20 +58,26 @@ def uc_modulus(problem: SaddleProblem) -> float:
 
 
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
-             stop_residual: float = 0.0):
+             stop_residual: float = 0.0, F0=None):
     """T extragradient steps with order-q half-steps; returns the
     eta-weighted average of the half iterates and the per-step trace.
 
     stop_residual > 0 turns the free per-step residual estimate into an
     early exit: once some half iterate already certifies the caller's
-    distance target there is no point in finishing the epoch.
+    distance target there is no point in finishing the epoch; the trace
+    then keeps F at that half iterate.  F0, the operator value at z0 when
+    the caller has it, seeds the first step.
     """
-    z = domain.project(np.asarray(z0, float))
+    z0 = np.asarray(z0, float)
+    z = domain.project(z0)
+    if F0 is not None and z.tobytes() != z0.tobytes():
+        F0 = None
     trace = EgTrace()
     cfg = TensorStepConfig(order=q, M=M)
     halves = []
     for _ in range(T):
-        zh = tensor_step(op, domain, z, cfg)
+        zh = tensor_step(op, domain, z, cfg, F0=F0)
+        F0 = None
         d = float(np.linalg.norm(zh - z))
         if d == 0.0 and q == 2:
             # the model was solved exactly at z: zh solves the VI itself
@@ -85,7 +92,7 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         # free residual estimate: reuse the operator value at the half point
         r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
         if stop_residual > 0.0 and r <= stop_residual:
-            trace.certified = True
+            trace.certified, trace.F = True, Fh
             return zh, trace
     if not halves:
         return z, trace
@@ -104,13 +111,16 @@ def default_epoch_length(problem: SaddleProblem, mono_coeff: float) -> int:
     return max(1, math.ceil(ratio ** (2.0 / (p + 1))))
 
 
-def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None):
+def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
+                 F0=None):
     """Restart loop with distance certification; returns (point, trace).
 
     Each epoch runs T3 = default_epoch_length steps at regularization M,
     enough to halve the distance to the saddle, and up to
     S3 = ceil(log2(D/zeta3)) + 2 epochs (D the domain diameter) run until
-    the measured residual certifies distance <= zeta3.
+    the measured residual certifies distance <= zeta3.  The operator value
+    measured at an epoch's end seeds the next epoch's first step, and
+    trace.F keeps it at the returned point; F0 is that value at z0.
     """
     c_min = max(min(problem.mu_x, problem.mu_y), 1e-12)
     T3 = default_epoch_length(problem, c_min)
@@ -123,41 +133,47 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None):
     mu2 = min(problem.mu2_x, problem.mu2_y)
     z = domain.project(np.asarray(z0, float)) if z0 is not None \
         else domain.center()
+    if F0 is not None and z.tobytes() != np.asarray(z0, float).tobytes():
+        F0 = None
     full = EgTrace()
     best, best_bound = z, math.inf
     # residual level at which uniform monotonicity certifies the target
     r_stop = max(2.0 * mu * zeta3 ** p / (p + 1), mu2 * zeta3)
     for _ in range(S3):
-        z, tr = eg_epoch(op, domain, z, M, T3, p, stop_residual=r_stop)
+        z, tr = eg_epoch(op, domain, z, M, T3, p, stop_residual=r_stop,
+                         F0=F0)
         full.step_norms += tr.step_norms
         full.etas += tr.etas
         if tr.certified:
             best = z
-            full.certified = True
+            full.certified, full.F = True, tr.F
             break
-        r = domain.tangent_residual(z, op(z))
+        F0 = op(z)
+        r = domain.tangent_residual(z, F0)
         bound = certified_distance(r, mu, p, mu2=mu2)
         if bound < best_bound:
-            best, best_bound = z, bound
+            best, best_bound, full.F = z, bound, F0
         if bound <= zeta3:
             full.certified = True
             break
     return best, full
 
 
-def polish_step(op, domain: Domain, z, L_tilde: float):
+def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
     """One gradient step turning small distance into a small residual:
     z_hat = project(z - F(z)/L), c_hat = L (z - z_hat) - F(z) in N(z_hat);
-    then ||F(z_hat) + c_hat|| <= 6 L ||z - z*||."""
+    then ||F(z_hat) + c_hat|| <= 6 L ||z - z*||.  Fz is F(z) when the
+    caller already has it, from the subsolver that returned z; otherwise
+    the step queries it."""
     z = np.asarray(z, float)
-    Fz = np.asarray(op(z), float)
+    Fz = np.asarray(op(z) if Fz is None else Fz, float)
     z_hat = domain.project(z - Fz / L_tilde)
     c_hat = L_tilde * (z - z_hat) - Fz
     return z_hat, c_hat
 
 
 def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
-              delta2: float, M: float, zeta3: float, z0=None):
+              delta2: float, M: float, zeta3: float, z0=None, F0=None):
     """Inexact proximal oracle for the middle loop's dual function.
 
     Psi(y) = min_x g_eps(x, y); its proximal subproblem at y_bar is the
@@ -167,7 +183,9 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     measured y-block residual plus a Lipschitz bound on the Danskin-gradient
     error, obtained from the certified distance of the x block to its own
     minimizer.  A failed certificate gets one retry at the tenfold tighter
-    target zeta3/10, warm-started from the first attempt.
+    target zeta3/10, warm-started from the first attempt.  F0, the operator
+    of g_eps at a start z0 whose y block is y_bar, seeds the first step:
+    the prox term has zero gradient at its center, so it is h_eps's too.
     """
     x_bar = np.asarray(x_bar, float)
     y_bar = np.asarray(y_bar, float)
@@ -178,10 +196,12 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     domain = h_eps.domain
     if z0 is None:
         z0 = join(x_bar, y_bar)
-
+    if F0 is not None and np.asarray(z0, float)[dx:].tobytes() \
+            != y_bar.tobytes():
+        F0 = None
     for target in (zeta3, zeta3 / 10.0):
-        zS, _ = restarted_eg(h_eps, M, target, z0)
-        z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1)
+        zS, tr = restarted_eg(h_eps, M, target, z0, F0)
+        z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1, Fz=tr.F)
         resid_vec = np.asarray(op(z_hat), float) + c_hat
         rx = float(np.linalg.norm(resid_vec[:dx]))
         ry = float(np.linalg.norm(resid_vec[dx:]))
@@ -197,5 +217,5 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
                                 delta2)
         if cert.ok:
             break
-        z0 = zS
+        z0, F0 = zS, tr.F
     return y_hat, v_hat, cert

@@ -191,38 +191,59 @@ def _dist_to_gap(mu: float, p: int, dist: float) -> float:
     return max(mu / (p + 1) * dist ** (p + 1), 1e-16)
 
 
-def _inner_min(oracle, target_gap, warm):
+def _inner_min(oracle, target_gap, warm, warm_out=None):
     """Uniformly convex restricted minimization for the envelope oracles.
 
     Accelerated projected gradient with gradient-based adaptive restart;
     stops once the tangent residual certifies a gap below target_gap
     through gradient domination, or when the residual stops improving
     (the flat directions of a weakly regularized subproblem eventually
-    hit oracle resolution).  Returns the best certified point seen.
+    hit oracle resolution).  oracle is a restricted view (x_function or
+    y_function).  Returns (x, out): the best certified point seen and the
+    view's joint oracle tuple there, so the caller need not ask again.
+
+    No point is queried twice in a row: the tuple of the last query is
+    reused while the next point has the same bytes and needs no higher
+    order (a residual check followed by a restart at the checked point,
+    the value and gradient read at one point).  warm_out, the joint tuple
+    at warm, seeds that reuse; pass it only for the same problem view at
+    the same fixed block.
     """
     dom = oracle.domain
     p = oracle.p
-    x = dom.project(np.asarray(warm if warm is not None else dom.center(),
-                               float))
+    start = np.asarray(warm if warm is not None else dom.center(), float)
+    x = dom.project(start)
+    last = None   # (point bytes, joint tuple, restricted tuple)
+    if warm_out is not None and x.tobytes() == start.tobytes():
+        last = (x.tobytes(), warm_out, oracle.restrict(warm_out))
+
+    def query(v, order):
+        nonlocal last
+        key = v.tobytes()
+        if last is None or last[0] != key or len(last[1]) <= order:
+            last = (key,) + oracle.query(v, order)
+        return last[1], last[2]
+
     L = max(oracle.Lp, 1e-8)
     if p == 2:
         # the quadratic upper model needs a gradient-Lipschitz constant;
         # start from local curvature and let backtracking correct it
-        L = max(float(np.linalg.norm(oracle.hess(x), 2)), 1e-8)
+        L = max(float(np.linalg.norm(query(x, 2)[1][2], 2)), 1e-8)
     w = x.copy()
     t = 1.0
-    best_x, best_r = x, math.inf
+    best_x, best_out, best_r = x, None, math.inf
     since_improve = 0
     for k in range(20_000):
-        g_w = np.asarray(oracle.grad(w), float)
+        f_w, g_w = query(w, 1)[1][:2]
+        g_w = np.asarray(g_w, float)
         if p == 1:
             x_new = dom.project(w - g_w / L)
         else:
-            f_w = float(oracle.value(w))
+            f_w = float(f_w)
             for _ in range(60):
                 x_new = dom.project(w - g_w / L)
                 d = x_new - w
-                f_new = float(oracle.value(x_new))
+                f_new = float(query(x_new, 0)[1][0])
                 if f_new <= f_w + g_w @ d + 0.5 * L * (d @ d) \
                         + 1e-12 * (1.0 + abs(f_w)):
                     break
@@ -237,42 +258,62 @@ def _inner_min(oracle, target_gap, warm):
             w = dom.project(x_new + ((t - 1.0) / t_new) * step)
         x, t = x_new, t_new
         if k % 8 == 0 or np.linalg.norm(step) <= 1e-15 * (1 + np.linalg.norm(x)):
-            r = dom.tangent_residual(x, np.asarray(oracle.grad(x), float))
+            out, res = query(x, 1)
+            r = dom.tangent_residual(x, np.asarray(res[1], float))
             if r < 0.9 * best_r:
-                best_x, best_r, since_improve = x, r, 0
+                best_x, best_out, best_r, since_improve = x, out, r, 0
             else:
                 if r < best_r:
-                    best_x, best_r = x, r
+                    best_x, best_out, best_r = x, out, r
                 since_improve += 1
             if gap_from_residual(r, oracle.mu, p) <= target_gap:
-                return x
+                return x, out
             if since_improve >= 25:
                 break
-    return best_x
+    return best_x, best_out
+
+
+def _kept_out(warm: dict, slot: str, view, fixed):
+    """The joint tuple kept with the point warm[slot], if it was taken on
+    view with the other block at fixed; else None."""
+    seen = warm.get(slot + "_at")
+    if seen is not None and seen[0] is view and seen[1] == fixed.tobytes():
+        return seen[2]
+    return None
+
+
+def _warm_min(view, fixed, x_side: bool, target_gap, warm: dict, slot: str):
+    """_inner_min of view's function of one block, the other held at
+    fixed, warm-started from warm[slot] and seeded with the joint tuple
+    kept there (see _kept_out).  Keeps the new point and its tuple in warm;
+    returns (point, joint tuple, restricted oracle)."""
+    fixed = np.asarray(fixed, float)
+    oracle = view.x_function(fixed) if x_side else view.y_function(fixed)
+    pt, out = _inner_min(oracle, target_gap, warm.get(slot),
+                         _kept_out(warm, slot, view, fixed))
+    warm[slot], warm[slot + "_at"] = pt, (view, fixed.tobytes(), out)
+    return pt, out, oracle
 
 
 def ifunc_igrad_primal(problem_f_eps: PowerRegularized, x, delta: float,
-                       warm=None, need_grad: bool = True):
+                       warm: dict = None, need_grad: bool = True):
     """Inexact value and gradient of Phi(x) = max_y f_eps(x, y).
 
     The inner maximization runs to a value target of delta for the value;
     a gradient call needs the maximizer to distance delta/L1, which a
     (p+1)-uniformly concave objective converts into a (much tighter)
-    value target.  Returns (value, gradient, y_hat) with y_hat intended
-    for warm-starting the next call.
+    value target.  Returns (value, gradient, y_hat); warm["y_out"] keeps
+    y_hat, with the joint tuple there, to warm-start the next call.
     """
-    x = np.asarray(x, float)
-    oracle = problem_f_eps.y_function(x)   # convex: minimizes -f_eps(x, .)
     p = problem_f_eps.p
+    warm = warm if warm is not None else {}
     if need_grad:
-        target = min(delta, _dist_to_gap(oracle.mu, p,
-                                         delta / problem_f_eps.L1))
+        mu = problem_f_eps.mu_y / 2 ** (p - 1)   # modulus of -f_eps(x, .)
+        target = min(delta, _dist_to_gap(mu, p, delta / problem_f_eps.L1))
     else:
         target = max(delta, 1e-16)
-    y_hat = _inner_min(oracle, target, warm)
-    val, grad = problem_f_eps.oracle_eval(join(x, y_hat), 1)
-    dx = problem_f_eps.dx
-    return float(val), np.asarray(grad, float)[:dx], y_hat
+    y_hat, out, _ = _warm_min(problem_f_eps, x, False, target, warm, "y_out")
+    return float(out[0]), np.asarray(out[1], float)[:problem_f_eps.dx], y_hat
 
 
 def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
@@ -303,30 +344,28 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                          (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
         def mid_ifunc(y, d):
             with tracker.level("middle"):
-                oracle = g_eps.x_function(np.asarray(y, float))
-                x_hat = _inner_min(oracle, max(d, 1e-16),
-                                   warm.get("x_val"))
-                warm["x_val"] = x_hat
-                return -float(g_eps.oracle_eval(join(x_hat, y), 0)[0])
+                _, out, _ = _warm_min(g_eps, y, True, max(d, 1e-16), warm,
+                                      "x_val")
+                return -float(out[0])
 
         def mid_igrad(y, d):
             with tracker.level("middle"):
-                y = np.asarray(y, float)
-                oracle = g_eps.x_function(y)
                 target = min(max(d, 1e-16),
                              _dist_to_gap(mu_ucx_g, p, d / cfg.L1g_tilde))
-                x_hat = _inner_min(oracle, target, warm.get("x_val"))
-                warm["x_val"] = x_hat
-                g_full = g_eps.oracle_eval(join(x_hat, y), 1)[1]
-                return -np.asarray(g_full, float)[dx:]
+                _, out, _ = _warm_min(g_eps, y, True, target, warm, "x_val")
+                return -np.asarray(out[1], float)[dx:]
 
         def mid_iprox(yb, g, d):
             with tracker.level("inner"):
-                z0 = None
+                yb = np.asarray(yb, float)
+                z0 = F0 = None
                 if warm.get("x_val") is not None:
-                    z0 = join(warm["x_val"], np.asarray(yb, float))
+                    z0 = join(warm["x_val"], yb)
+                    out = _kept_out(warm, "x_val", g_eps, yb)
+                    if out is not None:
+                        F0 = g_eps.operator().from_tuple(out)
                 y_t, v_t, cert = iprox_psi(g_eps, x_bar, yb, g, cfg.delta2,
-                                           cfg.M_inner, zeta3, z0=z0)
+                                           cfg.M_inner, zeta3, z0=z0, F0=F0)
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
                              f"> {cert.bound:.3e}")
@@ -342,13 +381,13 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         y_hat = np.asarray(y, float)
 
         with tracker.level("middle"):
-            oracle = g_eps.x_function(y_hat)
-            x_hat = _inner_min(oracle, _dist_to_gap(mu_ucx_g, p, zeta2),
-                               warm.get("x_val"))
-            warm["x_val"] = x_hat
+            x_hat, out, oracle = _warm_min(
+                g_eps, y_hat, True, _dist_to_gap(mu_ucx_g, p, zeta2), warm,
+                "x_val")
         with tracker.level("polish"):
             x_t, u_t = polish_step(oracle.grad_operator(), g_eps.x_domain,
-                                   x_hat, cfg.L1x_tilde)
+                                   x_hat, cfg.L1x_tilde,
+                                   Fz=oracle.restrict(out)[1])
             # measured residual at the polished point + Danskin error bound
             g_at = np.asarray(
                 g_eps.oracle_eval(join(x_t, y_hat), 1)[1], float)
@@ -367,15 +406,24 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     return x_t, u_t, cert
 
 
+def _check_eps(eps):
+    """A residual target must be a finite number > 0: the stop
+    residual <= eps can never hold otherwise."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
+
+
 def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
           z0=None):
     """Full solve: returns (z_tilde, SolveReport) with the measured tangent
     residual of the ORIGINAL operator at z_tilde; ok means residual <= eps.
+    eps must be a finite number > 0 (ValueError otherwise).
 
     z0 (default: the domain center) is both the starting point and the
     center of the power regularizers.
     """
     t_start = time.perf_counter()
+    _check_eps(eps)
     cfg = cfg or derive_parameters(problem, eps)
     p = problem.p
     domain = problem.domain
@@ -387,6 +435,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     z0 = domain.center() if z0 is None \
         else domain.project(np.asarray(z0, float))
     f_eps = regularize_f_eps(problem, z0, cfg.mu_x, cfg.mu_y)
+    mu_ucy = f_eps.mu_y / 2 ** (p - 1)    # the modulus of -f_eps(x, .)
     op_f = problem.operator()
     op_feps = f_eps.operator()
     gap_fn = getattr(problem, "_exact_gap", None)
@@ -405,19 +454,18 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         """
         x = np.asarray(x, float)
         with tracker.level("outer"):
-            oracle = f_eps.y_function(x)
-            y_hat = _inner_min(oracle,
-                               _dist_to_gap(oracle.mu, p, cfg.zeta1),
-                               warm.get("y_rec"))
-            warm["y_rec"] = y_hat
-        candidates = [y_hat]
+            y_hat, out, _ = _warm_min(
+                f_eps, x, False, _dist_to_gap(mu_ucy, p, cfg.zeta1), warm,
+                "y_rec")
+        # the first candidate's F comes with the recovery's last query
+        candidates = [(y_hat, op_feps.from_tuple(out))]
         if warm.get("y_mid") is not None:
-            candidates.append(np.asarray(warm["y_mid"], float))
+            candidates.append((np.asarray(warm["y_mid"], float), None))
         z_t, r = None, math.inf
         with tracker.level("polish"):
-            for y_c in candidates:
+            for y_c, F_c in candidates:
                 z_c, _ = polish_step(op_feps, domain, join(x, y_c),
-                                     cfg.L1_tilde)
+                                     cfg.L1_tilde, Fz=F_c)
                 r_c = domain.tangent_residual(z_c, op_f(z_c))
                 if r_c < r:
                     z_t, r = z_c, r_c
@@ -433,16 +481,11 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def out_ifunc(z, d):
         with tracker.level("outer"):
-            val, _, y = ifunc_igrad_primal(f_eps, z, d, warm.get("y_out"),
-                                           need_grad=False)
-            warm["y_out"] = y
-            return val
+            return ifunc_igrad_primal(f_eps, z, d, warm, need_grad=False)[0]
 
     def out_igrad(z, d):
         with tracker.level("outer"):
-            _, g, y = ifunc_igrad_primal(f_eps, z, d, warm.get("y_out"))
-            warm["y_out"] = y
-            return g
+            return ifunc_igrad_primal(f_eps, z, d, warm)[1]
 
     def out_iprox(xb, g, d):
         x_t, u_t, cert = iprox_phi(f_eps, xb, g, cfg, warm=warm,
@@ -475,8 +518,10 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 def baseline_eg_solve(problem: SaddleProblem, eps: float, q: int = None,
                       max_oracle_calls: int = 10_000_000, z0=None):
     """Plain order-q extragradient on f itself, stopping at measured
-    tangent residual <= eps; the comparison baseline for the benchmark."""
+    tangent residual <= eps; the comparison baseline for the benchmark.
+    eps must be a finite number > 0 (ValueError otherwise)."""
     t_start = time.perf_counter()
+    _check_eps(eps)
     q = q or problem.p
     domain = problem.domain
     op = problem.operator()

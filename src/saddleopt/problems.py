@@ -256,47 +256,46 @@ class SaddleProblem:
 
     def x_function(self, y) -> "FunctionOracle":
         """f(., y) over X as a convex minimization oracle."""
-        y = np.asarray(y, float)
-        dx = self.dx
-
-        def val(x):
-            return self.oracle_eval(join(x, y), 0)[0]
-
-        def grad(x):
-            return self.oracle_eval(join(x, y), 1)[1][:dx]
-
-        hess = None
-        if self.p == 2:
-            def hess(x):
-                return self.oracle_eval(join(x, y), 2)[2][:dx, :dx]
-
-        return FunctionOracle(
-            domain=self.x_domain, value=val, grad=grad, hess=hess, p=self.p,
-            Lp=self.Lp + math.factorial(self.p) * self.mu_x,
-            mu=self.mu_x / 2 ** (self.p - 1),
-            name=f"{self.name}|x")
+        return self._restricted(y, x_side=True)
 
     def y_function(self, x) -> "FunctionOracle":
         """-f(x, .) over Y — minimizing it maximizes f in y."""
-        x = np.asarray(x, float)
+        return self._restricted(x, x_side=False)
+
+    def _restricted(self, fixed, x_side: bool) -> "FunctionOracle":
+        """The function of one block with the other held at fixed.  Its
+        joint query is this problem's oracle_eval at the joint point, and
+        value, grad and hess are read from that tuple by restrict."""
+        fixed = np.asarray(fixed, float)
         dx = self.dx
+        blk = slice(None, dx) if x_side else slice(dx, None)
 
-        def val(y):
-            return -self.oracle_eval(join(x, y), 0)[0]
+        def joint(v, order):
+            z = join(v, fixed) if x_side else join(fixed, v)
+            return self.oracle_eval(z, order)
 
-        def grad(y):
-            return -self.oracle_eval(join(x, y), 1)[1][dx:]
+        def restrict(out):
+            res = [out[0]]
+            if len(out) > 1:
+                res.append(out[1][blk])
+            if len(out) > 2:
+                res.append(out[2][blk, blk])
+            return tuple(res) if x_side else tuple(-r for r in res)
 
         hess = None
         if self.p == 2:
-            def hess(y):
-                return -self.oracle_eval(join(x, y), 2)[2][dx:, dx:]
+            def hess(v):
+                return restrict(joint(v, 2))[2]
 
+        mu = self.mu_x if x_side else self.mu_y
         return FunctionOracle(
-            domain=self.y_domain, value=val, grad=grad, hess=hess, p=self.p,
-            Lp=self.Lp + math.factorial(self.p) * self.mu_y,
-            mu=self.mu_y / 2 ** (self.p - 1),
-            name=f"{self.name}|y")
+            domain=self.x_domain if x_side else self.y_domain,
+            value=lambda v: restrict(joint(v, 0))[0],
+            grad=lambda v: restrict(joint(v, 1))[1], hess=hess, p=self.p,
+            Lp=self.Lp + math.factorial(self.p) * mu,
+            mu=mu / 2 ** (self.p - 1),
+            name=f"{self.name}|{'x' if x_side else 'y'}",
+            joint=joint, restrict=restrict)
 
 
 class OperatorView:
@@ -311,8 +310,11 @@ class OperatorView:
         self._sign = s
 
     def __call__(self, z):
-        _, g = self.problem.oracle_eval(z, 1)
-        return self._sign * g
+        return self.from_tuple(self.problem.oracle_eval(z, 1))
+
+    def from_tuple(self, out):
+        """F from a joint oracle tuple of the problem (order >= 1)."""
+        return self._sign * out[1]
 
     def jacobian(self, z):
         H = self.problem.oracle_eval(z, 2)[2]
@@ -324,7 +326,10 @@ class FunctionOracle:
     """A convex function with derivatives on a compact domain.
 
     mu is the (p+1)th-order uniform-convexity modulus (0 if unknown); Lp
-    bounds the Lipschitz constant of the pth derivative.
+    bounds the Lipschitz constant of the pth derivative.  A restricted view
+    of a problem (x_function, y_function) also has joint(v, order), one
+    counted query returning the problem's tuple at the joint point, and
+    restrict(tuple) -> (value, grad, ...) of this function from it.
     """
 
     domain: Domain
@@ -335,6 +340,13 @@ class FunctionOracle:
     Lp: float
     mu: float = 0.0
     name: str = ""
+    joint: Optional[Callable] = None
+    restrict: Optional[Callable] = None
+
+    def query(self, v, order: int):
+        """One counted query at v: (joint tuple, restricted tuple)."""
+        out = self.joint(v, order)
+        return out, self.restrict(out)
 
     def grad_operator(self) -> "GradOperator":
         return GradOperator(self)

@@ -100,18 +100,25 @@ def taylor_operator(op, z_bar, z, q: int):
     raise ValueError(f"taylor order {q} not supported")
 
 
-def model_operator(op, z_bar, cfg: TensorStepConfig):
-    """The regularized Taylor model G(z) whose VI the tensor step solves."""
+def model_operator(op, z_bar, cfg: TensorStepConfig, F0=None):
+    """The regularized Taylor model G(z) whose VI the tensor step solves.
+
+    Building it queries the anchor once: F(z_bar) (unless F0, the operator
+    value there, is given) and at q = 2 the Jacobian, kept as G.F0 and
+    G.J; evaluating G makes no oracle call.
+    """
     z_bar = np.asarray(z_bar, float)
     q = cfg.order
     scale = cfg.M / math.factorial(q)
+    F0 = np.asarray(op(z_bar) if F0 is None else F0, float)
+    J = op.jacobian(z_bar) if q == 2 else None
 
     def G(z):
-        z = np.asarray(z, float)
-        s = z - z_bar
-        return (taylor_operator(op, z_bar, z, q)
-                + scale * np.linalg.norm(s) ** (q - 1) * s)
+        s = np.asarray(z, float) - z_bar
+        lin = F0 if J is None else F0 + J @ s
+        return lin + scale * np.linalg.norm(s) ** (q - 1) * s
 
+    G.z_bar, G.F0, G.J = z_bar, F0, J
     return G
 
 
@@ -189,21 +196,18 @@ def _model_vi_subsolve(G, domain: Domain, z_start, lipschitz_est, tol):
     return best, best_r, iters, best_r <= tol
 
 
-def _solve_model(op, domain: Domain, z_bar, cfg: TensorStepConfig):
-    """Solve the tensor-step VI; returns (z, vi_slack, iters, ok)."""
-    z_bar = np.asarray(z_bar, float)
-    F0 = np.asarray(op(z_bar), float)
-    tol = cfg.vi_tol * (1.0 + np.linalg.norm(F0))
-
+def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
+    """Solve the VI of the model G built by model_operator; returns
+    (z, vi_slack, iters, ok)."""
+    z_bar, F0, J = G.z_bar, G.F0, G.J
     if cfg.order == 1:
         z = domain.project(z_bar - F0 / cfg.M)
         # projection solves the model VI exactly
         return z, 0.0, 0, True
 
-    J = op.jacobian(z_bar)
+    tol = cfg.vi_tol * (1.0 + np.linalg.norm(F0))
     s, _lam = _bisection_q2(F0, J, cfg.M)
     cand = z_bar + s
-    G = model_operator(op, z_bar, cfg)
     if domain.interior_margin(cand) >= _INTERIOR_MARGIN:
         slack = float(np.linalg.norm(G(cand)))
         if slack <= tol:
@@ -218,9 +222,11 @@ def _solve_model(op, domain: Domain, z_bar, cfg: TensorStepConfig):
     return z, r, iters, ok
 
 
-def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig):
-    """The order-q regularized step from z_bar; returns the new point."""
-    z, _, _, _ = _solve_model(op, domain, z_bar, cfg)
+def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):
+    """The order-q regularized step from z_bar; returns the new point.
+    F0, the operator value at z_bar when the caller already has it, saves
+    that query."""
+    z, _, _, _ = _solve_model(model_operator(op, z_bar, cfg, F0), domain, cfg)
     return z
 
 
@@ -241,19 +247,17 @@ def iprox_via_tensor(h_grad, domain: Domain, z_bar, gamma: float,
     """
     if hasattr(h_grad, "grad_operator"):
         h_grad = h_grad.grad_operator()
-    z_bar = np.asarray(z_bar, float)
-    F0 = np.asarray(h_grad(z_bar), float)
-    z, _slack, _iters, _ok = _solve_model(h_grad, domain, z_bar, cfg)
-    s = z - z_bar
+    G = model_operator(h_grad, z_bar, cfg)
+    z, _slack, _iters, _ok = _solve_model(G, domain, cfg)
+    s = z - G.z_bar
 
     # leftover model force; its tangential part is inner-solve noise, the
     # normal part is the certified u
-    G = model_operator(h_grad, z_bar, cfg)
     u = -np.asarray(G(z), float)
     u = u - domain.project_tangent(z, u)
 
     grad_z = np.asarray(h_grad(z), float)
-    delta = cfg.vi_tol * (1.0 + np.linalg.norm(F0)) * 2.0
+    delta = cfg.vi_tol * (1.0 + np.linalg.norm(G.F0)) * 2.0
     return prox_certificate(
-        z_bar, z, u, lambda lam: float(np.linalg.norm(grad_z + u + lam * s)),
+        G.z_bar, z, u, lambda lam: float(np.linalg.norm(grad_z + u + lam * s)),
         gamma, cfg.order, delta)

@@ -189,8 +189,10 @@ def test_ifunc_igrad_matches_closed_form_danskin():
 def test_ifunc_warm_start_returns_same_point():
     prob, f_eps, phi, _, _ = danskin_problem(dim=2, seed=5)
     x = np.array([0.3, -0.4])
-    v1, _, y1 = ifunc_igrad_primal(f_eps, x, 1e-10)
-    v2, _, y2 = ifunc_igrad_primal(f_eps, x, 1e-10, warm=y1)
+    warm = {}
+    v1, _, y1 = ifunc_igrad_primal(f_eps, x, 1e-10, warm)
+    assert warm["y_out"] is y1
+    v2, _, y2 = ifunc_igrad_primal(f_eps, x, 1e-10, warm)
     assert np.allclose(y1, y2, atol=1e-8)
     assert v2 == pytest.approx(v1, abs=1e-9)
 
@@ -290,6 +292,43 @@ def test_solve_known_saddle_is_detected_fast():
     z, rep = solve(prob, 1e-3)
     assert rep.residual <= 1e-12
     assert np.linalg.norm(z - prob.known_saddle) <= 1e-9
+
+
+@pytest.mark.parametrize("problem, z0", [
+    (make_quadratic(2, 1, 0), None),
+    (make_power(2, 2, 0), np.full(4, 0.1)),
+])
+def test_no_query_repeats_the_previous_one(monkeypatch, problem, z0):
+    # every subsolver hands back the oracle output at the point it returns,
+    # so no base query asks again at the point of the query just before it
+    # for an order that query already returned
+    base_eval = SaddleProblem.oracle_eval
+    log = []
+
+    def logged(self, z, order):
+        log.append((np.asarray(z, float).tobytes(), order))
+        return base_eval(self, z, order)
+
+    monkeypatch.setattr(SaddleProblem, "oracle_eval", logged)
+    _, rep = solve(problem, 3e-2, z0=z0)
+    assert rep.ok and len(log) == sum(rep.counts.values())
+    repeats = [i for i in range(1, len(log))
+               if log[i][0] == log[i - 1][0] and log[i][1] <= log[i - 1][1]]
+    assert not repeats, f"{len(repeats)} of {len(log)} queries repeat"
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+def test_solvers_reject_bad_eps(eps):
+    # residual <= eps can never hold, so the run would go on to its budget
+    prob = make_quadratic(2, 1, 0)
+    with pytest.raises(ValueError, match="^eps must be a finite number > 0"):
+        solve(prob, eps)
+    with pytest.raises(ValueError, match="^eps must be a finite number > 0"):
+        baseline_eg_solve(prob, eps)
+    cfg = derive_parameters(prob, 1e-2)
+    with pytest.raises(ValueError, match="^eps must be a finite number > 0"):
+        solve(prob, eps, cfg)
+    assert prob.oracle_counter == 0
 
 
 def test_solve_determinism():

@@ -157,6 +157,36 @@ def test_one_query_counts_one_oracle_call_on_every_view(kind, p, seed):
         assert np.max(np.abs(rg - eg)) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_joint_query_restricts_bit_for_bit(p):
+    # the value, gradient and Hessian a restricted view reads from its one
+    # joint query are exactly its own value/grad/hess: reusing a subsolver's
+    # tuple in place of a fresh query then leaves every iterate unchanged
+    rng = np.random.default_rng(10 + p)
+    for kind in ("bilinear", "quadratic", "power"):
+        base = from_config({"problem": kind, "p": p, "dim": 3, "seed": p})
+        f_eps = regularize_f_eps(base, base.domain.sample(rng), 0.3, 0.2)
+        g_eps = surrogate_g(f_eps, base.x_domain.sample(rng), 0.5)
+        h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.7)
+        for prob in (base, f_eps, g_eps, h_eps):
+            x, y = split(prob.domain.sample(rng), prob.dx)
+            for fo, v, z in ((prob.x_function(y), x, join(x, y)),
+                             (prob.y_function(x), y, join(x, y))):
+                for order in range(1, p + 1):
+                    before = prob.oracle_counter
+                    out, res = fo.query(v, order)
+                    assert prob.oracle_counter == before + 1
+                    ref = prob.oracle_eval(z, order)
+                    assert len(out) == len(res) == order + 1
+                    assert all(np.array_equal(a, b) for a, b in zip(out, ref))
+                    assert res[0] == fo.value(v)
+                    assert np.array_equal(res[1], fo.grad(v))
+                    if order == 2:
+                        assert np.array_equal(res[2], fo.hess(v))
+                    assert all(np.array_equal(a, b) for a, b in
+                               zip(fo.restrict(out), res))
+
+
 def test_quadratic_hessian_signs():
     # f = x^2/2 - y^2/2 has operator-consistent Hessian diag(1, -1)
     def value(z):

@@ -3,7 +3,8 @@ import pytest
 from scipy.optimize import brentq
 
 from saddleopt.geometry import Box
-from saddleopt.problems import FunctionOracle, make_power
+from saddleopt import tensor_step as tensor_step_module
+from saddleopt.problems import FunctionOracle, SaddleProblem, make_power
 from saddleopt.tensor_step import (
     TensorStepConfig, iprox_via_tensor, certified_gamma, model_operator,
     prox_certificate, taylor_operator, tensor_step,
@@ -151,6 +152,30 @@ def test_step_q2_constrained_hits_boundary():
     z = tensor_step(op, box, np.zeros(2), cfg)
     G = model_operator(op, np.zeros(2), cfg)
     assert box.tangent_residual(z, G(z)) <= cfg.vi_tol * (1 + 5 * np.sqrt(2))
+    assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
+    # F = z - 5 on [-1,1]^2 as a counted saddle problem: the bisection
+    # candidate leaves the box, so the model VI subsolver runs; the model
+    # keeps F and its Jacobian at the anchor, so the step costs one order-1
+    # and one order-2 query however often the subsolver evaluates it
+    prob = SaddleProblem(
+        Box([-1.0], [1.0]), Box([-1.0], [1.0]), 2,
+        value=lambda z: 0.5 * (z[0] - 5) ** 2 - 0.5 * (z[1] - 5) ** 2,
+        grad=lambda z: np.array([z[0] - 5, 5 - z[1]]),
+        hess=lambda z: np.diag([1.0, -1.0]), L1=1.0, Lp=1.0)
+    evals = []
+    subsolve = tensor_step_module._model_vi_subsolve
+
+    def spied(G, *args):
+        return subsolve(lambda z: evals.append(1) or G(z), *args)
+
+    monkeypatch.setattr(tensor_step_module, "_model_vi_subsolve", spied)
+    cfg = TensorStepConfig(order=2, M=2.0)
+    z = tensor_step(prob.operator(), prob.domain, np.zeros(2), cfg)
+    assert len(evals) > 2
+    assert prob.oracle_counter == 2
     assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
 
 
