@@ -1,19 +1,19 @@
 """Solvers and benchmarks for smooth convex-concave saddle-point problems.
 
-Highlights: tangent-residual geometry on boxes/balls/products, first- and
+Highlights: tangent-residual geometry on boxes and their products, first- and
 second-order tensor steps, restarted extragradient, accelerated inexact
 proximal-point with restarts, the triple-loop minimax solver, hard-instance
 floor experiments, and a benchmark CLI (console script ``saddlebench``).
 """
 
-from .geometry import Ball, Box, Product
+from .geometry import Box, Product
 from .minimax import MinimaxConfig, SolveReport, baseline_eg_solve, \
     derive_parameters, solve
 from .problems import SaddleProblem, from_config, hard_instance, \
     make_bilinear, make_power, make_quadratic
 
 __all__ = [
-    "Ball", "Box", "Product",
+    "Box", "Product",
     "MinimaxConfig", "SolveReport", "baseline_eg_solve",
     "derive_parameters", "solve",
     "SaddleProblem", "from_config", "hard_instance",

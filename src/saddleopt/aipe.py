@@ -4,9 +4,7 @@ Monteiro-Svaiter-type acceleration driven by three inexact oracles
 (function value, gradient, proximal step), with an adaptive bracketing of
 the proximal stepsize lambda': each iteration either accepts the step and
 halves the bracket or damps the step and doubles it.  A restart wrapper
-halves the optimality gap per epoch on uniformly convex objectives; the
-exact-oracle instantiation uses tensor steps as the proximal oracle and
-certifies its stopping point through gradient domination.
+halves the optimality gap per epoch on uniformly convex objectives.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Domain
-from .problems import FunctionOracle
-from .tensor_step import TensorStepConfig, iprox_via_tensor, certified_gamma
 
 # iterations without a best-value improvement before an epoch exits early
 STALL_PATIENCE = 5
@@ -33,7 +29,6 @@ class OracleBundle:
     igrad: callable
     iprox: callable
     order: int = 1                    # q, the prox-step order
-    nprox: int = 0
 
     def func(self, z, delta):
         return float(self.ifunc(z, delta))
@@ -42,7 +37,6 @@ class OracleBundle:
         return np.asarray(self.igrad(z, delta), float)
 
     def prox(self, z_bar, gamma, delta):
-        self.nprox += 1
         out = self.iprox(z_bar, gamma, delta)
         if len(out) == 2:
             return np.asarray(out[0], float), np.asarray(out[1], float), None
@@ -168,8 +162,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
 
 def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
                  delta: float, T: int, S: int, gap_oracle=None,
-                 stop_when=None, stall_patience: int = STALL_PATIENCE,
-                 probe=None):
+                 stall_patience: int = STALL_PATIENCE, probe=None):
     """The restart scheme: up to S epochs of order oracles.order, each
     seeded from the previous epoch's best point (each epoch projects its
     start point).  Returns (z, {"gaps": [...], "traces": [AipeState]}).
@@ -177,11 +170,10 @@ def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
     stall_patience and probe(best_point) -> bool are passed to every epoch.
     The loop ends after an epoch that hits a proximal fixed point, aborts
     on a failed prox certificate (only an iprox that returns certificates
-    can abort) or is stopped by probe, and once stop_when(z) -> bool
-    certifies the epoch's point.  A truthy stall_patience also ends it once
-    an epoch's best recorded value improves on the previous best by no more
-    than delta: the oracles can no longer resolve progress.  A falsy one
-    turns off this break along with the in-epoch stall exit.
+    can abort) or is stopped by probe.  A truthy stall_patience also ends
+    it once an epoch's best recorded value improves on the previous best by
+    no more than delta: the oracles can no longer resolve progress.  A
+    falsy one turns off this break along with the in-epoch stall exit.
     gap_oracle(z) -> float, if given, logs the gap at the start point and
     after every epoch.
     """
@@ -198,8 +190,6 @@ def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
             gaps.append(float(gap_oracle(z)))
         if st.fixed_point or st.aborted or st.stopped_by_probe:
             break
-        if stop_when is not None and stop_when(z):
-            break
         cur_best = min(st.h_hat + st.h_tilde)
         if stall_patience and cur_best > prev_best - delta:
             break
@@ -215,49 +205,3 @@ def gap_from_residual(residual: float, mu: float, p: int) -> float:
     if mu <= 0:
         return math.inf
     return (1.0 - 1.0 / q) * (max(residual, 0.0) ** q / mu) ** (1.0 / (q - 1))
-
-
-def estimate_initial_gap(func, domain: Domain, z0) -> float:
-    """Crude upper estimate of h(z0) - h*: spread against 16 random
-    feasible probes, doubled (it only enters a logarithm)."""
-    rng = np.random.default_rng(0)
-    v0 = float(func(z0))
-    lowest = min(float(func(domain.sample(rng))) for _ in range(16))
-    return 2.0 * max(v0 - lowest, 1e-12)
-
-
-def optms_restart(h: FunctionOracle, domain: Domain, z0, eps: float):
-    """Exact-oracle accelerated solver for a uniformly convex function.
-
-    The proximal oracle is a tensor step with M = 2 Lp; epochs stop early
-    once the tangent residual certifies a gap below eps via gradient
-    domination (valid on constrained domains: the normal-cone part of the
-    residual witness has nonnegative inner product with z - z*).
-    """
-    if not h.mu > 0:
-        raise ValueError("optms_restart needs a uniform-convexity modulus")
-    p = h.p
-    cfg = TensorStepConfig(order=p, M=2.0 * h.Lp)
-    gamma = certified_gamma(p, h.Lp)
-
-    bundle = OracleBundle(
-        ifunc=lambda z, d: h.value(z),
-        igrad=lambda z, d: h.grad(z),
-        iprox=lambda zb, g, d: (
-            lambda c: (c.z, c.u, c))(iprox_via_tensor(h, domain, zb, g, cfg)),
-        order=p)
-
-    T = math.ceil(8.0 * (gamma / h.mu) ** (2.0 / (3 * p + 1)))
-    delta_gap = estimate_initial_gap(h.value, domain, z0)
-    S = max(1, math.ceil(math.log2(max(delta_gap / eps, 2.0))))
-
-    def certified(z):
-        r = domain.tangent_residual(z, h.grad(z))
-        return gap_from_residual(r, h.mu, p) <= eps
-
-    # improvements below a fraction of the target no longer matter, and
-    # feeding that scale to the stall logic keeps nearly-flat directions
-    # (tiny mu against a large gamma) from consuming the full epoch budget
-    z, _info = aipe_restart(bundle, domain, z0, gamma, delta=0.25 * eps,
-                            T=T, S=S, stop_when=certified)
-    return z

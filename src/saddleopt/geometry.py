@@ -1,19 +1,18 @@
 """Compact convex domains: projections, tangent cones, diameters.
 
-Every feasible set used by the solvers is a box, a Euclidean ball, or a
-(binary) product of such sets.  The one operation beyond projection that
-the solvers need is the tangent residual
+This module defines boxes and (binary) products of domains; problems adds
+the ordered box of the hard instances.  The one operation beyond
+projection that the solvers need is the tangent residual
 
     r(z) = min_{c in N_Z(z)} ||F(z) + c||,
 
 the constrained analogue of the gradient norm.  By Moreau's decomposition
 this equals the norm of the projection of -F(z) onto the tangent cone at
-z, which has a closed form for all three variants.
+z, which has a closed form for boxes and products.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +86,6 @@ class Domain:
                 f"point is {np.linalg.norm(self.project(z) - z):.3e} outside")
         return float(np.linalg.norm(self.project_tangent(z, -Fz)))
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Box(Domain):
@@ -142,74 +138,6 @@ class Box(Domain):
     def center(self):
         return 0.5 * (self.lo + self.hi)
 
-    def to_json(self):
-        return {"type": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
-
-@dataclass(frozen=True)
-class Ball(Domain):
-    ball_center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.ball_center, dtype=float))
-        if self.radius < 0:
-            raise ValueError("ball requires radius >= 0")
-        object.__setattr__(self, "ball_center", c)
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def dim(self):
-        return self.ball_center.shape[0]
-
-    def project(self, z):
-        z = self._check_dim(z)
-        d = z - self.ball_center
-        n = np.linalg.norm(d)
-        if n <= self.radius:
-            return z.copy()
-        return self.ball_center + d * (self.radius / n)
-
-    def project_tangent(self, z, v):
-        z = self._check_dim(z)
-        v = np.array(v, dtype=float)
-        if self.radius == 0.0:
-            return np.zeros_like(v)
-        d = z - self.ball_center
-        n = np.linalg.norm(d)
-        if self.radius - n > ACTIVE_TOL * max(1.0, self.radius):
-            return v  # interior: tangent cone is everything
-        # boundary: drop the outward radial part if positive
-        nhat = d / n
-        rad = float(v @ nhat)
-        if rad > 0:
-            v = v - rad * nhat
-        return v
-
-    def diameter(self):
-        return 2.0 * self.radius
-
-    def scale(self, beta):
-        _check_beta(beta)
-        return Ball(self.ball_center / beta, self.radius / beta)
-
-    def interior_margin(self, z):
-        z = self._check_dim(z)
-        return float(self.radius - np.linalg.norm(z - self.ball_center))
-
-    def sample(self, rng):
-        d = rng.normal(size=self.dim)
-        d /= max(np.linalg.norm(d), 1e-300)
-        r = self.radius * rng.uniform() ** (1.0 / self.dim)
-        return self.ball_center + r * d
-
-    def center(self):
-        return self.ball_center.copy()
-
-    def to_json(self):
-        return {"type": "ball", "center": self.ball_center.tolist(),
-                "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Product(Domain):
@@ -254,31 +182,8 @@ class Product(Domain):
     def center(self):
         return np.concatenate([self.left.center(), self.right.center()])
 
-    def to_json(self):
-        return {"type": "product", "left": self.left.to_json(),
-                "right": self.right.to_json()}
-
 
 def _check_beta(beta):
     if not beta > 0:
         raise ValueError(f"scale factor must be positive, got {beta}")
 
-
-# extra decoders (e.g. the ordered box in problems) register here
-EXTRA_JSON_DECODERS = {}
-
-
-def domain_from_json(obj) -> Domain:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    kind = obj.get("type")
-    if kind == "box":
-        return Box(np.asarray(obj["lo"], float), np.asarray(obj["hi"], float))
-    if kind == "ball":
-        return Ball(np.asarray(obj["center"], float), float(obj["radius"]))
-    if kind == "product":
-        return Product(domain_from_json(obj["left"]),
-                       domain_from_json(obj["right"]))
-    if kind in EXTRA_JSON_DECODERS:
-        return EXTRA_JSON_DECODERS[kind](obj)
-    raise ValueError(f"unknown domain type {kind!r}")

@@ -22,6 +22,10 @@ import numpy as np
 from .problems import SaddleProblem, hard_instance, join, split
 from .tensor_step import TensorStepConfig, tensor_step
 
+# the replayed steps' model-VI tolerance and the magnitude below which a
+# coordinate counts as zero in the support and precondition checks
+TOL = 1e-12
+
 
 class SpanViolation(ValueError):
     pass
@@ -126,8 +130,7 @@ def _span_point(coeffs, history, t):
     return pt
 
 
-def run_alg_class(problem: SaddleProblem, schedule,
-                  vi_tol: float = 1e-12) -> AlgClassRun:
+def run_alg_class(problem: SaddleProblem, schedule) -> AlgClassRun:
     """Replays a schedule from the tensor-algorithm class; z_0 = 0."""
     if problem.dx != problem.dy:
         raise ValueError("hard instances have matching block dimensions")
@@ -153,7 +156,7 @@ def run_alg_class(problem: SaddleProblem, schedule,
                              float(np.linalg.norm(xp - x_bar)),
                              float(np.linalg.norm(yp - y_bar)))
         x_bar, y_bar = xp, yp
-        cfg = TensorStepConfig(order=step.q, M=M, vi_tol=vi_tol)
+        cfg = TensorStepConfig(order=step.q, M=M, vi_tol=TOL)
         if step.option == "A":
             op = problem.x_function(y_bar).grad_operator()
             x = tensor_step(op, problem.x_domain, x_bar, cfg)
@@ -177,12 +180,12 @@ def run_alg_class(problem: SaddleProblem, schedule,
     return run
 
 
-def support_violation(v, t: int, tol: float = 1e-12) -> float:
+def support_violation(v, t: int) -> float:
     """Largest magnitude beyond the first t coordinates minus the
     tolerance floor: positive means the support property failed."""
     v = np.asarray(v, float)
     tail = np.abs(v[t:]) if t < v.size else np.zeros(0)
-    return float(tail.max() - tol) if tail.size else -tol
+    return float(tail.max() - TOL) if tail.size else -TOL
 
 
 def residual_floor(T: int, p: int, Lp: float = 1.0) -> float:
@@ -210,8 +213,7 @@ class FloorRow:
         return self.residual / self.floor if self.floor > 0 else math.inf
 
 
-def check_run(problem: SaddleProblem, run: AlgClassRun,
-              tol: float = 1e-12) -> list:
+def check_run(problem: SaddleProblem, run: AlgClassRun) -> list:
     """Per-iterate floor comparison for a replayed run.
 
     The floor argument only applies at points whose last coordinate pair
@@ -225,9 +227,8 @@ def check_run(problem: SaddleProblem, run: AlgClassRun,
     op = problem.operator()
     rows = []
     for t, (x, y) in enumerate(zip(run.xs, run.ys)):
-        slack = max(support_violation(x, t, tol),
-                    support_violation(y, t, tol))
-        pre = abs(x[-1]) <= tol and abs(y[-1]) <= tol
+        slack = max(support_violation(x, t), support_violation(y, t))
+        pre = abs(x[-1]) <= TOL and abs(y[-1]) <= TOL
         z = join(x, y)
         r = problem.domain.tangent_residual(z, op(z))
         rows.append(FloorRow(t=t, support_slack=slack,
@@ -245,8 +246,7 @@ def best_residual(problem: SaddleProblem, run: AlgClassRun) -> float:
     return min(problem.domain.tangent_residual(z, op(z)) for z in pts)
 
 
-def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None,
-                   tol: float = 1e-12) -> dict:
+def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None) -> dict:
     """One row of the floor experiment on the unscaled chain instance.
 
     The slope of the analytic floor in T depends on the normalization:
@@ -261,7 +261,7 @@ def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None,
     if schedule is None:
         schedule = anchored_eg_schedule(T, Lp)
     run = run_alg_class(problem, schedule)
-    rows = check_run(problem, run, tol)
+    rows = check_run(problem, run)
     measured = best_residual(problem, run)
     floor = rows[0].floor
     violations = sum(1 for r in rows if r.support_slack > 0)

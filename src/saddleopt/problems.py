@@ -20,9 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import nnls
 
-from .geometry import (
-    ACTIVE_TOL, EXTRA_JSON_DECODERS, Box, Domain, Product, _check_beta,
-)
+from .geometry import ACTIVE_TOL, Box, Domain, Product, _check_beta
 
 
 def split(z, dx):
@@ -164,13 +162,6 @@ class OrderedBox(Domain):
 
     def center(self):
         return self.project(self.upper / 2.0)
-
-    def to_json(self):
-        return {"type": "ordered_box", "upper": self.upper.tolist()}
-
-
-EXTRA_JSON_DECODERS["ordered_box"] = (
-    lambda obj: OrderedBox(np.asarray(obj["upper"], float)))
 
 
 # ---------------------------------------------------------------------------

@@ -89,17 +89,6 @@ def prox_certificate(z_bar, z, u, residual, gamma: float, q: int,
                            ok=residual <= bound)
 
 
-def taylor_operator(op, z_bar, z, q: int):
-    """(q-1)st-order Taylor approximation of the operator at z_bar."""
-    z_bar = np.asarray(z_bar, float)
-    z = np.asarray(z, float)
-    if q == 1:
-        return np.asarray(op(z_bar), float)
-    if q == 2:
-        return np.asarray(op(z_bar), float) + op.jacobian(z_bar) @ (z - z_bar)
-    raise ValueError(f"taylor order {q} not supported")
-
-
 def model_operator(op, z_bar, cfg: TensorStepConfig, F0=None):
     """The regularized Taylor model G(z) whose VI the tensor step solves.
 

@@ -5,18 +5,22 @@ import pytest
 from scipy.optimize import minimize
 
 from saddleopt.aipe import (
-    OracleBundle, aipe_epoch, aipe_restart, estimate_initial_gap,
-    gap_from_residual, optms_restart, solve_a,
+    OracleBundle, aipe_epoch, aipe_restart, gap_from_residual, solve_a,
 )
 from saddleopt.geometry import Box
 from saddleopt.problems import FunctionOracle
-from saddleopt.tensor_step import TensorStepConfig, iprox_via_tensor
+from saddleopt.tensor_step import (
+    ProxCertificate, TensorStepConfig, iprox_via_tensor,
+)
 
 
-def exact_bundle(h: FunctionOracle, domain, M, order):
+def exact_bundle(h: FunctionOracle, domain, M, order, calls=None):
+    """Tensor-step prox oracle on h; appends each prox center to calls."""
     cfg = TensorStepConfig(order=order, M=M)
 
     def iprox(zb, g, d):
+        if calls is not None:
+            calls.append(zb)
         c = iprox_via_tensor(h, domain, zb, g, cfg)
         return c.z, c.u, c
 
@@ -127,20 +131,44 @@ def test_epoch_records_exact_values_and_invariants():
 def test_epoch_fixed_point_event():
     # start at the unconstrained minimizer: the first prox step returns it
     h = quad_oracle([0.25, -0.5], lo=-1.0, hi=1.0)
-    bundle = exact_bundle(h, h.domain, M=2.0, order=1)
+    calls = []
+    bundle = exact_bundle(h, h.domain, M=2.0, order=1, calls=calls)
     z, st = aipe_epoch(bundle, h.domain, [0.25, -0.5], gamma=1.0, delta=0.0,
                        T=10, q=1)
     assert st.fixed_point
     assert np.allclose(z, [0.25, -0.5])
-    assert bundle.nprox == 1
+    assert len(calls) == 1
 
 
 def test_epoch_counts_iprox_calls():
     h = quad_oracle([0.0, 0.0], lo=-3.0, hi=3.0)
-    bundle = exact_bundle(h, h.domain, M=2.0, order=1)
+    calls = []
+    bundle = exact_bundle(h, h.domain, M=2.0, order=1, calls=calls)
     aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0, T=7,
                q=1, stall_patience=None)
-    assert bundle.nprox == 7
+    assert len(calls) == 7
+
+
+def test_failed_prox_certificate_aborts_the_epoch_and_the_restarts():
+    h = quad_oracle([0.0, 0.0], lo=-3.0, hi=3.0)
+
+    def iprox(zb, g, d):
+        cert = ProxCertificate(z=zb, u=np.zeros(2), lam=g, residual=1.0,
+                               bound=0.5, ok=False)
+        return cert.z, cert.u, cert
+
+    bundle = OracleBundle(ifunc=lambda z, d: h.value(z),
+                          igrad=lambda z, d: h.grad(z), iprox=iprox)
+    z, st = aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0,
+                       T=5, q=1)
+    assert st.aborted
+    assert st.note.startswith("prox certificate failed at t=0")
+    assert st.lam == []
+    assert np.array_equal(z, [2.0, -1.0])
+    _, info = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
+                           S=3)
+    (st,) = info["traces"]
+    assert st.aborted
 
 
 # ---------------------------------------------------------------------------
@@ -206,39 +234,9 @@ def test_restart_without_patience_runs_past_a_stalled_epoch():
         > min(info["traces"][0].h_hat + info["traces"][0].h_tilde) - 1e-3
 
 
-# ---------------------------------------------------------------------------
-# exact-oracle wrapper
-# ---------------------------------------------------------------------------
-
-def test_optms_quadratic_converges_to_projection():
-    c = np.array([2.5, -4.0, 0.3])
-    h = quad_oracle(c, lo=-1.0, hi=1.0)
-    z = optms_restart(h, h.domain, np.zeros(3), eps=1e-8)
-    target = np.clip(c, -1.0, 1.0)
-    assert h.value(z) - h.value(target) <= 1e-8
-
-
-def test_optms_large_eps_single_epoch():
-    h = quad_oracle([0.2], lo=-1.0, hi=1.0)
-    z = optms_restart(h, h.domain, [0.9], eps=100.0)
-    assert h.domain.contains(z)
-
-
-def test_optms_quartic_certified():
-    h = quartic_oracle(dim=2, seed=5)
-    z_star, f_star = reference_min(h)
-    z = optms_restart(h, h.domain, h.domain.center(), eps=1e-7)
-    assert h.value(z) - f_star <= 1e-7 + 1e-10
-
-
 def test_gap_from_residual():
     # p=1 strongly convex (mu=1): gap <= r^2/2
     assert gap_from_residual(0.2, 1.0, 1) == pytest.approx(0.02)
     assert gap_from_residual(0.0, 1.0, 2) == 0.0
     assert gap_from_residual(1.0, 0.0, 1) == math.inf
 
-
-def test_estimate_initial_gap_upper_bounds():
-    h = quad_oracle([0.0, 0.0], lo=-1.0, hi=1.0)
-    est = estimate_initial_gap(h.value, h.domain, np.array([1.0, 1.0]))
-    assert est >= h.value(np.array([1.0, 1.0])) - 0.0  # true gap is h(z0)

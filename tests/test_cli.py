@@ -1,4 +1,5 @@
-"""Tests for the benchmark harness: configs, rate fits, suites, CLI."""
+"""Tests for the benchmark harness: configs, rate fits, suites, CLI, and
+the package's public exports."""
 
 import csv
 import json
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import saddleopt
 from saddleopt.cli import (LOWERBOUND_HEADER, RESULT_HEADER, BenchConfig,
                            fit_rate, lowerbound_csv, main, run_suite)
 from saddleopt.lowerbound import experiment_row
@@ -234,3 +236,15 @@ def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
     assert err.startswith("saddlebench: bad config: ")
     assert detail in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# public exports
+# ---------------------------------------------------------------------------
+
+def test_every_public_name_resolves():
+    for name in saddleopt.__all__:
+        assert getattr(saddleopt, name) is not None, name
+    ns = {}
+    exec("from saddleopt import *", ns)
+    assert set(saddleopt.__all__) <= set(ns)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from saddleopt.geometry import Box, domain_from_json
+from saddleopt.geometry import Box
 from saddleopt.problems import (
     OrderedBox, OrderError, SaddleProblem, _reg_grad,
     _reg_value, check_derivatives, duality_gap, from_config, hard_instance,
@@ -395,12 +395,6 @@ def test_ordered_box_tangent_residual_vs_reference():
         else:
             ref = np.linalg.norm(F)
         assert dom.tangent_residual(z, F) == pytest.approx(ref, abs=1e-6)
-
-
-def test_ordered_box_json_roundtrip():
-    dom = OrderedBox([2.0, 1.5, 0.5])
-    back = domain_from_json(dom.to_json())
-    assert np.allclose(back.upper, dom.upper)
 
 
 # ---------------------------------------------------------------------------
