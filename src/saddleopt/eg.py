@@ -173,7 +173,7 @@ def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
 
 
 def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
-              delta2: float, M: float, zeta3: float, z0=None, F0=None):
+              delta: float, M: float, zeta3: float, z0=None, F0=None):
     """Inexact proximal oracle for the middle loop's dual function.
 
     Psi(y) = min_x g_eps(x, y); its proximal subproblem at y_bar is the
@@ -214,7 +214,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
         dist_x = certified_distance(rx, mu_ucx, p, mu2=h_eps.mu2_x)
         cert = prox_certificate(y_bar, y_hat, v_hat,
                                 ry + problem_g_eps.L1 * dist_x, gamma, p,
-                                delta2)
+                                delta)
         if cert.ok:
             break
         z0, F0 = zS, tr.F

@@ -58,8 +58,6 @@ class AlgClassRun:
     """Replay record of a schedule: iterates plus all choices made."""
 
     options: list = field(default_factory=list)
-    qs: list = field(default_factory=list)
-    Ms: list = field(default_factory=list)
     x_coeffs: list = field(default_factory=list)
     y_coeffs: list = field(default_factory=list)
     xs: list = field(default_factory=list)     # x_0, x_1, ..., x_T
@@ -168,8 +166,6 @@ def run_alg_class(problem: SaddleProblem, schedule) -> AlgClassRun:
                             join(x_bar, y_bar), cfg)
             x, y = split(z, problem.dx)
         run.options.append(step.option)
-        run.qs.append(step.q)
-        run.Ms.append(M)
         run.x_coeffs.append(None if step.x_coeffs is None
                             else list(step.x_coeffs))
         run.y_coeffs.append(None if step.y_coeffs is None
@@ -220,8 +216,8 @@ def check_run(problem: SaddleProblem, run: AlgClassRun) -> list:
     vanishes; the rows report that precondition instead of assuming it.
     """
     T = getattr(problem, "T", run.T)
-    # rescaling the instance to diameter DZbar/beta divides the gap by
-    # beta^{p+1} and the diameter by beta, so the residual floor gains 1/beta^p
+    # rescaling the instance by 1/beta divides the gap by beta^{p+1} and
+    # the diameter by beta, so the residual floor gains 1/beta^p
     beta = getattr(problem, "beta", 1.0)
     floor = residual_floor(T, problem.p, problem.Lp) / beta ** problem.p
     op = problem.operator()
@@ -236,14 +232,16 @@ def check_run(problem: SaddleProblem, run: AlgClassRun) -> list:
     return rows
 
 
-def best_residual(problem: SaddleProblem, run: AlgClassRun) -> float:
+def best_residual(problem: SaddleProblem, run: AlgClassRun,
+                  rows: list) -> float:
     """Smallest tangent residual over every point the run evaluated the
-    oracle at: the recorded iterates and the (anchor) base points.  The
-    floor applies to all of them since each lies in the span of the
-    history."""
+    oracle at: the recorded iterates, whose residuals are check_run's rows,
+    and the (anchor) base points, measured here.  The floor applies to all
+    of them since each lies in the span of the history."""
     op = problem.operator()
-    pts = run.iterates() + run.bases
-    return min(problem.domain.tangent_residual(z, op(z)) for z in pts)
+    return min([r.residual for r in rows]
+               + [problem.domain.tangent_residual(z, op(z))
+                  for z in run.bases])
 
 
 def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None) -> dict:
@@ -262,7 +260,7 @@ def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None) -> dict:
         schedule = anchored_eg_schedule(T, Lp)
     run = run_alg_class(problem, schedule)
     rows = check_run(problem, run)
-    measured = best_residual(problem, run)
+    measured = best_residual(problem, run, rows)
     floor = rows[0].floor
     violations = sum(1 for r in rows if r.support_slack > 0)
     beta_unit = math.sqrt(2.0 * (T + 1))        # rescale to diameter 1

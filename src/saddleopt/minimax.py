@@ -12,7 +12,7 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
 
 Inexact function values and gradients of the envelopes come from nested
 uniformly convex minimizations (Danskin's rule).  The worst-case loop
-counts of the analysis (T1, T2, S1, S2) are only caps: every level stops
+counts of the analysis (T1, T2, S) are only caps: every level stops
 on measured certificates and stalls, the inner tolerances are eps/100
 rather than a worst-case delta chain, and the outer loop halts as soon as
 a recovered primal-dual pair has tangent residual <= eps for the ORIGINAL
@@ -78,10 +78,8 @@ class MinimaxConfig:
     mu_y: float
     T1: int                # outer epoch-length cap
     T2: int                # middle epoch-length cap
-    S1: int                # outer restart cap
-    S2: int                # middle restart cap
-    delta1: float
-    delta2: float
+    S: int                 # outer and middle restart cap
+    delta: float           # outer and middle prox-certificate tolerance
     stall1: float          # outer value-improvement resolution
     stall2: float          # middle value-improvement resolution
     zeta1: float
@@ -93,12 +91,12 @@ class MinimaxConfig:
     M_inner: float         # inner extragradient regularization (4 Lpg)
 
     def __post_init__(self):
-        for name in ("eps", "gamma", "mu_x", "mu_y", "delta1", "delta2",
-                     "stall1", "stall2", "zeta1", "zeta2", "zeta3",
-                     "L1_tilde", "L1x_tilde", "L1g_tilde", "M_inner"):
+        for name in ("eps", "gamma", "mu_x", "mu_y", "delta", "stall1",
+                     "stall2", "zeta1", "zeta2", "zeta3", "L1_tilde",
+                     "L1x_tilde", "L1g_tilde", "M_inner"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("T1", "T2", "S1", "S2"):
+        for name in ("T1", "T2", "S"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -136,8 +134,9 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     <= eps/2 (the regularizer gradients account for the other eps/2),
     zeta2 = zeta1/4 and zeta3 = zeta2/20.  The measured residual at the
     recovered pair is the arbiter, so there is no worst-case delta chain:
-    delta1 = delta2 = eps/100.  T1, T2, S1 and S2 are the analysis's loop
-    counts, used as caps on loops that stop on measured progress.
+    delta = eps/100 at both the outer and the middle level.  T1, T2 and S
+    are the analysis's loop counts, used as caps on loops that stop on
+    measured progress; the outer and middle levels share the restart cap S.
     """
     p = problem.p
     Dx = problem.x_domain.diameter()
@@ -170,14 +169,11 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     # distance targets are noise; stalls are judged against these
     stall1 = max(mu_x / (p + 1) * zeta1 ** (p + 1), 1e-14)
     stall2 = max(mu_y / (p + 1) * zeta2 ** (p + 1), 1e-14)
-    delta1 = delta2 = eps / 100.0
 
-    S1 = max(1, math.ceil(math.log2(max(4.0 * L1t * DZ / eps, 2.0))))
-    S2 = S1
+    S = max(1, math.ceil(math.log2(max(4.0 * L1t * DZ / eps, 2.0))))
     return MinimaxConfig(
-        eps=eps, p=p, gamma=gamma, mu_x=mu_x, mu_y=mu_y,
-        T1=T1, T2=T2, S1=S1, S2=S2,
-        delta1=delta1, delta2=delta2, stall1=stall1, stall2=stall2,
+        eps=eps, p=p, gamma=gamma, mu_x=mu_x, mu_y=mu_y, T1=T1, T2=T2, S=S,
+        delta=eps / 100.0, stall1=stall1, stall2=stall2,
         zeta1=zeta1, zeta2=zeta2, zeta3=zeta3,
         L1_tilde=L1t, L1x_tilde=L1x, L1g_tilde=L1g,
         # the contraction analysis wants 32 Lp; measured-stopping runs are
@@ -364,7 +360,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                     out = _kept_out(warm, "x_val", g_eps, yb)
                     if out is not None:
                         F0 = g_eps.operator().from_tuple(out)
-                y_t, v_t, cert = iprox_psi(g_eps, x_bar, yb, g, cfg.delta2,
+                y_t, v_t, cert = iprox_psi(g_eps, x_bar, yb, g, cfg.delta,
                                            cfg.M_inner, zeta3, z0=z0, F0=F0)
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
@@ -376,7 +372,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         y = warm.get("y_mid")
         y, _ = aipe_restart(bundle, y_dom,
                             y_dom.center() if y is None else y, gamma,
-                            cfg.stall2, cfg.T2, cfg.S2)
+                            cfg.stall2, cfg.T2, cfg.S)
         warm["y_mid"] = y
         y_hat = np.asarray(y, float)
 
@@ -400,7 +396,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                     mu2=problem_f_eps.mu2_y)
         cert = prox_certificate(x_bar, x_t, u_t,
                                 float(np.linalg.norm(w))
-                                + cfg.L1_tilde * dist_y, gamma, p, cfg.delta1)
+                                + cfg.L1_tilde * dist_y, gamma, p, cfg.delta)
         if cert.ok:
             break
     return x_t, u_t, cert
@@ -499,7 +495,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
                           iprox=out_iprox, order=p)
     with tracker.level("outer"):
         x, info = aipe_restart(bundle, problem.x_domain, z0[:problem.dx],
-                               cfg.gamma, cfg.stall1, cfg.T1, cfg.S1,
+                               cfg.gamma, cfg.stall1, cfg.T1, cfg.S,
                                probe=probe)
         if not info["traces"][-1].stopped_by_probe:
             recover(x)

@@ -1,5 +1,5 @@
 """Saddle-point problem oracles, built-in test games, regularized
-surrogates, and the chain-structured hard instances used by the
+surrogates, and the chain-structured hard instance used by the
 lower-bound experiments.
 
 A SaddleProblem bundles f, its derivatives up to order p in {1, 2}, the
@@ -33,7 +33,7 @@ def join(x, y):
 
 
 # ---------------------------------------------------------------------------
-# ordered box domain (the polytope of the lower-bound constructions)
+# ordered box domain (the polytope of the lower-bound construction)
 # ---------------------------------------------------------------------------
 
 def _pav_nonincreasing(v):
@@ -64,23 +64,21 @@ def _pav_nonincreasing(v):
 
 @dataclass(frozen=True)
 class OrderedBox(Domain):
-    """{x : 0 <= x_n <= ... <= x_1, x_i <= upper_i} with nonincreasing
-    upper bounds.
+    """{x : 0 <= x_n <= ... <= x_1 <= u}, one bound u >= 0 for every
+    coordinate, stored per coordinate in upper.
 
-    For the uniform-bound case (all upper_i equal) projection is
-    pool-adjacent-violators isotonic regression followed by clipping, which
-    is exact; with varying bounds clipping the PAV output is *not* optimal,
-    so we run Dykstra's alternating projections between the monotone cone
-    and the box to 1e-13.  The tangent-cone projection solves the
-    active-generator NNLS system exactly.
+    Projection is pool-adjacent-violators isotonic regression followed by
+    clipping to [0, u], which is exact because the bound is common to all
+    coordinates.  The tangent-cone projection solves the active-generator
+    NNLS system exactly.
     """
 
     upper: np.ndarray
 
     def __post_init__(self):
         u = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if np.any(u < 0) or np.any(np.diff(u) > 0):
-            raise ValueError("upper bounds must be nonnegative, nonincreasing")
+        if np.any(u < 0) or np.any(u != u[:1]):
+            raise ValueError("upper bounds must be equal and nonnegative")
         object.__setattr__(self, "upper", u)
 
     @property
@@ -89,27 +87,7 @@ class OrderedBox(Domain):
 
     def project(self, z):
         z = self._check_dim(z)
-        u = self.upper
-        if np.all(u == u[0]):
-            return np.clip(_pav_nonincreasing(z), 0.0, u)
-        # Dykstra between the nonincreasing cone and the box [0, u]
-        x = z.copy()
-        p_inc = np.zeros_like(x)
-        q_inc = np.zeros_like(x)
-        for _ in range(20_000):
-            y = _pav_nonincreasing(x + p_inc)
-            p_new = x + p_inc - y
-            x_new = np.clip(y + q_inc, 0.0, u)
-            q_new = y + q_inc - x_new
-            # the iterates can stall while the corrections still move, so
-            # watch all three sequences before declaring convergence
-            delta = max(np.max(np.abs(x_new - x)),
-                        np.max(np.abs(p_new - p_inc)),
-                        np.max(np.abs(q_new - q_inc)))
-            x, p_inc, q_inc = x_new, p_new, q_new
-            if delta < 1e-14:
-                break
-        return x
+        return np.clip(_pav_nonincreasing(z), 0.0, self.upper)
 
     def _active_generators(self, z):
         n = self.dim
@@ -235,9 +213,6 @@ class SaddleProblem:
         if order >= 2:
             out.append(self._hess(z))
         return tuple(out)
-
-    def split(self, z):
-        return split(z, self.dx)
 
     def operator(self) -> "OperatorView":
         return OperatorView(self)
@@ -376,8 +351,6 @@ def _reg_grad(w, coeff, p):
 def _reg_hess(w, coeff, p):
     n = np.linalg.norm(w)
     d = len(w)
-    if p == 1:
-        return coeff * np.eye(d)
     if n == 0.0:
         return np.zeros((d, d))
     return coeff * (n ** (p - 1) * np.eye(d)
@@ -661,8 +634,7 @@ def hard_instance(p: int, T: int, Lp: float = 1.0,
     e1 = np.zeros(n)
     e1[0] = 1.0
 
-    DZbar = math.sqrt(2.0 * n)
-    beta = 1.0 if DZ is None else DZbar / DZ
+    beta = 1.0 if DZ is None else math.sqrt(2.0 * n) / DZ
 
     def base_value(x, y):
         d = G @ x + e1
@@ -706,75 +678,6 @@ def hard_instance(p: int, T: int, Lp: float = 1.0,
         name=f"hard_new(p={p},T={T})")
     prob.T = T
     prob.beta = beta
-    prob.DZbar = DZbar
-    return prob
-
-
-def lin_hard_instance(p: int, T: int, Lp: float = 1.0) -> SaddleProblem:
-    """The 4T+1-dimensional chain instance of the earlier lower-bound
-    construction, kept for replication; implemented exactly as printed.
-    reference_DX/reference_DY carry the diameter constants quoted with it.
-    """
-    if T < 1:
-        raise ValueError("T >= 1 required")
-    n = 4 * T + 1
-    cst = Lp / (2 ** (p + 1) * math.factorial(p + 1))
-    # w = C x collects the difference terms; last two rows are identities
-    C = np.zeros((n, n))
-    for i in range(n - 2):
-        C[i, i], C[i, i + 1] = 1.0, -1.0
-    C[n - 2, n - 2] = 1.0
-    C[n - 1, n - 1] = 1.0
-    # q: coefficients of the y^{p+1} terms
-    q = np.zeros(n)
-    q[: n - 2] += 1.0
-    q[1: n - 1] -= 1.0 / (p * (p + 1))
-    shift = 4 * T - 1.0 / p
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-
-    def value(z):
-        x, y = split(z, n)
-        w = C @ x
-        return cst * float(y @ w ** p + q @ y ** (p + 1)
-                           - (x[0] - shift) * y[0])
-
-    def grad(z):
-        x, y = split(z, n)
-        w = C @ x
-        gx = cst * (p * (C.T @ (y * w ** (p - 1))) - y[0] * e1)
-        gy = cst * (w ** p + (p + 1) * q * y ** p - (x[0] - shift) * e1)
-        return join(gx, gy)
-
-    def hess(z):
-        x, y = split(z, n)
-        w = C @ x
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, :n] = cst * p * (p - 1) * (C.T @ np.diag(y * w ** (p - 2)) @ C)
-        Hxy = cst * (p * (C.T @ np.diag(w ** (p - 1)))
-                     - np.outer(e1, e1))
-        H[:n, n:] = Hxy
-        H[n:, :n] = Hxy.T
-        H[n:, n:] = cst * (p + 1) * p * np.diag(q * y ** (p - 1))
-        return H
-
-    ux = np.array([4.0 * T - i for i in range(n)])  # 4T-i+1, i = 1..n
-    xdom = OrderedBox(ux)
-    hi_y = np.ones(n)
-    hi_y[-1] = 0.0
-    ydom = Box(np.zeros(n), hi_y)
-    nC = np.linalg.norm(C, 2)
-    wmax = max(np.max(ux), 1.0)
-    L1bar = cst * (p * ((p - 1) * wmax ** max(p - 2, 0) * nC ** 2
-                        + wmax ** (p - 1) * nC) + 1.0
-                   + (p + 1) * p * np.max(np.abs(q)))
-    prob = SaddleProblem(xdom, ydom, p, value, grad,
-                         hess if p == 2 else None,
-                         L1=max(L1bar, 1e-8), Lp=Lp,
-                         name=f"hard_lin(p={p},T={T})")
-    prob.T = T
-    prob.reference_DX = 8.0 * T ** 1.5
-    prob.reference_DY = T ** 0.5
     return prob
 
 
@@ -803,10 +706,10 @@ def check_derivatives(problem: SaddleProblem, z, tol: float = None,
     """Central finite differences of the oracle at an interior point."""
     z = np.asarray(z, dtype=float)
     n = len(z)
-    scale = max(1.0, float(np.max(np.abs(problem.oracle_eval(z, 1)[1]))))
+    g = problem.oracle_eval(z, 1)[1]
+    scale = max(1.0, float(np.max(np.abs(g))))
     if tol is None:
         tol = max(1e-5, 1e-6 * scale)
-    g = problem.oracle_eval(z, 1)[1]
     failures = []
     gerr = 0.0
     for i in range(n):
@@ -840,8 +743,7 @@ def check_derivatives(problem: SaddleProblem, z, tol: float = None,
 
 # the keys each problem kind reads besides problem, p and seed
 _KIND_KEYS = {"bilinear": {"dim", "L1"}, "quadratic": {"dim"},
-              "power": {"dim", "a"}, "hard_new": {"T", "Lp", "DZ"},
-              "hard_lin": {"T", "Lp"}}
+              "power": {"dim", "a"}, "hard_new": {"T", "Lp", "DZ"}}
 
 
 def _int_key(cfg: dict, key: str, default: int, lo: int = 1,
@@ -888,9 +790,6 @@ def from_config(cfg: dict) -> SaddleProblem:
     if kind == "power":
         return make_power(_int_key(cfg, "dim", 3), p, seed,
                           a=_positive_key(cfg, "a", 1.0))
-    if kind == "hard_new":
-        return hard_instance(p, _int_key(cfg, "T", 4),
-                             Lp=_positive_key(cfg, "Lp", 1.0),
-                             DZ=_positive_key(cfg, "DZ"))
-    return lin_hard_instance(p, _int_key(cfg, "T", 1),
-                             Lp=_positive_key(cfg, "Lp", 1.0))
+    return hard_instance(p, _int_key(cfg, "T", 4),
+                         Lp=_positive_key(cfg, "Lp", 1.0),
+                         DZ=_positive_key(cfg, "DZ"))

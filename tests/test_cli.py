@@ -12,6 +12,7 @@ import saddleopt
 from saddleopt.cli import (LOWERBOUND_HEADER, RESULT_HEADER, BenchConfig,
                            fit_rate, lowerbound_csv, main, run_suite)
 from saddleopt.lowerbound import experiment_row
+from saddleopt.problems import _KIND_KEYS
 
 QUAD2 = {"problem": "quadratic", "dim": 2, "p": 1}
 
@@ -205,7 +206,11 @@ def test_cli_bench(tmp_path, capsys):
 
 def test_cli_check(capsys):
     assert main(["check"]) == 0
-    assert "check: ok" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "check: ok" in lines
+    # the self-test checks the derivatives of every kind from_config builds
+    for kind in _KIND_KEYS:
+        assert any(ln.startswith(f"derivatives {kind}(") for ln in lines), kind
 
 
 @pytest.mark.parametrize("command, cfg, detail", [
@@ -223,6 +228,8 @@ def test_cli_check(capsys):
     ("solve", dict(QUAD2, eps=1e9), "precision precondition violated"),
     ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, -1e-2]},
      "every eps must be > 0"),
+    ("solve", {"problem": "hard_lin", "eps": 1e-2},
+     "unknown problem kind 'hard_lin'"),
 ])
 def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
                                            detail):

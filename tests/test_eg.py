@@ -184,7 +184,7 @@ def test_iprox_psi_pure_regularizer():
     x0, y0 = split(z0, base.dx)
     g_eps = surrogate_g(f_eps, x0, gamma=0.5)
     M = 32.0 * surrogate_h(g_eps, y0, 0.5).Lp
-    y_t, v_t, cert = iprox_psi(g_eps, x0, y0, gamma=0.5, delta2=1e-6, M=M,
+    y_t, v_t, cert = iprox_psi(g_eps, x0, y0, gamma=0.5, delta=1e-6, M=M,
                                zeta3=1e-9)
     assert np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.lam * np.linalg.norm(y_t - y0) <= 1e-6
@@ -206,7 +206,7 @@ def test_iprox_psi_certificate_battery(p):
         gamma = prob.Lp if p == 2 else prob.L1
         g_eps = surrogate_g(f_eps, x_bar, gamma)
         y_t, v_t, cert = iprox_psi(
-            g_eps, x_bar, y_bar, gamma, delta2=1e-2,
+            g_eps, x_bar, y_bar, gamma, delta=1e-2,
             M=32.0 * surrogate_h(g_eps, y_bar, gamma).Lp,
             zeta3=1e-9 if p == 1 else 1e-10)
         assert cert.ok, (p, seed, cert.residual, cert.bound)

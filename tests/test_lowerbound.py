@@ -182,7 +182,10 @@ def test_best_residual_covers_bases():
     op = prob.operator()
     iter_best = min(prob.domain.tangent_residual(z, op(z))
                     for z in run.iterates())
-    assert best_residual(prob, run) <= iter_best + 1e-15
+    best = best_residual(prob, run, check_run(prob, run))
+    assert best <= iter_best + 1e-15
+    assert best == min(prob.domain.tangent_residual(z, op(z))
+                       for z in run.iterates() + run.bases)
 
 
 def test_scaled_floor_consistency():
@@ -196,11 +199,13 @@ def test_scaled_floor_consistency():
     run_un = run_alg_class(un, sched)
     run_sc = run_alg_class(sc, sched)
     beta = sc.beta
-    r_un = best_residual(un, run_un)
-    r_sc = best_residual(sc, run_sc)
+    rows_un = check_run(un, run_un)
+    rows_sc = check_run(sc, run_sc)
+    r_un = best_residual(un, run_un, rows_un)
+    r_sc = best_residual(sc, run_sc, rows_sc)
     assert r_sc == pytest.approx(r_un / beta, rel=1e-9)
-    f_un = check_run(un, run_un)[0].floor
-    f_sc = check_run(sc, run_sc)[0].floor
+    f_un = rows_un[0].floor
+    f_sc = rows_sc[0].floor
     assert f_sc == pytest.approx(f_un / beta, rel=1e-12)
     # iterate correspondence z_scaled = z_unscaled / beta
     for zu, zs in zip(run_un.iterates(), run_sc.iterates()):

@@ -113,10 +113,10 @@ def test_parameters_precision_precondition():
 def test_parameters_positive_and_validated():
     prob = make_quadratic(3, seed=0)
     cfg = derive_parameters(prob, 1e-3)
-    for name in ("gamma", "mu_x", "mu_y", "delta1", "delta2", "zeta1",
+    for name in ("gamma", "mu_x", "mu_y", "delta", "zeta1",
                  "zeta2", "zeta3", "stall1", "stall2"):
         assert getattr(cfg, name) > 0
-    assert cfg.T1 >= 1 and cfg.S1 >= 1
+    assert cfg.T1 >= 1 and cfg.S >= 1
     with pytest.raises(ValueError):
         MinimaxConfig(**{**cfg.__dict__, "gamma": 0.0})
 

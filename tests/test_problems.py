@@ -9,7 +9,7 @@ from saddleopt.geometry import Box
 from saddleopt.problems import (
     OrderedBox, OrderError, SaddleProblem, _reg_grad,
     _reg_value, check_derivatives, duality_gap, from_config, hard_instance,
-    join, lin_hard_instance, make_bilinear, make_power, make_quadratic,
+    join, make_bilinear, make_power, make_quadratic,
     regularize_f_eps, split, surrogate_g, surrogate_h,
 )
 
@@ -67,7 +67,7 @@ def test_oracle_order_and_domain_errors():
     {"problem": "quadratic", "dim": 2},
     {"problem": "power", "dim": 2, "a": 0.5},
     {"problem": "hard_new", "T": 4, "Lp": 2.0, "DZ": 3.0},
-    {"problem": "hard_lin", "T": 2, "Lp": 2.0},
+    {"problem": "hard_new", "T": 2, "Lp": 2.0},
 ])
 def test_from_config_reads_each_kinds_keys(cfg):
     prob = from_config(dict(cfg, p=1, seed=3))
@@ -99,12 +99,12 @@ def test_from_config_rejects_unknown_keys(cfg, unknown):
     ({"problem": "quadratic", "seed": -1}, "seed"),
     ({"problem": "quadratic", "seed": 1.5}, "seed"),
     ({"problem": "hard_new", "T": 2.5}, "T"),
-    ({"problem": "hard_lin", "T": 0}, "T"),
+    ({"problem": "hard_new", "T": 0}, "T"),
     ({"problem": "bilinear", "L1": -1}, "L1"),
     ({"problem": "bilinear", "L1": True}, "L1"),
     ({"problem": "hard_new", "DZ": "3"}, "DZ"),
     ({"problem": "hard_new", "Lp": float("inf")}, "Lp"),
-    ({"problem": "hard_lin", "Lp": float("nan")}, "Lp"),
+    ({"problem": "hard_new", "Lp": float("nan")}, "Lp"),
     ({"problem": "power", "a": 0.0}, "a"),
 ])
 def test_from_config_rejects_bad_values(cfg, key):
@@ -127,8 +127,7 @@ def single_queries(prob, z):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["bilinear", "quadratic", "power", "hard_new",
-                             "hard_lin"]),
+@given(kind=st.sampled_from(["bilinear", "quadratic", "power", "hard_new"]),
        p=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
 def test_one_query_counts_one_oracle_call_on_every_view(kind, p, seed):
     base = from_config({"problem": kind, "p": p, "seed": seed % 5})
@@ -355,10 +354,7 @@ def _feasible_ordered(dom, rng):
 @settings(max_examples=80, deadline=None)
 def test_ordered_box_projection_is_valid(seed, n):
     rng = np.random.default_rng(seed)
-    if rng.uniform() < 0.5:
-        u = np.ones(n)
-    else:
-        u = np.sort(rng.uniform(0, 3, n))[::-1]
+    u = np.full(n, 1.0 if rng.uniform() < 0.5 else rng.uniform(0, 3))
     dom = OrderedBox(u)
     v = rng.normal(scale=2, size=n)
     pv = dom.project(v)
@@ -373,13 +369,18 @@ def test_ordered_box_projection_is_valid(seed, n):
         assert (v - pv) @ (q - pv) <= 1e-9
 
 
+@pytest.mark.parametrize("upper", [[2.0, 1.0], [1.0, 2.0], [-1.0, -1.0]])
+def test_ordered_box_rejects_unequal_or_negative_bounds(upper):
+    with pytest.raises(ValueError, match="equal and nonnegative"):
+        OrderedBox(np.array(upper))
+
+
 def test_ordered_box_tangent_residual_vs_reference():
     # independent reference: minimize ||F + A t||, t >= 0 by L-BFGS-B
     rng = np.random.default_rng(17)
     for _ in range(60):
         n = int(rng.integers(2, 7))
-        u = np.sort(rng.uniform(0.2, 2, n))[::-1]
-        dom = OrderedBox(u)
+        dom = OrderedBox(np.full(n, rng.uniform(0.2, 2)))
         z = _feasible_ordered(dom, rng)
         F = rng.normal(size=n)
         cols = dom._active_generators(z)
@@ -439,15 +440,6 @@ def test_hard_instance_derivative_lipschitz():
             assert diff <= prob.Lp * np.linalg.norm(z1 - z2) + 1e-10
 
 
-def test_lin_instance_basics():
-    prob = lin_hard_instance(p=1, T=1)
-    assert prob.dx == 5 and prob.dy == 5
-    z = join(prob.x_domain.sample(np.random.default_rng(0)), np.zeros(5))
-    assert prob.oracle_eval(z, 0)[0] == pytest.approx(0.0)
-    assert prob.reference_DX == pytest.approx(8.0)
-    assert prob.reference_DY == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
 # duality gap + derivative checks
 # ---------------------------------------------------------------------------
@@ -488,7 +480,11 @@ def test_gap_bounded_by_residual():
 def test_check_derivatives():
     prob = make_quadratic(3, p=2, seed=0)
     z = np.zeros(6)
+    before = prob.oracle_counter
     assert check_derivatives(prob, z).ok
+    # a gradient and two values per coordinate, then a Hessian and two
+    # gradients per coordinate: the gradient at z is asked for once
+    assert prob.oracle_counter - before == 2 * (1 + 2 * 6)
     feps = regularize_f_eps(prob, 0.1 * np.ones(6), 0.3, 0.2)
     assert check_derivatives(feps, z).ok
 
@@ -509,10 +505,6 @@ def test_check_derivatives():
 def test_check_derivatives_hard_instances():
     prob = hard_instance(2, 3)
     z = join(np.array([0.8, 0.6, 0.4, 0.2]), 0.5 * np.ones(4))
-    assert check_derivatives(prob, z, h=1e-6).ok
-    prob = lin_hard_instance(2, 1)
-    z = join(np.array([3.5, 2.5, 1.5, 0.5, 0.0]),
-             np.array([0.5, 0.5, 0.5, 0.5, 0.0]))
     assert check_derivatives(prob, z, h=1e-6).ok
 
 
