@@ -22,8 +22,11 @@ STALL_PATIENCE = 5
 
 @dataclass
 class OracleBundle:
-    """ifunc(z, d) -> value, igrad(z, d) -> vector, iprox(z_bar, gamma, d)
-    -> (z, u) or (z, u, certificate); each promised accurate to its d."""
+    """ifunc(z, d) -> value, igrad(z, d) -> (value, gradient),
+    iprox(z_bar, gamma, d) -> (z, u) or (z, u, certificate); each promised
+    accurate to its d.  igrad hands up the value its one solve measured
+    along with the gradient, so the epoch never asks ifunc at a point it
+    just passed to igrad."""
 
     ifunc: callable
     igrad: callable
@@ -34,7 +37,8 @@ class OracleBundle:
         return float(self.ifunc(z, delta))
 
     def grad(self, z, delta):
-        return np.asarray(self.igrad(z, delta), float)
+        value, g = self.igrad(z, delta)
+        return float(value), np.asarray(g, float)
 
     def prox(self, z_bar, gamma, delta):
         out = self.iprox(z_bar, gamma, delta)
@@ -74,6 +78,11 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
                stall_patience: int = STALL_PATIENCE, probe=None):
     """One acceleration epoch; returns (best recorded point, state trace).
 
+    Each iteration records h at z~ from the value igrad returned with the
+    gradient there, and asks ifunc only for h at z, unless z has z~'s
+    bytes (an accepted step, gamma_t = 1), so ifunc runs at most once per
+    iteration plus once at the start.
+
     probe(best_point) -> bool, if given, is consulted after every
     iteration's recording; returning True ends the epoch (used by callers
     that can certify global optimality from the current best point).
@@ -89,10 +98,10 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
     best_pt = z
     stall = 0
 
-    def record(zc, zt):
+    def record(zc, zt, h_til):
         nonlocal best_val, best_pt, stall
-        h_hat = oracles.func(zc, delta)
-        h_til = oracles.func(zt, delta)
+        h_hat = h_til if zc.tobytes() == zt.tobytes() \
+            else oracles.func(zc, delta)
         st.h_hat.append(h_hat)
         st.h_tilde.append(h_til)
         # strict ordering favors the z_t family on ties
@@ -104,7 +113,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
             if val < best_val:
                 best_val, best_pt = val, pt
 
-    record(z, z_tilde)
+    record(z, z_tilde, oracles.func(z_tilde, delta))
     for t in range(T):
         a_p, A_p = solve_a(A, lam_p)
         z_bar = (A * z + a_p * v) / A_p
@@ -139,7 +148,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
             A_new = A + a
             lam_p_next = 2.0 * lam_p
         z = ((1.0 - gam) * A / A_new) * z + (gam * A_p / A_new) * z_tilde
-        g = oracles.grad(z_tilde, delta)
+        h_til, g = oracles.grad(z_tilde, delta)
         v = domain.project(v - a * (g + u))
 
         st.A.append(A_new)
@@ -149,7 +158,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
         st.gamma_t.append(gam)
         A, lam_p = A_new, lam_p_next
 
-        record(z, z_tilde)
+        record(z, z_tilde, h_til)
         if probe is not None and probe(best_pt):
             st.stopped_by_probe = True
             st.note = "stopped by probe"

@@ -186,6 +186,14 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     target zeta3/10, warm-started from the first attempt.  F0, the operator
     of g_eps at a start z0 whose y block is y_bar, seeds the first step:
     the prox term has zero gradient at its center, so it is h_eps's too.
+
+    Returns (y_hat, v_hat, certificate, (z_hat, base_out)): the polished
+    point z_hat = (x_hat, y_hat) is measured by one order-p query of the
+    base problem, and base_out is that tuple, which any view on the same base
+    extends (PowerRegularized.extend) without another call.  x_hat is the
+    argmin of g_eps(., y_hat) to within the certified dist_x, since the
+    y-prox term of h_eps does not depend on x, so the caller can start its
+    next solve on g_eps(., y_hat) there.
     """
     x_bar = np.asarray(x_bar, float)
     y_bar = np.asarray(y_bar, float)
@@ -202,7 +210,8 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     for target in (zeta3, zeta3 / 10.0):
         zS, tr = restarted_eg(h_eps, M, target, z0, F0)
         z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1, Fz=tr.F)
-        resid_vec = np.asarray(op(z_hat), float) + c_hat
+        base_out = h_eps.base.oracle_eval(z_hat, p)
+        resid_vec = op.from_tuple(h_eps.extend(z_hat, base_out)) + c_hat
         rx = float(np.linalg.norm(resid_vec[:dx]))
         ry = float(np.linalg.norm(resid_vec[dx:]))
         y_hat = z_hat[dx:]
@@ -218,4 +227,4 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
         if cert.ok:
             break
         z0, F0 = zS, tr.F
-    return y_hat, v_hat, cert
+    return y_hat, v_hat, cert, (z_hat, base_out)

@@ -73,8 +73,15 @@ class Domain:
                 f"expected shape ({self.dim},), got {z.shape}")
         return z
 
+    def _feasible(self, z) -> bool:
+        """True only if z certainly lies in the domain (project(z) is z);
+        False means "not known" and leaves the decision to a projection."""
+        return False
+
     def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
         z = self._check_dim(z)
+        if self._feasible(z):
+            return True
         return bool(np.linalg.norm(self.project(z) - z) <= tol)
 
     def tangent_residual(self, z, Fz) -> float:
@@ -109,6 +116,9 @@ class Box(Domain):
     def project(self, z):
         z = self._check_dim(z)
         return np.clip(z, self.lo, self.hi)
+
+    def _feasible(self, z):
+        return bool(((self.lo <= z) & (z <= self.hi)).all())
 
     def project_tangent(self, z, v):
         z = self._check_dim(z)
@@ -155,6 +165,10 @@ class Product(Domain):
         z = self._check_dim(z)
         a, b = self._split(z)
         return np.concatenate([self.left.project(a), self.right.project(b)])
+
+    def _feasible(self, z):
+        a, b = self._split(z)
+        return self.left._feasible(a) and self.right._feasible(b)
 
     def project_tangent(self, z, v):
         z = self._check_dim(z)

@@ -11,7 +11,11 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
     surrogate h_eps, implementing the middle proximal oracle.
 
 Inexact function values and gradients of the envelopes come from nested
-uniformly convex minimizations (Danskin's rule).  The worst-case loop
+uniformly convex minimizations (Danskin's rule).  Each level hands its
+answer up: an envelope gradient comes with the value its solve measured,
+and each prox oracle (iprox_psi for the middle loop, iprox_phi for the
+outer one) hands back its measured point and base oracle tuple, where the
+next envelope solve at the point it returned starts.  The worst-case loop
 counts of the analysis (T1, T2, S) are only caps: every level stops
 on measured certificates and stalls, the inner tolerances are eps/100
 rather than a worst-case delta chain, and the outer loop halts as soon as
@@ -278,6 +282,12 @@ def _kept_out(warm: dict, slot: str, view, fixed):
     return None
 
 
+def _keep(warm: dict, slot: str, pt, view, fixed, out):
+    """Keeps pt in warm[slot] with out, view's joint tuple at pt joined
+    with the other block at fixed, for _kept_out to hand back."""
+    warm[slot], warm[slot + "_at"] = pt, (view, fixed.tobytes(), out)
+
+
 def _warm_min(view, fixed, x_side: bool, target_gap, warm: dict, slot: str):
     """_inner_min of view's function of one block, the other held at
     fixed, warm-started from warm[slot] and seeded with the joint tuple
@@ -287,7 +297,7 @@ def _warm_min(view, fixed, x_side: bool, target_gap, warm: dict, slot: str):
     oracle = view.x_function(fixed) if x_side else view.y_function(fixed)
     pt, out = _inner_min(oracle, target_gap, warm.get(slot),
                          _kept_out(warm, slot, view, fixed))
-    warm[slot], warm[slot + "_at"] = pt, (view, fixed.tobytes(), out)
+    _keep(warm, slot, pt, view, fixed, out)
     return pt, out, oracle
 
 
@@ -320,11 +330,19 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     Runs the middle-loop acceleration on the dual envelope of g_eps =
     f_eps + (gamma/(p+1))||x - x_bar||^{p+1}, then recovers the primal
     minimizer at the returned dual point and polishes it.  Returns
-    (x_tilde, u_tilde, certificate); the certificate residual adds a
-    Danskin-error bound (from the measured dual-side residual) to the
-    directly measured polished gradient.  Failed dual prox certificates
+    (x_tilde, u_tilde, certificate, (z, base_out)); the certificate
+    residual adds a Danskin-error bound (from the measured dual-side
+    residual) to the directly measured polished gradient.  That measurement
+    is one order-p base query at z = (x_tilde, y_hat), and base_out is its
+    tuple: the x-prox term is constant in y, so y_hat is also the caller's
+    start for maximizing f_eps(x_tilde, .).  Failed dual prox certificates
     are appended to flags; the middle loop keeps going past them.  A failed
     certificate gets one retry with zeta2 and zeta3 ten times tighter.
+
+    Each middle-loop oracle starts where the level below left off: the
+    envelope gradient hands up its value, and each iprox_psi leaves its x
+    block and base tuple in warm["x_val"], keyed to the dual point it
+    returns, where the next envelope solve at that point starts.
     """
     x_bar = np.asarray(x_bar, float)
     p = cfg.p
@@ -349,7 +367,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                 target = min(max(d, 1e-16),
                              _dist_to_gap(mu_ucx_g, p, d / cfg.L1g_tilde))
                 _, out, _ = _warm_min(g_eps, y, True, target, warm, "x_val")
-                return -np.asarray(out[1], float)[dx:]
+                return -float(out[0]), -np.asarray(out[1], float)[dx:]
 
         def mid_iprox(yb, g, d):
             with tracker.level("inner"):
@@ -360,8 +378,11 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                     out = _kept_out(warm, "x_val", g_eps, yb)
                     if out is not None:
                         F0 = g_eps.operator().from_tuple(out)
-                y_t, v_t, cert = iprox_psi(g_eps, x_bar, yb, g, cfg.delta,
-                                           cfg.M_inner, zeta3, z0=z0, F0=F0)
+                y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
+                    g_eps, x_bar, yb, g, cfg.delta, cfg.M_inner, zeta3,
+                    z0=z0, F0=F0)
+            _keep(warm, "x_val", z_hat[:dx], g_eps, y_t,
+                  g_eps.extend(z_hat, base_out))
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
                              f"> {cert.bound:.3e}")
@@ -385,8 +406,9 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                    x_hat, cfg.L1x_tilde,
                                    Fz=oracle.restrict(out)[1])
             # measured residual at the polished point + Danskin error bound
-            g_at = np.asarray(
-                g_eps.oracle_eval(join(x_t, y_hat), 1)[1], float)
+            z_t = join(x_t, y_hat)
+            base_out = g_eps.base.oracle_eval(z_t, p)
+            g_at = g_eps.extend(z_t, base_out)[1]
             w = g_at[:dx] + u_t
             # maximizing f_eps(x_t, .) means minimizing -f_eps, whose
             # gradient field at y_hat is -grad_y g_eps (x terms don't enter)
@@ -399,7 +421,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                 + cfg.L1_tilde * dist_y, gamma, p, cfg.delta)
         if cert.ok:
             break
-    return x_t, u_t, cert
+    return x_t, u_t, cert, (z_t, base_out)
 
 
 def _check_eps(eps):
@@ -481,11 +503,13 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def out_igrad(z, d):
         with tracker.level("outer"):
-            return ifunc_igrad_primal(f_eps, z, d, warm)[1]
+            return ifunc_igrad_primal(f_eps, z, d, warm)[:2]
 
     def out_iprox(xb, g, d):
-        x_t, u_t, cert = iprox_phi(f_eps, xb, g, cfg, warm=warm,
-                                   tracker=tracker, flags=flags)
+        x_t, u_t, cert, (z_m, base_out) = iprox_phi(
+            f_eps, xb, g, cfg, warm=warm, tracker=tracker, flags=flags)
+        _keep(warm, "y_out", z_m[problem.dx:], f_eps, x_t,
+              f_eps.extend(z_m, base_out))
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")

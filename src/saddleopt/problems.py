@@ -89,6 +89,11 @@ class OrderedBox(Domain):
         z = self._check_dim(z)
         return np.clip(_pav_nonincreasing(z), 0.0, self.upper)
 
+    def _feasible(self, z):
+        # pool adjacent violators returns such input unchanged
+        return bool((z[:-1] >= z[1:]).all()
+                    and ((0.0 <= z) & (z <= self.upper)).all())
+
     def _active_generators(self, z):
         n = self.dim
         scale = max(1.0, float(self.upper[0]))
@@ -282,9 +287,13 @@ class OperatorView:
         """F from a joint oracle tuple of the problem (order >= 1)."""
         return self._sign * out[1]
 
+    def derivatives(self, z):
+        """(F(z), its Jacobian) from one order-2 query."""
+        out = self.problem.oracle_eval(z, 2)
+        return self.from_tuple(out), self._sign[:, None] * out[2]
+
     def jacobian(self, z):
-        H = self.problem.oracle_eval(z, 2)[2]
-        return self._sign[:, None] * H
+        return self.derivatives(z)[1]
 
 
 @dataclass
@@ -329,10 +338,14 @@ class GradOperator:
     def __call__(self, z):
         return self.func.grad(z)
 
-    def jacobian(self, z):
+    def derivatives(self, z):
+        """(gradient, Hessian) at z: from one order-2 query on a restricted
+        view, else from the function's own grad and hess."""
         if self.func.hess is None:
             raise OrderError("no Hessian available")
-        return self.func.hess(z)
+        if self.func.joint is not None:
+            return self.func.query(z, 2)[1][1:]
+        return self.func.grad(z), self.func.hess(z)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +401,14 @@ class PowerRegularized(SaddleProblem):
         self.mu2_y = base.mu2_y + extra_y
 
     def oracle_eval(self, z, order):
-        out = self.base.oracle_eval(z, order)
+        return self.extend(z, self.base.oracle_eval(z, order))
+
+    def extend(self, z, out):
+        """This view's tuple at z from the base problem's tuple there, of
+        the same order; adds the power terms and makes no oracle call.
+        Every view built on one base (f_eps, g_eps, h_eps) can extend the
+        same base tuple."""
+        order = len(out) - 1
         x, y = split(z, self.dx)
         v = out[0]
         v += sum(_reg_value(x - w, c, self.p) for c, w in self.x_terms)

@@ -92,15 +92,19 @@ def prox_certificate(z_bar, z, u, residual, gamma: float, q: int,
 def model_operator(op, z_bar, cfg: TensorStepConfig, F0=None):
     """The regularized Taylor model G(z) whose VI the tensor step solves.
 
-    Building it queries the anchor once: F(z_bar) (unless F0, the operator
-    value there, is given) and at q = 2 the Jacobian, kept as G.F0 and
-    G.J; evaluating G makes no oracle call.
+    Building it queries the anchor at most once: at q = 1 for F(z_bar)
+    unless F0, the operator value there, is given; at q = 2 for F and the
+    Jacobian together (op.derivatives).  They are kept as G.F0 and G.J;
+    evaluating G makes no oracle call.
     """
     z_bar = np.asarray(z_bar, float)
     q = cfg.order
     scale = cfg.M / math.factorial(q)
+    J = None
+    if q == 2:
+        F, J = op.derivatives(z_bar)
+        F0 = F if F0 is None else F0
     F0 = np.asarray(op(z_bar) if F0 is None else F0, float)
-    J = op.jacobian(z_bar) if q == 2 else None
 
     def G(z):
         s = np.asarray(z, float) - z_bar
@@ -228,7 +232,7 @@ def iprox_via_tensor(h_grad, domain: Domain, z_bar, gamma: float,
                      cfg: TensorStepConfig) -> ProxCertificate:
     """One inexact proximal step on a function via its gradient field.
 
-    h_grad is the gradient operator (callable, with .jacobian for q = 2);
+    h_grad is the gradient operator (callable, with .derivatives for q = 2);
     a FunctionOracle is also accepted and unwrapped.  gamma sets the
     certificate's lam = gamma ||z - z_bar||^{q-1}; the step itself is
     governed by cfg.M.  gamma = M/q! makes the certificate exact when

@@ -25,7 +25,7 @@ def exact_bundle(h: FunctionOracle, domain, M, order, calls=None):
         return c.z, c.u, c
 
     return OracleBundle(ifunc=lambda z, d: h.value(z),
-                        igrad=lambda z, d: h.grad(z),
+                        igrad=lambda z, d: (h.value(z), h.grad(z)),
                         iprox=iprox, order=order)
 
 
@@ -128,6 +128,47 @@ def test_epoch_records_exact_values_and_invariants():
     assert h.domain.contains(z)
 
 
+def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
+    # igrad hands up the value at z~ with the gradient, so ifunc runs once
+    # at the start and then only at a z without z~'s bytes (gamma_t < 1)
+    h = quad_oracle([0.3, -0.2], lo=-2.0, hi=2.0)
+    inner = exact_bundle(h, h.domain, M=2.0, order=1)
+    log = []
+
+    def ifunc(z, d):
+        log.append(("f", np.asarray(z, float).tobytes()))
+        return h.value(z)
+
+    def igrad(z, d):
+        log.append(("g", np.asarray(z, float).tobytes()))
+        return h.value(z), h.grad(z)
+
+    def iprox(zb, g, d):
+        log.append(("p", None))
+        return inner.iprox(zb, g, d)
+
+    bundle = OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox)
+    _, st = aipe_epoch(bundle, h.domain, [1.8, -1.5], gamma=1.0, delta=0.0,
+                       T=12, q=1, stall_patience=None)
+    assert 1.0 in st.gamma_t and min(st.gamma_t) < 1.0
+    # split the log by prox call: the start, then one chunk per iteration
+    chunks = [[]]
+    for entry in log:
+        if entry[0] == "p":
+            chunks.append([])
+        else:
+            chunks[-1].append(entry)
+    assert [k for k, _ in chunks[0]] == ["f"]
+    assert len(chunks) == len(st.gamma_t) + 1
+    for gam, chunk in zip(st.gamma_t, chunks[1:]):
+        kinds = [k for k, _ in chunk]
+        assert kinds == (["g"] if gam == 1.0 else ["g", "f"])
+        if gam < 1.0:
+            assert chunk[1][1] != chunk[0][1]
+    assert st.h_tilde[1:] == [h.value(np.frombuffer(c[0][1]))
+                              for c in chunks[1:]]
+
+
 def test_epoch_fixed_point_event():
     # start at the unconstrained minimizer: the first prox step returns it
     h = quad_oracle([0.25, -0.5], lo=-1.0, hi=1.0)
@@ -158,7 +199,8 @@ def test_failed_prox_certificate_aborts_the_epoch_and_the_restarts():
         return cert.z, cert.u, cert
 
     bundle = OracleBundle(ifunc=lambda z, d: h.value(z),
-                          igrad=lambda z, d: h.grad(z), iprox=iprox)
+                          igrad=lambda z, d: (h.value(z), h.grad(z)),
+                          iprox=iprox)
     z, st = aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0,
                        T=5, q=1)
     assert st.aborted

@@ -184,8 +184,8 @@ def test_iprox_psi_pure_regularizer():
     x0, y0 = split(z0, base.dx)
     g_eps = surrogate_g(f_eps, x0, gamma=0.5)
     M = 32.0 * surrogate_h(g_eps, y0, 0.5).Lp
-    y_t, v_t, cert = iprox_psi(g_eps, x0, y0, gamma=0.5, delta=1e-6, M=M,
-                               zeta3=1e-9)
+    y_t, v_t, cert, _ = iprox_psi(g_eps, x0, y0, gamma=0.5, delta=1e-6,
+                                  M=M, zeta3=1e-9)
     assert np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.lam * np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.ok
@@ -205,9 +205,14 @@ def test_iprox_psi_certificate_battery(p):
         y_bar = prob.y_domain.sample(rng)
         gamma = prob.Lp if p == 2 else prob.L1
         g_eps = surrogate_g(f_eps, x_bar, gamma)
-        y_t, v_t, cert = iprox_psi(
+        y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
             g_eps, x_bar, y_bar, gamma, delta=1e-2,
             M=32.0 * surrogate_h(g_eps, y_bar, gamma).Lp,
             zeta3=1e-9 if p == 1 else 1e-10)
         assert cert.ok, (p, seed, cert.residual, cert.bound)
         assert prob.y_domain.contains(y_t)
+        # the handed-up base tuple is the order-p oracle at (x_hat, y_t)
+        assert np.array_equal(z_hat[prob.dx:], y_t)
+        for got, want in zip(g_eps.extend(z_hat, base_out),
+                             g_eps.oracle_eval(z_hat, p)):
+            assert np.array_equal(got, want)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
 from saddleopt.geometry import Box, DimensionMismatch, NotInDomain, Product
+from saddleopt.problems import OrderedBox
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,28 @@ def test_project_idempotent_nonexpansive():
         pa, pb = dom.project(a), dom.project(b)
         assert np.allclose(dom.project(pa), pa, atol=1e-12)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
+
+
+@pytest.mark.parametrize("dom, points", [
+    (Box([-1.0, 0.0], [1.0, 2.0]),
+     [[0.2, 1.0], [-1.0, 2.0], [1.0, 0.0], [1.0 + 1e-12, 0.5],
+      [1.5, 0.5], [0.0, -3.0], [np.nan, 1.0]]),
+    (OrderedBox(np.full(3, 2.0)),
+     [[1.5, 1.0, 0.5], [2.0, 2.0, 0.0], [1.0, 1.0, 1.0],
+      [1.0, 1.0 + 1e-12, 0.5], [0.5, 1.0, 0.2], [2.5, 1.0, 0.0],
+      [1.0, 0.5, -1e-3], [1.0, np.nan, 0.5]]),
+    (Product(Box([0.0], [1.0]), OrderedBox(np.ones(2))),
+     [[0.5, 0.8, 0.3], [0.0, 1.0, 1.0], [1.0, 0.0, 0.0],
+      [0.5, 0.3, 0.8], [1.5, 0.8, 0.3], [0.5, 0.8, np.nan]]),
+])
+def test_contains_matches_projection_distance(dom, points):
+    # a point known feasible skips the projection; the answer must be the
+    # one the projection gives, at a face, outside and at NaN too
+    for z in points:
+        z = np.asarray(z, float)
+        for tol in (1e-10, 1e-2):
+            expected = bool(np.linalg.norm(dom.project(z) - z) <= tol)
+            assert dom.contains(z, tol) is expected, (z, tol)
 
 
 def test_dimension_mismatch():

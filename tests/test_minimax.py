@@ -208,7 +208,7 @@ def test_iprox_phi_tracks_surrogate_saddle():
     x_bar = np.array([0.3, -0.2, 0.5])
     g_eps = surrogate_g(f_eps, x_bar, cfg.gamma)
     x_star, _ = split(reference_saddle_g(g_eps), prob.dx)
-    x_t, u_t, cert = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
+    x_t, u_t, cert, _ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
     assert np.linalg.norm(x_t - x_star) <= 1e-3
     assert prob.x_domain.contains(x_t)
     # u lies in the normal cone: nonpositive against feasible directions
@@ -226,7 +226,7 @@ def test_iprox_phi_certificate_battery():
                                  cfg.mu_x, cfg.mu_y)
         rng = np.random.default_rng(100 + seed)
         x_bar = prob.x_domain.sample(rng)
-        x_t, u_t, cert = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
+        x_t, u_t, cert, _ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
         assert cert.ok, (seed, cert.residual, cert.bound)
         assert cert.residual <= cert.bound
 
@@ -261,11 +261,11 @@ def test_solve_reports_failed_dual_prox_certificate(monkeypatch):
     calls = []
 
     def first_fails(*args, **kwargs):
-        y_t, v_t, cert = real(*args, **kwargs)
+        y_t, v_t, cert, at = real(*args, **kwargs)
         calls.append(cert)
         if len(calls) == 1:
             cert = replace(cert, ok=False)
-        return y_t, v_t, cert
+        return y_t, v_t, cert, at
 
     monkeypatch.setattr(minimax, "iprox_psi", first_fails)
     z, rep = solve(make_quadratic(2, seed=8), 1e-2)
@@ -294,9 +294,52 @@ def test_solve_known_saddle_is_detected_fast():
     assert np.linalg.norm(z - prob.known_saddle) <= 1e-9
 
 
+def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
+    # iprox_psi hands up its polished point and base tuple; the envelope
+    # solve that follows is at the dual point it returned, so it starts
+    # from the inner x block with that tuple instead of a stale warm point
+    real_psi, real_min = minimax.iprox_psi, minimax._inner_min
+    events = []
+
+    def psi(*args, **kwargs):
+        out = real_psi(*args, **kwargs)
+        events.append(("psi", out[3][0]))
+        return out
+
+    def inner_min(oracle, target_gap, warm, warm_out=None):
+        events.append(("min", warm, warm_out))
+        return real_min(oracle, target_gap, warm, warm_out)
+
+    monkeypatch.setattr(minimax, "iprox_psi", psi)
+    monkeypatch.setattr(minimax, "_inner_min", inner_min)
+    problem = make_quadratic(2, 1, 0)
+    _, rep = solve(problem, 3e-2)
+    assert rep.ok
+    follows = [(a[1], b) for a, b in zip(events, events[1:])
+               if a[0] == "psi"]
+    assert follows
+    for z_hat, (kind, warm, warm_out) in follows:
+        assert kind == "min"
+        assert warm.tobytes() == z_hat[:problem.dx].tobytes()
+        assert warm_out is not None
+
+
+@pytest.mark.parametrize("problem, eps, z0, budget", [
+    (make_quadratic(3, 1, 0), 4e-2, None, 1_300),
+    (make_power(3, 2, 2), 1e-2, np.full(6, 0.1), 3_000),
+])
+def test_solve_stays_within_its_call_budget(problem, eps, z0, budget):
+    # each level starts from what the level below computed and nothing is
+    # asked twice; re-solving those answers costs well over these budgets
+    _, rep = solve(problem, eps, z0=z0)
+    assert rep.ok
+    assert sum(rep.counts.values()) <= budget
+
+
 @pytest.mark.parametrize("problem, z0", [
     (make_quadratic(2, 1, 0), None),
     (make_power(2, 2, 0), np.full(4, 0.1)),
+    (make_bilinear(2, 1, 0), None),
 ])
 def test_no_query_repeats_the_previous_one(monkeypatch, problem, z0):
     # every subsolver hands back the oracle output at the point it returns,

@@ -121,8 +121,10 @@ def single_queries(prob, z):
     queries += [lambda: op(z), lambda: fx.value(x), lambda: fx.grad(x),
                 lambda: fy.value(y), lambda: fy.grad(y)]
     if prob.p == 2:
-        queries += [lambda: op.jacobian(z), lambda: fx.hess(x),
-                    lambda: fy.hess(y)]
+        queries += [lambda: op.jacobian(z), lambda: op.derivatives(z),
+                    lambda: fx.hess(x), lambda: fy.hess(y),
+                    lambda: fx.grad_operator().derivatives(x),
+                    lambda: fy.grad_operator().derivatives(y)]
     return queries
 
 
