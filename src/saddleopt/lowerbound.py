@@ -55,11 +55,8 @@ class StepSpec:
 
 @dataclass
 class AlgClassRun:
-    """Replay record of a schedule: iterates plus all choices made."""
+    """Replay record of a schedule: its iterates and base points."""
 
-    options: list = field(default_factory=list)
-    x_coeffs: list = field(default_factory=list)
-    y_coeffs: list = field(default_factory=list)
     xs: list = field(default_factory=list)     # x_0, x_1, ..., x_T
     ys: list = field(default_factory=list)
     bases: list = field(default_factory=list)  # evaluated base point per step
@@ -67,7 +64,7 @@ class AlgClassRun:
 
     @property
     def T(self):
-        return len(self.options)
+        return len(self.bases)
 
     def iterates(self):
         return [join(x, y) for x, y in zip(self.xs, self.ys)]
@@ -165,11 +162,6 @@ def run_alg_class(problem: SaddleProblem, schedule) -> AlgClassRun:
             z = tensor_step(problem.operator(), problem.domain,
                             join(x_bar, y_bar), cfg)
             x, y = split(z, problem.dx)
-        run.options.append(step.option)
-        run.x_coeffs.append(None if step.x_coeffs is None
-                            else list(step.x_coeffs))
-        run.y_coeffs.append(None if step.y_coeffs is None
-                            else list(step.y_coeffs))
         run.xs.append(np.asarray(x, float).copy())
         run.ys.append(np.asarray(y, float).copy())
         run.bases.append(join(x_bar, y_bar))
@@ -204,10 +196,6 @@ class FloorRow:
     residual: float
     floor: float
 
-    @property
-    def ratio(self):
-        return self.residual / self.floor if self.floor > 0 else math.inf
-
 
 def check_run(problem: SaddleProblem, run: AlgClassRun) -> list:
     """Per-iterate floor comparison for a replayed run.
@@ -236,12 +224,14 @@ def best_residual(problem: SaddleProblem, run: AlgClassRun,
                   rows: list) -> float:
     """Smallest tangent residual over every point the run evaluated the
     oracle at: the recorded iterates, whose residuals are check_run's rows,
-    and the (anchor) base points, measured here.  The floor applies to all
-    of them since each lies in the span of the history."""
+    and the (anchor) base points, measured here unless one has the bytes
+    of an iterate.  The floor applies to all of them since each lies in
+    the span of the history."""
     op = problem.operator()
+    seen = {z.tobytes() for z in run.iterates()}
     return min([r.residual for r in rows]
                + [problem.domain.tangent_residual(z, op(z))
-                  for z in run.bases])
+                  for z in run.bases if z.tobytes() not in seen])
 
 
 def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None) -> dict:

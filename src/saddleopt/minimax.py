@@ -10,17 +10,19 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
   * inner loop  -- restarted higher-order extragradient on the two-sided
     surrogate h_eps, implementing the middle proximal oracle.
 
-Inexact function values and gradients of the envelopes come from nested
-uniformly convex minimizations (Danskin's rule).  Each level hands its
-answer up: an envelope gradient comes with the value its solve measured,
-and each prox oracle (iprox_psi for the middle loop, iprox_phi for the
-outer one) hands back its measured point and base oracle tuple, where the
-next envelope solve at the point it returned starts.  The worst-case loop
-counts of the analysis (T1, T2, S) are only caps: every level stops
-on measured certificates and stalls, the inner tolerances are eps/100
-rather than a worst-case delta chain, and the outer loop halts as soon as
-a recovered primal-dual pair has tangent residual <= eps for the ORIGINAL
-operator -- which is also the guarantee the solver reports.
+Both accelerated levels take their oracles from one Envelope: inexact
+values and gradients come from warm-started, uniformly convex restricted
+minimizations (Danskin's rule), one routine for either side.  Each level
+hands its answer up: an envelope gradient comes with the value its solve
+measured, and each prox oracle (iprox_psi for the middle loop, iprox_phi
+for the outer one) hands back its measured point and base oracle tuple,
+which the envelope keeps as the start of its next solve at the point the
+prox returned.  The worst-case loop counts of the analysis (T1, T2, S)
+are only caps: every level stops on measured certificates and stalls, the
+inner tolerances are eps/100 rather than a worst-case delta chain, and the
+outer loop halts as soon as a recovered primal-dual pair has tangent
+residual <= eps for the ORIGINAL operator -- which is also the guarantee
+the solver reports.
 """
 
 from __future__ import annotations
@@ -273,134 +275,144 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
     return best_x, best_out
 
 
-def _kept_out(warm: dict, slot: str, view, fixed):
-    """The joint tuple kept with the point warm[slot], if it was taken on
-    view with the other block at fixed; else None."""
-    seen = warm.get(slot + "_at")
-    if seen is not None and seen[0] is view and seen[1] == fixed.tobytes():
-        return seen[2]
-    return None
+class Envelope:
+    """A view's envelope over one block, solved for with the other fixed.
 
-
-def _keep(warm: dict, slot: str, pt, view, fixed, out):
-    """Keeps pt in warm[slot] with out, view's joint tuple at pt joined
-    with the other block at fixed, for _kept_out to hand back."""
-    warm[slot], warm[slot + "_at"] = pt, (view, fixed.tobytes(), out)
-
-
-def _warm_min(view, fixed, x_side: bool, target_gap, warm: dict, slot: str):
-    """_inner_min of view's function of one block, the other held at
-    fixed, warm-started from warm[slot] and seeded with the joint tuple
-    kept there (see _kept_out).  Keeps the new point and its tuple in warm;
-    returns (point, joint tuple, restricted oracle)."""
-    fixed = np.asarray(fixed, float)
-    oracle = view.x_function(fixed) if x_side else view.y_function(fixed)
-    pt, out = _inner_min(oracle, target_gap, warm.get(slot),
-                         _kept_out(warm, slot, view, fixed))
-    _keep(warm, slot, pt, view, fixed, out)
-    return pt, out, oracle
-
-
-def ifunc_igrad_primal(problem_f_eps: PowerRegularized, x, delta: float,
-                       warm: dict = None, need_grad: bool = True):
-    """Inexact value and gradient of Phi(x) = max_y f_eps(x, y).
-
-    The inner maximization runs to a value target of delta for the value;
-    a gradient call needs the maximizer to distance delta/L1, which a
-    (p+1)-uniformly concave objective converts into a (much tighter)
-    value target.  Returns (value, gradient, y_hat); warm["y_out"] keeps
-    y_hat, with the joint tuple there, to warm-start the next call.
+    With x_side it is -min_x view(x, y), a function of y (the middle
+    loop's dual envelope of g_eps); otherwise max_y view(x, y), a function
+    of x (the outer loop's primal envelope of f_eps).  mu is the solved
+    block's uniform-convexity modulus and L1 turns a gradient accuracy
+    into a distance target.  pt is where the next restricted solve starts;
+    the joint tuple kept with it seeds that solve's reuse when the fixed
+    block has the same bytes.
     """
-    p = problem_f_eps.p
-    warm = warm if warm is not None else {}
+
+    def __init__(self, view: PowerRegularized, x_side: bool, L1: float,
+                 pt=None):
+        self.view, self.x_side, self.L1, self.pt = view, x_side, L1, pt
+        self.mu = (view.mu_x if x_side else view.mu_y) / 2 ** (view.p - 1)
+        self._at = None   # (fixed bytes, joint tuple at pt joined with fixed)
+
+    def keep(self, pt, fixed, out):
+        """Starts the next solve at pt; out is the view's joint tuple at pt
+        joined with the other block at fixed."""
+        self.pt, self._at = pt, (fixed.tobytes(), out)
+
+    def out_at(self, fixed):
+        """The joint tuple kept with pt if it was taken at fixed, else None."""
+        if self._at is not None and self._at[0] == fixed.tobytes():
+            return self._at[1]
+        return None
+
+    def solve(self, fixed, target_gap):
+        """_inner_min of the solved block with the other at fixed, started
+        at pt and seeded with the tuple kept there; keeps the new point.
+        Returns (point, joint tuple, restricted oracle)."""
+        fixed = np.asarray(fixed, float)
+        view = self.view
+        oracle = view.x_function(fixed) if self.x_side \
+            else view.y_function(fixed)
+        pt, out = _inner_min(oracle, target_gap, self.pt, self.out_at(fixed))
+        self.keep(pt, fixed, out)
+        return pt, out, oracle
+
+    def bundle(self, tracker: CountTracker, level: str, iprox):
+        """This envelope's OracleBundle: value and gradient queries count
+        toward level, iprox is the level's own prox oracle."""
+        def ifunc(z, d):
+            with tracker.level(level):
+                return ifunc_igrad_primal(self, z, d, need_grad=False)[0]
+
+        def igrad(z, d):
+            with tracker.level(level):
+                return ifunc_igrad_primal(self, z, d)[:2]
+
+        return OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox,
+                            order=self.view.p)
+
+
+def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
+                       need_grad: bool = True):
+    """Inexact value and gradient of env's envelope at fixed.
+
+    The restricted solve runs to a value target of delta for the value;
+    a gradient call needs the solution to distance delta/L1, which a
+    (p+1)-uniformly convex objective converts into a (much tighter) value
+    target.  The gradient is the view's gradient in the fixed block at the
+    solution (Danskin's rule), negated with the value for an x-side
+    envelope.  Returns (value, gradient, solution); env keeps the solution,
+    with the joint tuple there, as the next call's start.
+    """
+    target = max(delta, 1e-16)
     if need_grad:
-        mu = problem_f_eps.mu_y / 2 ** (p - 1)   # modulus of -f_eps(x, .)
-        target = min(delta, _dist_to_gap(mu, p, delta / problem_f_eps.L1))
-    else:
-        target = max(delta, 1e-16)
-    y_hat, out, _ = _warm_min(problem_f_eps, x, False, target, warm, "y_out")
-    return float(out[0]), np.asarray(out[1], float)[:problem_f_eps.dx], y_hat
+        target = min(target, _dist_to_gap(env.mu, env.view.p, delta / env.L1))
+    pt, out, _ = env.solve(fixed, target)
+    dx = env.view.dx
+    if env.x_side:
+        return -float(out[0]), -np.asarray(out[1], float)[dx:], pt
+    return float(out[0]), np.asarray(out[1], float)[:dx], pt
 
 
 def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
-              cfg: MinimaxConfig, warm: dict = None,
+              cfg: MinimaxConfig, start=None,
               tracker: CountTracker = None, flags: list = None):
     """Inexact proximal oracle for the primal envelope at x_bar.
 
     Runs the middle-loop acceleration on the dual envelope of g_eps =
     f_eps + (gamma/(p+1))||x - x_bar||^{p+1}, then recovers the primal
     minimizer at the returned dual point and polishes it.  Returns
-    (x_tilde, u_tilde, certificate, (z, base_out)); the certificate
-    residual adds a Danskin-error bound (from the measured dual-side
-    residual) to the directly measured polished gradient.  That measurement
-    is one order-p base query at z = (x_tilde, y_hat), and base_out is its
-    tuple: the x-prox term is constant in y, so y_hat is also the caller's
-    start for maximizing f_eps(x_tilde, .).  Failed dual prox certificates
-    are appended to flags; the middle loop keeps going past them.  A failed
-    certificate gets one retry with zeta2 and zeta3 ten times tighter.
+    (x_tilde, u_tilde, certificate, (z, base_out), next_start); the
+    certificate residual adds a Danskin-error bound (from the measured
+    dual-side residual) to the directly measured polished gradient.  That
+    measurement is one order-p base query at z = (x_tilde, y_hat), and
+    base_out is its tuple: the x-prox term is constant in y, so y_hat is
+    also the caller's start for maximizing f_eps(x_tilde, .).  Failed dual
+    prox certificates are appended to flags; the middle loop keeps going
+    past them.  A failed certificate gets one retry with zeta2 and zeta3
+    ten times tighter.
 
+    start = (x, y) (default: the domain center) is where the envelope's
+    first solve and the middle loop start; next_start, the recovered
+    minimizer joined with the returned dual point, is the next call's.
     Each middle-loop oracle starts where the level below left off: the
-    envelope gradient hands up its value, and each iprox_psi leaves its x
-    block and base tuple in warm["x_val"], keyed to the dual point it
-    returns, where the next envelope solve at that point starts.
+    envelope gradient hands up its value, and the envelope keeps each
+    iprox_psi's x block and base tuple as the start of its next solve.
     """
     x_bar = np.asarray(x_bar, float)
     p = cfg.p
-    warm = warm if warm is not None else {}
     tracker = tracker or CountTracker(problem_f_eps.base)
     g_eps = surrogate_g(problem_f_eps, x_bar, gamma)
     dx = g_eps.dx
     y_dom = g_eps.y_domain
-    mu_ucx_g = g_eps.mu_x / 2 ** (p - 1)
     flags = flags if flags is not None else []
+    start = g_eps.domain.center() if start is None else start
+    env = Envelope(g_eps, True, cfg.L1g_tilde, start[:dx])
+    y = start[dx:]
 
     for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
                          (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
-        def mid_ifunc(y, d):
-            with tracker.level("middle"):
-                _, out, _ = _warm_min(g_eps, y, True, max(d, 1e-16), warm,
-                                      "x_val")
-                return -float(out[0])
-
-        def mid_igrad(y, d):
-            with tracker.level("middle"):
-                target = min(max(d, 1e-16),
-                             _dist_to_gap(mu_ucx_g, p, d / cfg.L1g_tilde))
-                _, out, _ = _warm_min(g_eps, y, True, target, warm, "x_val")
-                return -float(out[0]), -np.asarray(out[1], float)[dx:]
-
         def mid_iprox(yb, g, d):
             with tracker.level("inner"):
                 yb = np.asarray(yb, float)
-                z0 = F0 = None
-                if warm.get("x_val") is not None:
-                    z0 = join(warm["x_val"], yb)
-                    out = _kept_out(warm, "x_val", g_eps, yb)
-                    if out is not None:
-                        F0 = g_eps.operator().from_tuple(out)
+                out = env.out_at(yb)
+                F0 = None if out is None \
+                    else g_eps.operator().from_tuple(out)
                 y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
                     g_eps, x_bar, yb, g, cfg.delta, cfg.M_inner, zeta3,
-                    z0=z0, F0=F0)
-            _keep(warm, "x_val", z_hat[:dx], g_eps, y_t,
-                  g_eps.extend(z_hat, base_out))
+                    z0=join(env.pt, yb), F0=F0)
+            env.keep(z_hat[:dx], y_t, g_eps.extend(z_hat, base_out))
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
                              f"> {cert.bound:.3e}")
             return y_t, v_t
 
-        bundle = OracleBundle(ifunc=mid_ifunc, igrad=mid_igrad,
-                              iprox=mid_iprox, order=p)
-        y = warm.get("y_mid")
-        y, _ = aipe_restart(bundle, y_dom,
-                            y_dom.center() if y is None else y, gamma,
-                            cfg.stall2, cfg.T2, cfg.S)
-        warm["y_mid"] = y
+        y, _ = aipe_restart(env.bundle(tracker, "middle", mid_iprox), y_dom,
+                            y, gamma, cfg.stall2, cfg.T2, cfg.S)
         y_hat = np.asarray(y, float)
 
         with tracker.level("middle"):
-            x_hat, out, oracle = _warm_min(
-                g_eps, y_hat, True, _dist_to_gap(mu_ucx_g, p, zeta2), warm,
-                "x_val")
+            x_hat, out, oracle = env.solve(y_hat,
+                                           _dist_to_gap(env.mu, p, zeta2))
         with tracker.level("polish"):
             x_t, u_t = polish_step(oracle.grad_operator(), g_eps.x_domain,
                                    x_hat, cfg.L1x_tilde,
@@ -421,7 +433,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                 + cfg.L1_tilde * dist_y, gamma, p, cfg.delta)
         if cert.ok:
             break
-    return x_t, u_t, cert, (z_t, base_out)
+    return x_t, u_t, cert, (z_t, base_out), join(x_hat, y_hat)
 
 
 def _check_eps(eps):
@@ -453,12 +465,15 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     z0 = domain.center() if z0 is None \
         else domain.project(np.asarray(z0, float))
     f_eps = regularize_f_eps(problem, z0, cfg.mu_x, cfg.mu_y)
-    mu_ucy = f_eps.mu_y / 2 ** (p - 1)    # the modulus of -f_eps(x, .)
     op_f = problem.operator()
     op_feps = f_eps.operator()
     gap_fn = getattr(problem, "_exact_gap", None)
 
-    warm = {}
+    # the outer loop's envelope, the recovery's own one on the same view,
+    # and where the next iprox_phi starts (its last handed-back point)
+    outer = Envelope(f_eps, False, f_eps.L1)
+    rec = Envelope(f_eps, False, f_eps.L1)
+    mid = None
     best = {"z": None, "r": math.inf}
 
     def recover(x):
@@ -472,13 +487,11 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         """
         x = np.asarray(x, float)
         with tracker.level("outer"):
-            y_hat, out, _ = _warm_min(
-                f_eps, x, False, _dist_to_gap(mu_ucy, p, cfg.zeta1), warm,
-                "y_rec")
-        # the first candidate's F comes with the recovery's last query
-        candidates = [(y_hat, op_feps.from_tuple(out))]
-        if warm.get("y_mid") is not None:
-            candidates.append((np.asarray(warm["y_mid"], float), None))
+            y_hat, out, _ = rec.solve(x, _dist_to_gap(rec.mu, p, cfg.zeta1))
+        # the first candidate's F comes with the recovery's last query;
+        # every recovery follows at least one iprox_phi, which sets mid
+        candidates = [(y_hat, op_feps.from_tuple(out)),
+                      (mid[problem.dx:], None)]
         z_t, r = None, math.inf
         with tracker.level("polish"):
             for y_c, F_c in candidates:
@@ -497,26 +510,17 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         _, r = recover(x_best)
         return r <= eps
 
-    def out_ifunc(z, d):
-        with tracker.level("outer"):
-            return ifunc_igrad_primal(f_eps, z, d, warm, need_grad=False)[0]
-
-    def out_igrad(z, d):
-        with tracker.level("outer"):
-            return ifunc_igrad_primal(f_eps, z, d, warm)[:2]
-
     def out_iprox(xb, g, d):
-        x_t, u_t, cert, (z_m, base_out) = iprox_phi(
-            f_eps, xb, g, cfg, warm=warm, tracker=tracker, flags=flags)
-        _keep(warm, "y_out", z_m[problem.dx:], f_eps, x_t,
-              f_eps.extend(z_m, base_out))
+        nonlocal mid
+        x_t, u_t, cert, (z_m, base_out), mid = iprox_phi(
+            f_eps, xb, g, cfg, mid, tracker=tracker, flags=flags)
+        outer.keep(z_m[problem.dx:], x_t, f_eps.extend(z_m, base_out))
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")
         return x_t, u_t
 
-    bundle = OracleBundle(ifunc=out_ifunc, igrad=out_igrad,
-                          iprox=out_iprox, order=p)
+    bundle = outer.bundle(tracker, "outer", out_iprox)
     with tracker.level("outer"):
         x, info = aipe_restart(bundle, problem.x_domain, z0[:problem.dx],
                                cfg.gamma, cfg.stall1, cfg.T1, cfg.S,

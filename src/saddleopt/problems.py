@@ -292,9 +292,6 @@ class OperatorView:
         out = self.problem.oracle_eval(z, 2)
         return self.from_tuple(out), self._sign[:, None] * out[2]
 
-    def jacobian(self, z):
-        return self.derivatives(z)[1]
-
 
 @dataclass
 class FunctionOracle:

@@ -188,6 +188,16 @@ def test_best_residual_covers_bases():
                        for z in run.iterates() + run.bases)
 
 
+def test_best_residual_skips_bases_measured_as_iterates():
+    # 9 of the 16 bases have the bytes of an iterate check_run measured
+    prob = hard_instance(1, 16)
+    run = run_alg_class(prob, anchored_eg_schedule(16))
+    rows = check_run(prob, run)
+    before = prob.oracle_counter
+    best_residual(prob, run, rows)
+    assert prob.oracle_counter - before == 7
+
+
 def test_scaled_floor_consistency():
     # p=1, q=1 steps are stride-for-stride equivalent under the diameter
     # rescaling, so measured residuals and floors both shrink by beta^p

@@ -7,8 +7,8 @@ import pytest
 from saddleopt import minimax
 from saddleopt.geometry import Box
 from saddleopt.minimax import (
-    CountTracker, MinimaxConfig, baseline_eg_solve, derive_parameters,
-    ifunc_igrad_primal, iprox_phi, solve,
+    CountTracker, Envelope, MinimaxConfig, baseline_eg_solve,
+    derive_parameters, ifunc_igrad_primal, iprox_phi, solve,
 )
 from saddleopt.problems import (
     SaddleProblem, join, make_bilinear, make_power, make_quadratic,
@@ -176,23 +176,61 @@ def test_count_tracker_random_nesting_sums_exactly():
 
 def test_ifunc_igrad_matches_closed_form_danskin():
     prob, f_eps, phi, phi_grad, A = danskin_problem(dim=3, seed=1)
+    env = Envelope(f_eps, False, f_eps.L1)
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = prob.x_domain.sample(rng)
-        val, grad, y_hat = ifunc_igrad_primal(f_eps, x, 1e-9)
+        val, grad, y_hat = ifunc_igrad_primal(env, x, 1e-9)
         assert val == pytest.approx(phi(x), abs=1e-6)
         assert np.linalg.norm(grad - phi_grad(x)) <= 1e-5
         # the returned maximizer matches A'x/(1+mu)
         assert np.linalg.norm(y_hat - A.T @ x / 1.05) <= 1e-5
 
 
+def test_ifunc_igrad_matches_closed_form_x_side():
+    """The middle loop's side: for f = ||x||^2/2 + x'Ay - c'y with the
+    mu-regularizers at 0, the minimizer of f_eps(., y) is -Ay/(1+mu) and
+    the envelope -min_x f_eps(x, y) is ||Ay||^2/(2(1+mu)) + c'y +
+    (mu/2)||y||^2, whose gradient -grad_y f_eps at the minimizer is
+    A'Ay/(1+mu) + c + mu y."""
+    dim, mu = 3, 0.05
+    rng = np.random.default_rng(4)
+    A = rng.normal(scale=0.4, size=(dim, dim))
+    c = rng.normal(scale=0.2, size=dim)
+    xdom = Box(-5 * np.ones(dim), 5 * np.ones(dim))
+    ydom = Box(-np.ones(dim), np.ones(dim))
+
+    def value(z):
+        x, y = split(z, dim)
+        return float(0.5 * x @ x + x @ A @ y - c @ y)
+
+    def grad(z):
+        x, y = split(z, dim)
+        return join(x + A @ y, A.T @ x - c)
+
+    L1 = float(np.linalg.norm(A, 2)) + 1.0
+    prob = SaddleProblem(xdom, ydom, 1, value, grad, L1=L1, Lp=L1,
+                         name="danskin-x")
+    f_eps = regularize_f_eps(prob, prob.domain.center(), mu, mu)
+    env = Envelope(f_eps, True, f_eps.L1)
+    for _ in range(5):
+        y = ydom.sample(rng)
+        val, grad_y, x_hat = ifunc_igrad_primal(env, y, 1e-9)
+        w = A @ y
+        assert val == pytest.approx(w @ w / (2 * (1 + mu)) + c @ y
+                                    + 0.5 * mu * y @ y, abs=1e-6)
+        assert np.linalg.norm(grad_y - (A.T @ w / (1 + mu) + c + mu * y)) \
+            <= 1e-5
+        assert np.linalg.norm(x_hat + w / (1 + mu)) <= 1e-5
+
+
 def test_ifunc_warm_start_returns_same_point():
     prob, f_eps, phi, _, _ = danskin_problem(dim=2, seed=5)
     x = np.array([0.3, -0.4])
-    warm = {}
-    v1, _, y1 = ifunc_igrad_primal(f_eps, x, 1e-10, warm)
-    assert warm["y_out"] is y1
-    v2, _, y2 = ifunc_igrad_primal(f_eps, x, 1e-10, warm)
+    env = Envelope(f_eps, False, f_eps.L1)
+    v1, _, y1 = ifunc_igrad_primal(env, x, 1e-10)
+    assert env.pt is y1
+    v2, _, y2 = ifunc_igrad_primal(env, x, 1e-10)
     assert np.allclose(y1, y2, atol=1e-8)
     assert v2 == pytest.approx(v1, abs=1e-9)
 
@@ -208,7 +246,7 @@ def test_iprox_phi_tracks_surrogate_saddle():
     x_bar = np.array([0.3, -0.2, 0.5])
     g_eps = surrogate_g(f_eps, x_bar, cfg.gamma)
     x_star, _ = split(reference_saddle_g(g_eps), prob.dx)
-    x_t, u_t, cert, _ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
+    x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
     assert np.linalg.norm(x_t - x_star) <= 1e-3
     assert prob.x_domain.contains(x_t)
     # u lies in the normal cone: nonpositive against feasible directions
@@ -226,7 +264,7 @@ def test_iprox_phi_certificate_battery():
                                  cfg.mu_x, cfg.mu_y)
         rng = np.random.default_rng(100 + seed)
         x_bar = prob.x_domain.sample(rng)
-        x_t, u_t, cert, _ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
+        x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
         assert cert.ok, (seed, cert.residual, cert.bound)
         assert cert.residual <= cert.bound
 
