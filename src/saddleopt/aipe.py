@@ -74,9 +74,10 @@ def solve_a(A: float, lambda_prime: float):
 
 
 def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
-               delta: float, T: int, q: int,
+               delta: float, T: int,
                stall_patience: int = STALL_PATIENCE, probe=None):
-    """One acceleration epoch; returns (best recorded point, state trace).
+    """One acceleration epoch of prox steps of order q = oracles.order;
+    returns (best recorded point, state trace).
 
     Each iteration records h at z~ from the value igrad returned with the
     gradient there, and asks ifunc only for h at z, unless z has z~'s
@@ -87,6 +88,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
     iteration's recording; returning True ends the epoch (used by callers
     that can certify global optimality from the current best point).
     """
+    q = oracles.order
     z = domain.project(np.asarray(z_start, float))
     v = z.copy()
     z_tilde = z.copy()
@@ -193,7 +195,7 @@ def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
     prev_best = math.inf
     for _ in range(S):
         z, st = aipe_epoch(oracles, domain, z, gamma, delta, T,
-                           oracles.order, stall_patience, probe)
+                           stall_patience, probe)
         traces.append(st)
         if gap_oracle is not None:
             gaps.append(float(gap_oracle(z)))

@@ -48,15 +48,6 @@ def certified_distance(residual: float, mu_uc: float, p: int,
     return best
 
 
-def uc_modulus(problem: SaddleProblem) -> float:
-    """The two-sided uniform-convexity modulus of a regularized problem.
-
-    Each power term (c/(p+1))||.||^{p+1} is c/2^{p-1}-uniformly convex of
-    order p+1; the joint modulus is the weaker of the two sides.
-    """
-    return min(problem.mu_x, problem.mu_y) / 2 ** (problem.p - 1)
-
-
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
              stop_residual: float = 0.0, F0=None):
     """T extragradient steps with order-q half-steps; returns the
@@ -129,7 +120,7 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     op = problem.operator()
     domain = problem.domain
     p = problem.p
-    mu = uc_modulus(problem)
+    mu = min(problem.uc(True), problem.uc(False))   # the weaker side
     mu2 = min(problem.mu2_x, problem.mu2_y)
     z = domain.project(np.asarray(z0, float)) if z0 is not None \
         else domain.center()
@@ -219,8 +210,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
         # x block: g_eps(., y_hat) is (mu_x)-power-regularized, so the
         # residual certifies the distance to argmin_x, and the Danskin
         # gradient of Psi differs from the measured one by at most L1*dist
-        mu_ucx = h_eps.mu_x / 2 ** (p - 1)
-        dist_x = certified_distance(rx, mu_ucx, p, mu2=h_eps.mu2_x)
+        dist_x = certified_distance(rx, h_eps.uc(True), p, mu2=h_eps.mu2_x)
         cert = prox_certificate(y_bar, y_hat, v_hat,
                                 ry + problem_g_eps.L1 * dist_x, gamma, p,
                                 delta)

@@ -23,6 +23,10 @@ inner tolerances are eps/100 rather than a worst-case delta chain, and the
 outer loop halts as soon as a recovered primal-dual pair has tangent
 residual <= eps for the ORIGINAL operator -- which is also the guarantee
 the solver reports.
+
+The schedule (MinimaxConfig, from derive_parameters) holds no Lipschitz
+constant or modulus: each level reads them from the regularized view it
+works on (its L1 and Lp, and uc for the uniform-convexity modulus).
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from .aipe import (  # noqa: F401
 )
 from .eg import certified_distance, iprox_psi, polish_step
 from .problems import (
-    PowerRegularized, SaddleProblem, join, regularize_f_eps, surrogate_g,
+    PowerRegularized, SaddleProblem, join, power_lipschitz, regularize_f_eps,
+    surrogate_g,
 )
 from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
 
@@ -77,8 +82,9 @@ class CountTracker:
 
 @dataclass
 class MinimaxConfig:
-    eps: float
-    p: int
+    """The solver's schedule; every Lipschitz constant and modulus is read
+    from the regularized view it describes."""
+
     gamma: float
     mu_x: float
     mu_y: float
@@ -91,15 +97,11 @@ class MinimaxConfig:
     zeta1: float
     zeta2: float
     zeta3: float
-    L1_tilde: float        # Lipschitz of the regularized operator
-    L1x_tilde: float       # x-side polish constant of g_eps
-    L1g_tilde: float       # Lipschitz of the two-sided surrogate operator
-    M_inner: float         # inner extragradient regularization (4 Lpg)
+    M_inner: float         # inner extragradient regularization (4 Lp of h_eps)
 
     def __post_init__(self):
-        for name in ("eps", "gamma", "mu_x", "mu_y", "delta", "stall1",
-                     "stall2", "zeta1", "zeta2", "zeta3", "L1_tilde",
-                     "L1x_tilde", "L1g_tilde", "M_inner"):
+        for name in ("gamma", "mu_x", "mu_y", "delta", "stall1", "stall2",
+                     "zeta1", "zeta2", "zeta3", "M_inner"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("T1", "T2", "S"):
@@ -134,7 +136,7 @@ class SolveReport:
 
 
 def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
-    """All solver constants from the problem's smoothness and geometry.
+    """The solver's schedule from the problem's smoothness and geometry.
 
     zeta1 is the primal-dual distance making the final polish residual
     <= eps/2 (the regularizer gradients account for the other eps/2),
@@ -143,6 +145,9 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     delta = eps/100 at both the outer and the middle level.  T1, T2 and S
     are the analysis's loop counts, used as caps on loops that stop on
     measured progress; the outer and middle levels share the restart cap S.
+    Lipschitz constants and moduli are not part of it: the solver reads
+    each from its view.  zeta1 and S use f_eps's L1 and M_inner = 4 Lp of
+    h_eps, both taken from power_lipschitz before those views exist.
     """
     p = problem.p
     Dx = problem.x_domain.diameter()
@@ -157,12 +162,9 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     gamma = max(problem.Lp, eps / min_dp)
     mu_x = eps / (4.0 * Dx ** p)
     mu_y = eps / (4.0 * Dy ** p)
-    L1 = problem.L1
-    L1t = L1 + p * max(mu_x * Dx ** (p - 1), mu_y * Dy ** (p - 1))
-    L1x = L1 + p * (gamma + mu_x) * Dx ** (p - 1)
-    L1g = L1 + p * max((gamma + mu_x) * Dx ** (p - 1),
-                       (gamma + mu_y) * Dy ** (p - 1))
-    Lpg = problem.Lp + math.factorial(p) * (gamma + max(mu_x, mu_y))
+    # f_eps's L1 and h_eps's Lp, before either view is built
+    L1t = power_lipschitz(problem, mu_x, mu_y)[0]
+    Lpg = power_lipschitz(problem, gamma + mu_x, gamma + mu_y)[1]
 
     expo = 2.0 / (3 * p + 1)
     T1 = math.ceil(8.0 * (gamma / mu_x) ** expo)
@@ -178,10 +180,9 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
 
     S = max(1, math.ceil(math.log2(max(4.0 * L1t * DZ / eps, 2.0))))
     return MinimaxConfig(
-        eps=eps, p=p, gamma=gamma, mu_x=mu_x, mu_y=mu_y, T1=T1, T2=T2, S=S,
+        gamma=gamma, mu_x=mu_x, mu_y=mu_y, T1=T1, T2=T2, S=S,
         delta=eps / 100.0, stall1=stall1, stall2=stall2,
         zeta1=zeta1, zeta2=zeta2, zeta3=zeta3,
-        L1_tilde=L1t, L1x_tilde=L1x, L1g_tilde=L1g,
         # the contraction analysis wants 32 Lp; measured-stopping runs are
         # stable (and ~8x faster) at the much smaller regularization
         M_inner=4.0 * Lpg)
@@ -281,16 +282,15 @@ class Envelope:
     With x_side it is -min_x view(x, y), a function of y (the middle
     loop's dual envelope of g_eps); otherwise max_y view(x, y), a function
     of x (the outer loop's primal envelope of f_eps).  mu is the solved
-    block's uniform-convexity modulus and L1 turns a gradient accuracy
-    into a distance target.  pt is where the next restricted solve starts;
-    the joint tuple kept with it seeds that solve's reuse when the fixed
-    block has the same bytes.
+    block's uniform-convexity modulus (view.uc) and the view's L1 turns a
+    gradient accuracy into a distance target.  pt is where the next
+    restricted solve starts; the joint tuple kept with it seeds that
+    solve's reuse when the fixed block has the same bytes.
     """
 
-    def __init__(self, view: PowerRegularized, x_side: bool, L1: float,
-                 pt=None):
-        self.view, self.x_side, self.L1, self.pt = view, x_side, L1, pt
-        self.mu = (view.mu_x if x_side else view.mu_y) / 2 ** (view.p - 1)
+    def __init__(self, view: PowerRegularized, x_side: bool, pt=None):
+        self.view, self.x_side, self.pt = view, x_side, pt
+        self.mu = view.uc(x_side)
         self._at = None   # (fixed bytes, joint tuple at pt joined with fixed)
 
     def keep(self, pt, fixed, out):
@@ -345,7 +345,8 @@ def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
     """
     target = max(delta, 1e-16)
     if need_grad:
-        target = min(target, _dist_to_gap(env.mu, env.view.p, delta / env.L1))
+        target = min(target, _dist_to_gap(env.mu, env.view.p,
+                                          delta / env.view.L1))
     pt, out, _ = env.solve(fixed, target)
     dx = env.view.dx
     if env.x_side:
@@ -379,14 +380,14 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     iprox_psi's x block and base tuple as the start of its next solve.
     """
     x_bar = np.asarray(x_bar, float)
-    p = cfg.p
+    p = problem_f_eps.p
     tracker = tracker or CountTracker(problem_f_eps.base)
     g_eps = surrogate_g(problem_f_eps, x_bar, gamma)
     dx = g_eps.dx
     y_dom = g_eps.y_domain
     flags = flags if flags is not None else []
     start = g_eps.domain.center() if start is None else start
-    env = Envelope(g_eps, True, cfg.L1g_tilde, start[:dx])
+    env = Envelope(g_eps, True, start[:dx])
     y = start[dx:]
 
     for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
@@ -415,7 +416,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                            _dist_to_gap(env.mu, p, zeta2))
         with tracker.level("polish"):
             x_t, u_t = polish_step(oracle.grad_operator(), g_eps.x_domain,
-                                   x_hat, cfg.L1x_tilde,
+                                   x_hat, g_eps.L1,
                                    Fz=oracle.restrict(out)[1])
             # measured residual at the polished point + Danskin error bound
             z_t = join(x_t, y_hat)
@@ -425,12 +426,12 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
             # maximizing f_eps(x_t, .) means minimizing -f_eps, whose
             # gradient field at y_hat is -grad_y g_eps (x terms don't enter)
             r_y = y_dom.tangent_residual(y_hat, -g_at[dx:])
-        mu_ucy_f = problem_f_eps.mu_y / 2 ** (p - 1)
-        dist_y = certified_distance(r_y, mu_ucy_f, p,
+        dist_y = certified_distance(r_y, problem_f_eps.uc(False), p,
                                     mu2=problem_f_eps.mu2_y)
         cert = prox_certificate(x_bar, x_t, u_t,
                                 float(np.linalg.norm(w))
-                                + cfg.L1_tilde * dist_y, gamma, p, cfg.delta)
+                                + problem_f_eps.L1 * dist_y, gamma, p,
+                                cfg.delta)
         if cert.ok:
             break
     return x_t, u_t, cert, (z_t, base_out), join(x_hat, y_hat)
@@ -471,8 +472,8 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     # the outer loop's envelope, the recovery's own one on the same view,
     # and where the next iprox_phi starts (its last handed-back point)
-    outer = Envelope(f_eps, False, f_eps.L1)
-    rec = Envelope(f_eps, False, f_eps.L1)
+    outer = Envelope(f_eps, False)
+    rec = Envelope(f_eps, False)
     mid = None
     best = {"z": None, "r": math.inf}
 
@@ -496,7 +497,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         with tracker.level("polish"):
             for y_c, F_c in candidates:
                 z_c, _ = polish_step(op_feps, domain, join(x, y_c),
-                                     cfg.L1_tilde, Fz=F_c)
+                                     f_eps.L1, Fz=F_c)
                 r_c = domain.tangent_residual(z_c, op_f(z_c))
                 if r_c < r:
                     z_t, r = z_c, r_c

@@ -264,9 +264,14 @@ class SaddleProblem:
             value=lambda v: restrict(joint(v, 0))[0],
             grad=lambda v: restrict(joint(v, 1))[1], hess=hess, p=self.p,
             Lp=self.Lp + math.factorial(self.p) * mu,
-            mu=mu / 2 ** (self.p - 1),
+            mu=self.uc(x_side),
             name=f"{self.name}|{'x' if x_side else 'y'}",
             joint=joint, restrict=restrict)
+
+    def uc(self, x_side: bool) -> float:
+        """The order-(p+1) uniform-convexity modulus of one block: each
+        power term (c/(p+1))||.||^{p+1} is c/2^{p-1}-uniformly convex."""
+        return (self.mu_x if x_side else self.mu_y) / 2 ** (self.p - 1)
 
 
 class OperatorView:
@@ -275,7 +280,6 @@ class OperatorView:
     def __init__(self, problem: SaddleProblem):
         self.problem = problem
         self.domain = problem.domain
-        self.order = problem.p
         s = np.ones(problem.dx + problem.dy)
         s[problem.dx:] = -1.0
         self._sign = s
@@ -330,7 +334,6 @@ class GradOperator:
     def __init__(self, func: FunctionOracle):
         self.func = func
         self.domain = func.domain
-        self.order = func.p
 
     def __call__(self, z):
         return self.func.grad(z)
@@ -349,6 +352,18 @@ class GradOperator:
 # power regularizers: f + sum (c/(p+1)) ||x - cx||^{p+1}
 #                       - sum (c/(p+1)) ||y - cy||^{p+1}
 # ---------------------------------------------------------------------------
+
+def power_lipschitz(problem: SaddleProblem, mu_x: float,
+                    mu_y: float) -> tuple:
+    """(L1, Lp) of problem plus weight-mu_x and weight-mu_y power terms on
+    X and Y: a term adds p c D^{p-1} to L1 (D its block's diameter) and
+    p! c to Lp, and the stronger side bounds the joint operator."""
+    p = problem.p
+    Dx = problem.x_domain.diameter()
+    Dy = problem.y_domain.diameter()
+    return (problem.L1 + p * max(mu_x * Dx ** (p - 1), mu_y * Dy ** (p - 1)),
+            problem.Lp + math.factorial(p) * max(mu_x, mu_y))
+
 
 def _reg_value(w, coeff, p):
     return coeff / (p + 1) * np.linalg.norm(w) ** (p + 1)
@@ -383,10 +398,7 @@ class PowerRegularized(SaddleProblem):
         p = base.p
         mu_x = base.mu_x + sum(c for c, _ in self.x_terms)
         mu_y = base.mu_y + sum(c for c, _ in self.y_terms)
-        Dx = base.x_domain.diameter()
-        Dy = base.y_domain.diameter()
-        L1 = base.L1 + p * max(mu_x * Dx ** (p - 1), mu_y * Dy ** (p - 1))
-        Lp = base.Lp + math.factorial(p) * max(mu_x, mu_y)
+        L1, Lp = power_lipschitz(base, mu_x, mu_y)
         super().__init__(base.x_domain, base.y_domain, p, None, None,
                          L1=L1, Lp=Lp, name=name or f"reg({base.name})")
         self.mu_x = mu_x

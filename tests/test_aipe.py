@@ -105,8 +105,7 @@ def test_solve_a_identity_property():
 def test_epoch_hand_trace_scalar():
     h = quad_oracle([0.0])
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
-    z, st = aipe_epoch(bundle, h.domain, [1.0], gamma=1.0, delta=0.0, T=1,
-                       q=1)
+    z, st = aipe_epoch(bundle, h.domain, [1.0], gamma=1.0, delta=0.0, T=1)
     # one prox step from z_bar = z0 = 1 lands at 0.5; h(0.5) = 0.125
     assert st.h_tilde[-1] == pytest.approx(0.125)
     assert h.value(z) == pytest.approx(0.125)
@@ -116,7 +115,7 @@ def test_epoch_records_exact_values_and_invariants():
     h = quad_oracle([0.3, -0.2, 0.1], lo=-2.0, hi=2.0)
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
     z, st = aipe_epoch(bundle, h.domain, [1.5, -1.5, 0.0], gamma=2.0,
-                       delta=0.0, T=12, q=1, stall_patience=None)
+                       delta=0.0, T=12, stall_patience=None)
     # A monotone increasing, lambda' halves or doubles each iteration
     assert all(b >= a for a, b in zip(st.A, st.A[1:]))
     for lp_prev, lp_next in zip(st.lam_prime, st.lam_prime[1:]):
@@ -149,7 +148,7 @@ def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
 
     bundle = OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox)
     _, st = aipe_epoch(bundle, h.domain, [1.8, -1.5], gamma=1.0, delta=0.0,
-                       T=12, q=1, stall_patience=None)
+                       T=12, stall_patience=None)
     assert 1.0 in st.gamma_t and min(st.gamma_t) < 1.0
     # split the log by prox call: the start, then one chunk per iteration
     chunks = [[]]
@@ -175,7 +174,7 @@ def test_epoch_fixed_point_event():
     calls = []
     bundle = exact_bundle(h, h.domain, M=2.0, order=1, calls=calls)
     z, st = aipe_epoch(bundle, h.domain, [0.25, -0.5], gamma=1.0, delta=0.0,
-                       T=10, q=1)
+                       T=10)
     assert st.fixed_point
     assert np.allclose(z, [0.25, -0.5])
     assert len(calls) == 1
@@ -186,7 +185,7 @@ def test_epoch_counts_iprox_calls():
     calls = []
     bundle = exact_bundle(h, h.domain, M=2.0, order=1, calls=calls)
     aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0, T=7,
-               q=1, stall_patience=None)
+               stall_patience=None)
     assert len(calls) == 7
 
 
@@ -202,7 +201,7 @@ def test_failed_prox_certificate_aborts_the_epoch_and_the_restarts():
                           igrad=lambda z, d: (h.value(z), h.grad(z)),
                           iprox=iprox)
     z, st = aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0,
-                       T=5, q=1)
+                       T=5)
     assert st.aborted
     assert st.note.startswith("prox certificate failed at t=0")
     assert st.lam == []

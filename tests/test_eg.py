@@ -3,7 +3,7 @@ import pytest
 
 from saddleopt.eg import (
     certified_distance, default_epoch_length, eg_epoch, iprox_psi,
-    polish_step, restarted_eg, uc_modulus,
+    polish_step, restarted_eg,
 )
 from saddleopt.geometry import Box
 from saddleopt.problems import (

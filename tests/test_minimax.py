@@ -86,8 +86,9 @@ def test_parameters_unit_square_frozen_values():
     assert cfg.mu_y == pytest.approx(0.01)
     # Lp dominates the eps/D^p floor, so gamma echoes Lp
     assert cfg.gamma == pytest.approx(1.0)
-    # p=1 polish constant: L1 + max regularizer strength
-    assert cfg.L1_tilde == pytest.approx(1.0 + 0.01)
+    # p=1 polish constant of f_eps: L1 + max regularizer strength
+    f_eps = regularize_f_eps(prob, prob.domain.center(), cfg.mu_x, cfg.mu_y)
+    assert f_eps.L1 == pytest.approx(1.0 + 0.01)
     assert cfg.zeta1 == pytest.approx(0.04 / (24.0 * 1.01))
     assert cfg.zeta2 == pytest.approx(cfg.zeta1 / 4.0)
 
@@ -107,7 +108,7 @@ def test_parameters_precision_precondition():
     with pytest.raises(ValueError, match="precondition"):
         derive_parameters(prob, 2.0)
     cfg = derive_parameters(prob, 0.999)   # boundary side that is allowed
-    assert cfg.eps == 0.999
+    assert cfg.delta == 0.999 / 100.0
 
 
 def test_parameters_positive_and_validated():
@@ -176,7 +177,7 @@ def test_count_tracker_random_nesting_sums_exactly():
 
 def test_ifunc_igrad_matches_closed_form_danskin():
     prob, f_eps, phi, phi_grad, A = danskin_problem(dim=3, seed=1)
-    env = Envelope(f_eps, False, f_eps.L1)
+    env = Envelope(f_eps, False)
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = prob.x_domain.sample(rng)
@@ -212,7 +213,7 @@ def test_ifunc_igrad_matches_closed_form_x_side():
     prob = SaddleProblem(xdom, ydom, 1, value, grad, L1=L1, Lp=L1,
                          name="danskin-x")
     f_eps = regularize_f_eps(prob, prob.domain.center(), mu, mu)
-    env = Envelope(f_eps, True, f_eps.L1)
+    env = Envelope(f_eps, True)
     for _ in range(5):
         y = ydom.sample(rng)
         val, grad_y, x_hat = ifunc_igrad_primal(env, y, 1e-9)
@@ -227,7 +228,7 @@ def test_ifunc_igrad_matches_closed_form_x_side():
 def test_ifunc_warm_start_returns_same_point():
     prob, f_eps, phi, _, _ = danskin_problem(dim=2, seed=5)
     x = np.array([0.3, -0.4])
-    env = Envelope(f_eps, False, f_eps.L1)
+    env = Envelope(f_eps, False)
     v1, _, y1 = ifunc_igrad_primal(env, x, 1e-10)
     assert env.pt is y1
     v2, _, y2 = ifunc_igrad_primal(env, x, 1e-10)
