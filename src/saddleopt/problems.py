@@ -258,13 +258,12 @@ class SaddleProblem:
             def hess(v):
                 return restrict(joint(v, 2))[2]
 
-        mu = self.mu_x if x_side else self.mu_y
+        # a regularized problem's Lp already counts its power terms
         return FunctionOracle(
             domain=self.x_domain if x_side else self.y_domain,
             value=lambda v: restrict(joint(v, 0))[0],
             grad=lambda v: restrict(joint(v, 1))[1], hess=hess, p=self.p,
-            Lp=self.Lp + math.factorial(self.p) * mu,
-            mu=self.uc(x_side),
+            Lp=self.Lp, mu=self.uc(x_side),
             name=f"{self.name}|{'x' if x_side else 'y'}",
             joint=joint, restrict=restrict)
 

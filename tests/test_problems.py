@@ -344,6 +344,47 @@ def test_h_eps_uniform_monotonicity():
             assert lhs >= rhs - 1e-9
 
 
+def regularized_views(p, rng):
+    """f_eps, g_eps and h_eps of a bilinear game, whose blocks are linear,
+    so each restricted view's curvature is its power terms' alone."""
+    base = make_bilinear(3, p=p, seed=2)
+    f_eps = regularize_f_eps(base, base.domain.center(), 0.05, 0.08)
+    g_eps = surrogate_g(f_eps, base.x_domain.sample(rng), 0.7)
+    h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.4)
+    return base, (f_eps, g_eps, h_eps)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_restricted_views_report_their_parents_lp(p):
+    # a regularized view's Lp already counts every power term
+    rng = np.random.default_rng(11)
+    base, views = regularized_views(p, rng)
+    for view in views:
+        x, y = split(base.domain.sample(rng), base.dx)
+        assert view.x_function(y).Lp == view.Lp
+        assert view.y_function(x).Lp == view.Lp
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_restricted_view_modulus_is_uniformly_convex(p):
+    # h(w) >= h(v) + <grad h(v), w - v> + (mu/(p+1)) ||w - v||^{p+1}
+    # with mu = view.uc(side) on both blocks of every view
+    rng = np.random.default_rng(12)
+    base, views = regularized_views(p, rng)
+    for view in views:
+        for x_side in (True, False):
+            x, y = split(base.domain.sample(rng), base.dx)
+            sub = view.x_function(y) if x_side else view.y_function(x)
+            mu = view.uc(x_side)
+            assert sub.mu == mu > 0
+            for _ in range(200):
+                v, w = sub.domain.sample(rng), sub.domain.sample(rng)
+                d = w - v
+                lower = sub.value(v) + sub.grad(v) @ d \
+                    + mu / (p + 1) * np.linalg.norm(d) ** (p + 1)
+                assert sub.value(w) >= lower - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # ordered box
 # ---------------------------------------------------------------------------
