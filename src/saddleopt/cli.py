@@ -27,7 +27,7 @@ import numpy as np
 
 from .lowerbound import experiment_row
 from .minimax import baseline_eg_solve, derive_parameters, solve
-from .problems import check_derivatives, from_config
+from .problems import _positive, check_derivatives, from_config
 
 RESULT_HEADER = ["row", "problem", "solver", "p", "eps", "seed", "residual",
                  "target_met", "oracle_calls", "flags"]
@@ -57,11 +57,12 @@ class BenchConfig:
     name: str = "bench"
 
     def __post_init__(self):
-        self.eps_grid = [float(e) for e in self.eps_grid]
+        try:
+            self.eps_grid = [_positive(e, "eps") for e in self.eps_grid]
+        except ValueError as exc:
+            raise ValueError(f"every eps must be > 0 ({exc})") from None
         if len(self.eps_grid) < 2:
             raise ValueError("eps grid needs at least 2 points")
-        if not all(e > 0 for e in self.eps_grid):
-            raise ValueError("every eps must be > 0")
         if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise ValueError("eps grid must be strictly decreasing")
         for s in self.solvers:
@@ -267,9 +268,7 @@ def _cmd_solve(args) -> int:
         env_seed = os.environ.get("BENCH_SEED")
         if env_seed is not None:
             cfg["seed"] = int(env_seed)
-        eps = float(cfg.pop("eps"))
-        if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
+        eps = _positive(cfg.pop("eps"), "eps")
         solver = cfg.pop("solver", "minimax_aipe")
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}")

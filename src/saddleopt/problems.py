@@ -785,15 +785,18 @@ def _int_key(cfg: dict, key: str, default: int, lo: int = 1,
     return int(v)
 
 
-def _positive_key(cfg: dict, key: str, default: float = None) -> float:
-    """cfg[key] as a finite real > 0, or default when the key is absent."""
-    if key not in cfg:
-        return default
-    v = cfg[key]
+def _positive(v, key: str) -> float:
+    """v, the value of key, as a finite real > 0; bools, strings and other
+    non-numbers are refused, not coerced."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real) \
             or not (math.isfinite(v) and v > 0):
         raise ValueError(f"{key} must be a finite number > 0, got {v!r}")
     return float(v)
+
+
+def _positive_key(cfg: dict, key: str, default: float = None) -> float:
+    """cfg[key] as a finite real > 0, or default when the key is absent."""
+    return _positive(cfg[key], key) if key in cfg else default
 
 
 def from_config(cfg: dict) -> SaddleProblem:

@@ -230,6 +230,15 @@ def test_cli_check(capsys):
      "every eps must be > 0"),
     ("solve", {"problem": "hard_lin", "eps": 1e-2},
      "unknown problem kind 'hard_lin'"),
+    # eps values are checked, not coerced
+    ("solve", dict(QUAD2, eps=True), "eps must be a finite number > 0"),
+    ("solve", dict(QUAD2, eps="0.05"), "eps must be a finite number > 0"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [math.inf, 1e-2],
+               "solvers": ["eg_baseline"]}, "every eps must be > 0"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [True, 1e-2],
+               "solvers": ["eg_baseline"]}, "every eps must be > 0"),
+    ("bench", {"problems": [QUAD2], "eps_grid": ["0.02", 1e-2],
+               "solvers": ["eg_baseline"]}, "every eps must be > 0"),
 ])
 def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
                                            detail):
