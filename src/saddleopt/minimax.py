@@ -82,9 +82,6 @@ class CountTracker:
 
 @dataclass
 class MinimaxConfig:
-    """The solver's schedule; every Lipschitz constant and modulus is read
-    from the regularized view it describes."""
-
     gamma: float
     mu_x: float
     mu_y: float
@@ -146,8 +143,8 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     are the analysis's loop counts, used as caps on loops that stop on
     measured progress; the outer and middle levels share the restart cap S.
     Lipschitz constants and moduli are not part of it: the solver reads
-    each from its view.  zeta1 and S use f_eps's L1 and M_inner = 4 Lp of
-    h_eps, both taken from power_lipschitz before those views exist.
+    each from its view.  zeta1 and S use f_eps's L1 (L1t) and M_inner =
+    4 Lpg uses h_eps's Lp, both from power_lipschitz before the views exist.
     """
     p = problem.p
     Dx = problem.x_domain.diameter()
@@ -162,7 +159,6 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     gamma = max(problem.Lp, eps / min_dp)
     mu_x = eps / (4.0 * Dx ** p)
     mu_y = eps / (4.0 * Dy ** p)
-    # f_eps's L1 and h_eps's Lp, before either view is built
     L1t = power_lipschitz(problem, mu_x, mu_y)[0]
     Lpg = power_lipschitz(problem, gamma + mu_x, gamma + mu_y)[1]
 
