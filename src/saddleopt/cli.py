@@ -6,9 +6,9 @@ Subcommands:
   lowerbound  residual-floor experiment on the chain hard instances
   check       derivative and geometry self-tests
 
-All randomness flows from config seeds (BENCH_SEED overrides); result CSVs
-contain no wall-clock values, so identical configs give byte-identical
-files.  Wall times go to the JSON summary only.
+All randomness flows from config seeds; result CSVs contain no wall-clock
+values, so identical configs give byte-identical files.  Wall times go to
+the JSON summary only.
 """
 
 from __future__ import annotations
@@ -75,11 +75,7 @@ class BenchConfig:
     def from_file(cls, path: str) -> "BenchConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        cfg = cls(**raw)
-        env_seed = os.environ.get("BENCH_SEED")
-        if env_seed is not None:
-            cfg.seeds = [int(env_seed)]
-        return cfg
+        return cls(**raw)
 
 
 @dataclass
@@ -265,9 +261,6 @@ def _cmd_solve(args) -> int:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-        env_seed = os.environ.get("BENCH_SEED")
-        if env_seed is not None:
-            cfg["seed"] = int(env_seed)
         eps = _positive(cfg.pop("eps"), "eps")
         solver = cfg.pop("solver", "minimax_aipe")
         if solver not in SOLVERS:

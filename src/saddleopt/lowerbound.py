@@ -153,11 +153,11 @@ def run_alg_class(problem: SaddleProblem, schedule) -> AlgClassRun:
         x_bar, y_bar = xp, yp
         cfg = TensorStepConfig(order=step.q, M=M, vi_tol=TOL)
         if step.option == "A":
-            op = problem.x_function(y_bar).grad_operator()
-            x = tensor_step(op, problem.x_domain, x_bar, cfg)
+            x = tensor_step(problem.restricted(y_bar, True), problem.x_domain,
+                            x_bar, cfg)
         elif step.option == "B":
-            op = problem.y_function(x_bar).grad_operator()
-            y = tensor_step(op, problem.y_domain, y_bar, cfg)
+            y = tensor_step(problem.restricted(x_bar, False),
+                            problem.y_domain, y_bar, cfg)
         else:
             z = tensor_step(problem.operator(), problem.domain,
                             join(x_bar, y_bar), cfg)

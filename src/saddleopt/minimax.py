@@ -46,8 +46,8 @@ from .aipe import (  # noqa: F401
 )
 from .eg import certified_distance, iprox_psi, polish_step
 from .problems import (
-    PowerRegularized, SaddleProblem, join, power_lipschitz, regularize_f_eps,
-    surrogate_g,
+    PowerRegularized, SaddleProblem, _positive, join, power_lipschitz,
+    regularize_f_eps, surrogate_g,
 )
 from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
 
@@ -197,9 +197,10 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
     stops once the tangent residual certifies a gap below target_gap
     through gradient domination, or when the residual stops improving
     (the flat directions of a weakly regularized subproblem eventually
-    hit oracle resolution).  oracle is a restricted view (x_function or
-    y_function).  Returns (x, out): the best certified point seen and the
-    view's joint oracle tuple there, so the caller need not ask again.
+    hit oracle resolution).  oracle is a restricted view, from
+    SaddleProblem.restricted.  Returns (x, out): the best certified point
+    seen and the view's joint oracle tuple there, so the caller need not
+    ask again.
 
     No point is queried twice in a row: the tuple of the last query is
     reused while the next point has the same bytes and needs no higher
@@ -305,9 +306,7 @@ class Envelope:
         at pt and seeded with the tuple kept there; keeps the new point.
         Returns (point, joint tuple, restricted oracle)."""
         fixed = np.asarray(fixed, float)
-        view = self.view
-        oracle = view.x_function(fixed) if self.x_side \
-            else view.y_function(fixed)
+        oracle = self.view.restricted(fixed, self.x_side)
         pt, out = _inner_min(oracle, target_gap, self.pt, self.out_at(fixed))
         self.keep(pt, fixed, out)
         return pt, out, oracle
@@ -411,8 +410,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
             x_hat, out, oracle = env.solve(y_hat,
                                            _dist_to_gap(env.mu, p, zeta2))
         with tracker.level("polish"):
-            x_t, u_t = polish_step(oracle.grad_operator(), g_eps.x_domain,
-                                   x_hat, g_eps.L1,
+            x_t, u_t = polish_step(oracle, g_eps.x_domain, x_hat, g_eps.L1,
                                    Fz=oracle.restrict(out)[1])
             # measured residual at the polished point + Danskin error bound
             z_t = join(x_t, y_hat)
@@ -433,13 +431,6 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     return x_t, u_t, cert, (z_t, base_out), join(x_hat, y_hat)
 
 
-def _check_eps(eps):
-    """A residual target must be a finite number > 0: the stop
-    residual <= eps can never hold otherwise."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
-
-
 def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
           z0=None):
     """Full solve: returns (z_tilde, SolveReport) with the measured tangent
@@ -450,7 +441,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     center of the power regularizers.
     """
     t_start = time.perf_counter()
-    _check_eps(eps)
+    _positive(eps, "eps")
     cfg = cfg or derive_parameters(problem, eps)
     p = problem.p
     domain = problem.domain
@@ -536,18 +527,18 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     return z_t, report
 
 
-def baseline_eg_solve(problem: SaddleProblem, eps: float, q: int = None,
+def baseline_eg_solve(problem: SaddleProblem, eps: float,
                       max_oracle_calls: int = 10_000_000, z0=None):
-    """Plain order-q extragradient on f itself, stopping at measured
+    """Plain order-p extragradient on f itself, stopping at measured
     tangent residual <= eps; the comparison baseline for the benchmark.
     eps must be a finite number > 0 (ValueError otherwise)."""
     t_start = time.perf_counter()
-    _check_eps(eps)
-    q = q or problem.p
+    _positive(eps, "eps")
+    p = problem.p
     domain = problem.domain
     op = problem.operator()
     M = 2.0 * max(problem.Lp, eps)
-    step_cfg = TensorStepConfig(order=q, M=M)
+    step_cfg = TensorStepConfig(order=p, M=M)
     tracker = CountTracker(problem)
     gap_fn = getattr(problem, "_exact_gap", None)
     trace = []
@@ -575,9 +566,9 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float, q: int = None,
             n_steps += 1
             if r <= eps:
                 break
-            if d == 0.0 and q == 2:
+            if d == 0.0 and p == 2:
                 break
-            eta = math.factorial(q) / (M * d ** (q - 1))
+            eta = math.factorial(p) / (M * d ** (p - 1))
             z = domain.project(z - eta * Fh)
         else:
             flags.append(f"oracle budget {max_oracle_calls} exhausted at "
@@ -587,5 +578,5 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float, q: int = None,
     report = SolveReport(z=best_z, residual=float(best_r),
                          counts=dict(tracker.counts), trace=trace,
                          wall_time=time.perf_counter() - t_start,
-                         flags=flags, ok=ok, method=f"eg-p{q}")
+                         flags=flags, ok=ok, method=f"eg-p{p}")
     return best_z, report

@@ -15,7 +15,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import nnls
@@ -222,24 +222,14 @@ class SaddleProblem:
     def operator(self) -> "OperatorView":
         return OperatorView(self)
 
-    # -- restricted function oracles (for the primal/dual single-variable
-    #    subproblems) ------------------------------------------------------
-
-    def x_function(self, y) -> "FunctionOracle":
-        """f(., y) over X as a convex minimization oracle."""
-        return self._restricted(y, x_side=True)
-
-    def y_function(self, x) -> "FunctionOracle":
-        """-f(x, .) over Y — minimizing it maximizes f in y."""
-        return self._restricted(x, x_side=False)
-
-    def _restricted(self, fixed, x_side: bool) -> "FunctionOracle":
-        """The function of one block with the other held at fixed.  Its
-        joint query is this problem's oracle_eval at the joint point, and
-        value, grad and hess are read from that tuple by restrict."""
+    def restricted(self, fixed, x_side: bool) -> "FunctionOracle":
+        """The function of one block with the other held at fixed: f(., y)
+        over X with x_side, else -f(x, .) over Y, whose minimization
+        maximizes f in y.  Its joint query is this problem's oracle_eval at
+        the joint point; restrict reads the block's value, gradient and
+        Hessian from that tuple."""
         fixed = np.asarray(fixed, float)
-        dx = self.dx
-        blk = slice(None, dx) if x_side else slice(dx, None)
+        blk = slice(None, self.dx) if x_side else slice(self.dx, None)
 
         def joint(v, order):
             z = join(v, fixed) if x_side else join(fixed, v)
@@ -253,19 +243,12 @@ class SaddleProblem:
                 res.append(out[2][blk, blk])
             return tuple(res) if x_side else tuple(-r for r in res)
 
-        hess = None
-        if self.p == 2:
-            def hess(v):
-                return restrict(joint(v, 2))[2]
-
         # a regularized problem's Lp already counts its power terms
         return FunctionOracle(
             domain=self.x_domain if x_side else self.y_domain,
-            value=lambda v: restrict(joint(v, 0))[0],
-            grad=lambda v: restrict(joint(v, 1))[1], hess=hess, p=self.p,
-            Lp=self.Lp, mu=self.uc(x_side),
-            name=f"{self.name}|{'x' if x_side else 'y'}",
-            joint=joint, restrict=restrict)
+            joint=joint, restrict=restrict, p=self.p, Lp=self.Lp,
+            mu=self.uc(x_side),
+            name=f"{self.name}|{'x' if x_side else 'y'}")
 
     def uc(self, x_side: bool) -> float:
         """The order-(p+1) uniform-convexity modulus of one block: each
@@ -298,53 +281,43 @@ class OperatorView:
 
 @dataclass
 class FunctionOracle:
-    """A convex function with derivatives on a compact domain.
+    """A convex function with derivatives on a compact domain, and its own
+    gradient field, shaped like OperatorView: calling it gives the
+    gradient, derivatives the gradient and the Hessian.
 
-    mu is the (p+1)th-order uniform-convexity modulus (0 if unknown); Lp
-    bounds the Lipschitz constant of the pth derivative.  A restricted view
-    of a problem (x_function, y_function) also has joint(v, order), one
-    counted query returning the problem's tuple at the joint point, and
-    restrict(tuple) -> (value, grad, ...) of this function from it.
+    joint(v, order) is the one counted query, returning a tuple at v (for
+    a restricted view, its problem's tuple at the joint point);
+    restrict(tuple) -> (value, grad, ...) of this function from it.  Every
+    question is answered from one such query.  mu is the (p+1)th-order
+    uniform-convexity modulus (0 if unknown); Lp bounds the Lipschitz
+    constant of the pth derivative.
     """
 
     domain: Domain
-    value: Callable
-    grad: Callable
-    hess: Optional[Callable]
+    joint: Callable
+    restrict: Callable
     p: int
     Lp: float
     mu: float = 0.0
     name: str = ""
-    joint: Optional[Callable] = None
-    restrict: Optional[Callable] = None
 
     def query(self, v, order: int):
         """One counted query at v: (joint tuple, restricted tuple)."""
         out = self.joint(v, order)
         return out, self.restrict(out)
 
-    def grad_operator(self) -> "GradOperator":
-        return GradOperator(self)
+    def value(self, v):
+        return self.query(v, 0)[1][0]
 
+    def __call__(self, v):
+        """The gradient at v."""
+        return self.query(v, 1)[1][1]
 
-class GradOperator:
-    """The gradient field of a FunctionOracle, shaped like OperatorView."""
+    grad = __call__
 
-    def __init__(self, func: FunctionOracle):
-        self.func = func
-        self.domain = func.domain
-
-    def __call__(self, z):
-        return self.func.grad(z)
-
-    def derivatives(self, z):
-        """(gradient, Hessian) at z: from one order-2 query on a restricted
-        view, else from the function's own grad and hess."""
-        if self.func.hess is None:
-            raise OrderError("no Hessian available")
-        if self.func.joint is not None:
-            return self.func.query(z, 2)[1][1:]
-        return self.func.grad(z), self.func.hess(z)
+    def derivatives(self, v):
+        """(gradient, Hessian) at v from one order-2 query."""
+        return self.query(v, 2)[1][1:]
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +537,7 @@ def make_quadratic(dim: int, p: int = 1, seed: int = 0) -> SaddleProblem:
     prob.mu2_y = float(np.min(Q))
 
     # interior saddle from the first-order conditions, if it lands inside
-    K = np.block([[np.diag(P), A], [A.T, -np.diag(Q)]])
-    zs = np.linalg.solve(K, -join(b, c))
+    zs = np.linalg.solve(Hconst, -join(b, c))
     if np.max(np.abs(zs)) < 0.95:
         prob.known_saddle = zs
 

@@ -232,14 +232,12 @@ def iprox_via_tensor(h_grad, domain: Domain, z_bar, gamma: float,
                      cfg: TensorStepConfig) -> ProxCertificate:
     """One inexact proximal step on a function via its gradient field.
 
-    h_grad is the gradient operator (callable, with .derivatives for q = 2);
-    a FunctionOracle is also accepted and unwrapped.  gamma sets the
-    certificate's lam = gamma ||z - z_bar||^{q-1}; the step itself is
-    governed by cfg.M.  gamma = M/q! makes the certificate exact when
-    M >= 2 Lp (use certified_gamma).
+    h_grad is the gradient operator (callable, with .derivatives for q = 2),
+    such as a FunctionOracle.  gamma sets the certificate's
+    lam = gamma ||z - z_bar||^{q-1}; the step itself is governed by cfg.M.
+    gamma = M/q! makes the certificate exact when M >= 2 Lp (use
+    certified_gamma).
     """
-    if hasattr(h_grad, "grad_operator"):
-        h_grad = h_grad.grad_operator()
     G = model_operator(h_grad, z_bar, cfg)
     z, _slack, _iters, _ok = _solve_model(G, domain, cfg)
     s = z - G.z_bar

@@ -12,7 +12,9 @@ import time
 
 import numpy as np
 
-from test_aipe import exact_bundle, quad_oracle, quartic_oracle, reference_min
+from test_aipe import (
+    exact_bundle, function_oracle, quad_oracle, quartic_oracle, reference_min,
+)
 from test_eg import make_h_eps, reference_saddle
 from test_geometry import boundaryish_point, brute_residual, random_domain
 from test_problems import uc_battery
@@ -24,7 +26,7 @@ from saddleopt.geometry import Box
 from saddleopt.lowerbound import experiment_row, residual_floor
 from saddleopt.minimax import baseline_eg_solve, derive_parameters, solve
 from saddleopt.problems import (
-    FunctionOracle, make_bilinear, make_power, make_quadratic,
+    make_bilinear, make_power, make_quadratic,
     regularize_f_eps, split, surrogate_g, surrogate_h,
 )
 from saddleopt.tensor_step import (
@@ -82,11 +84,11 @@ def test_criterion_04_tensor_prox_certificate():
             Q = A @ A.T / dim + 0.1 * np.eye(dim)
             b = rng.normal(size=dim)
             Lp = float(np.linalg.norm(Q, 2))
-            h = FunctionOracle(
-                domain=Box([-2.0] * dim, [2.0] * dim),
-                value=lambda z, Q=Q, b=b: 0.5 * z @ Q @ z + b @ z,
-                grad=lambda z, Q=Q, b=b: Q @ z + b,
-                hess=lambda z, Q=Q: Q.copy(), p=1, Lp=Lp, mu=0.0)
+            h = function_oracle(
+                lambda z, Q=Q, b=b: 0.5 * z @ Q @ z + b @ z,
+                lambda z, Q=Q, b=b: Q @ z + b,
+                lambda z, Q=Q: Q.copy(),
+                domain=Box([-2.0] * dim, [2.0] * dim), p=1, Lp=Lp, mu=0.0)
         else:
             h = quartic_oracle(dim=int(rng.integers(1, 21)), seed=k)
         cfg = TensorStepConfig(order=p, M=2.0 * h.Lp)

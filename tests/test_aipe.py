@@ -14,6 +14,13 @@ from saddleopt.tensor_step import (
 )
 
 
+def function_oracle(value, grad, hess, **fields):
+    """A FunctionOracle whose one joint query evaluates value, grad, hess."""
+    def joint(v, order):
+        return tuple(f(v) for f in (value, grad, hess)[:order + 1])
+    return FunctionOracle(joint=joint, restrict=lambda out: out, **fields)
+
+
 def exact_bundle(h: FunctionOracle, domain, M, order, calls=None):
     """Tensor-step prox oracle on h; appends each prox center to calls."""
     cfg = TensorStepConfig(order=order, M=M)
@@ -32,11 +39,11 @@ def exact_bundle(h: FunctionOracle, domain, M, order, calls=None):
 def quad_oracle(c, lo=-10.0, hi=10.0):
     c = np.atleast_1d(np.asarray(c, float))
     dim = c.size
-    return FunctionOracle(
-        domain=Box([lo] * dim, [hi] * dim),
-        value=lambda z: 0.5 * np.sum((z - c) ** 2),
-        grad=lambda z: np.asarray(z, float) - c,
-        hess=lambda z: np.eye(dim), p=1, Lp=1.0, mu=1.0)
+    return function_oracle(
+        lambda z: 0.5 * np.sum((z - c) ** 2),
+        lambda z: np.asarray(z, float) - c,
+        lambda z: np.eye(dim),
+        domain=Box([lo] * dim, [hi] * dim), p=1, Lp=1.0, mu=1.0)
 
 
 def quartic_oracle(dim=3, seed=0):
@@ -58,8 +65,9 @@ def quartic_oracle(dim=3, seed=0):
 
     # L2 on the unit box: third derivative of the quartic term
     L2 = 6 * math.sqrt(dim) + 6.0
-    return FunctionOracle(domain=Box([-1.0] * dim, [1.0] * dim), value=val,
-                          grad=grad, hess=hess, p=2, Lp=L2, mu=0.25)
+    return function_oracle(val, grad, hess,
+                           domain=Box([-1.0] * dim, [1.0] * dim), p=2, Lp=L2,
+                           mu=0.25)
 
 
 def reference_min(h: FunctionOracle):

@@ -39,19 +39,6 @@ def test_unknown_solver_rejected():
                     solvers=["gradient_descent"])
 
 
-def test_bench_seed_env_override(tmp_path, monkeypatch):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"problems": [QUAD2],
-                                "eps_grid": [1e-2, 1e-3],
-                                "seeds": [7, 8]}))
-    monkeypatch.setenv("BENCH_SEED", "42")
-    cfg = BenchConfig.from_file(str(path))
-    assert cfg.seeds == [42]
-    monkeypatch.delenv("BENCH_SEED")
-    cfg = BenchConfig.from_file(str(path))
-    assert cfg.seeds == [7, 8]
-
-
 # ---------------------------------------------------------------------------
 # rate fitting
 # ---------------------------------------------------------------------------

@@ -399,7 +399,8 @@ def test_no_query_repeats_the_previous_one(monkeypatch, problem, z0):
     assert not repeats, f"{len(repeats)} of {len(log)} queries repeat"
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf, True,
+                                 "0.05"])
 def test_solvers_reject_bad_eps(eps):
     # residual <= eps can never hold, so the run would go on to its budget
     prob = make_quadratic(2, 1, 0)
@@ -481,7 +482,7 @@ def test_baseline_quadratic_converges():
 
 def test_baseline_p2_zero_step_at_saddle():
     prob = make_power(2, p=2, seed=0)   # saddle at the center start
-    z, rep = baseline_eg_solve(prob, 1e-8, q=2)
+    z, rep = baseline_eg_solve(prob, 1e-8)
     assert rep.residual <= 1e-8
     assert np.linalg.norm(z - prob.known_saddle) <= 1e-6
 

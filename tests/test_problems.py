@@ -116,15 +116,13 @@ def single_queries(prob, z):
     """One zero-argument call per oracle query that prob's views offer."""
     x, y = split(z, prob.dx)
     op = prob.operator()
-    fx, fy = prob.x_function(y), prob.y_function(x)
+    fx, fy = prob.restricted(y, True), prob.restricted(x, False)
     queries = [lambda k=k: prob.oracle_eval(z, k) for k in range(prob.p + 1)]
     queries += [lambda: op(z), lambda: fx.value(x), lambda: fx.grad(x),
                 lambda: fy.value(y), lambda: fy.grad(y)]
     if prob.p == 2:
-        queries += [lambda: op.derivatives(z), lambda: fx.hess(x),
-                    lambda: fy.hess(y),
-                    lambda: fx.grad_operator().derivatives(x),
-                    lambda: fy.grad_operator().derivatives(y)]
+        queries += [lambda: op.derivatives(z), lambda: fx.derivatives(x),
+                    lambda: fy.derivatives(y)]
     return queries
 
 
@@ -171,8 +169,8 @@ def test_joint_query_restricts_bit_for_bit(p):
         h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.7)
         for prob in (base, f_eps, g_eps, h_eps):
             x, y = split(prob.domain.sample(rng), prob.dx)
-            for fo, v, z in ((prob.x_function(y), x, join(x, y)),
-                             (prob.y_function(x), y, join(x, y))):
+            for fo, v, z in ((prob.restricted(y, True), x, join(x, y)),
+                             (prob.restricted(x, False), y, join(x, y))):
                 for order in range(1, p + 1):
                     before = prob.oracle_counter
                     out, res = fo.query(v, order)
@@ -183,7 +181,7 @@ def test_joint_query_restricts_bit_for_bit(p):
                     assert res[0] == fo.value(v)
                     assert np.array_equal(res[1], fo.grad(v))
                     if order == 2:
-                        assert np.array_equal(res[2], fo.hess(v))
+                        assert np.array_equal(res[2], fo.derivatives(v)[1])
                     assert all(np.array_equal(a, b) for a, b in
                                zip(fo.restrict(out), res))
 
@@ -304,7 +302,7 @@ def test_surrogate_g_pulls_minimizer():
 
     def argmin_x(gamma):
         g = surrogate_g(feps, xbar, gamma)
-        fx = g.x_function(y)
+        fx = g.restricted(y, True)
         res = minimize(lambda x: fx.value(x), np.zeros(2),
                        jac=lambda x: fx.grad(x))
         return res.x
@@ -361,8 +359,8 @@ def test_restricted_views_report_their_parents_lp(p):
     base, views = regularized_views(p, rng)
     for view in views:
         x, y = split(base.domain.sample(rng), base.dx)
-        assert view.x_function(y).Lp == view.Lp
-        assert view.y_function(x).Lp == view.Lp
+        assert view.restricted(y, True).Lp == view.Lp
+        assert view.restricted(x, False).Lp == view.Lp
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -374,7 +372,7 @@ def test_restricted_view_modulus_is_uniformly_convex(p):
     for view in views:
         for x_side in (True, False):
             x, y = split(base.domain.sample(rng), base.dx)
-            sub = view.x_function(y) if x_side else view.y_function(x)
+            sub = view.restricted(y if x_side else x, x_side)
             mu = view.uc(x_side)
             assert sub.mu == mu > 0
             for _ in range(200):

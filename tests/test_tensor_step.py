@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from test_aipe import function_oracle
+
 from saddleopt.geometry import Box
 from saddleopt import tensor_step as tensor_step_module
-from saddleopt.problems import FunctionOracle, SaddleProblem, make_power
+from saddleopt.problems import SaddleProblem, make_power
 from saddleopt.tensor_step import (
     TensorStepConfig, iprox_via_tensor, certified_gamma, model_operator,
     prox_certificate, tensor_step,
@@ -66,9 +68,9 @@ def random_convex_function(rng, dim, p):
 
     L1 = float(np.max(eigs) + np.sum(C * B ** 2 * wn ** 2))
     L2 = float(2 * np.sum(C * B * wn ** 3))
-    return FunctionOracle(domain=Box([-1.0] * dim, [1.0] * dim), value=val,
-                          grad=grad, hess=hess, p=p,
-                          Lp=L1 if p == 1 else L2)
+    return function_oracle(val, grad, hess,
+                           domain=Box([-1.0] * dim, [1.0] * dim), p=p,
+                           Lp=L1 if p == 1 else L2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +157,11 @@ def test_step_q2_constrained_hits_boundary():
 
 
 def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
-    # F = z - 5 on [-1,1]^2 as a counted saddle problem: the bisection
-    # candidate leaves the box, so the model VI subsolver runs; the model
-    # keeps F and its Jacobian at the anchor, so the step costs one order-2
-    # query however often the subsolver evaluates it
+    # F = z - 5 on [-1,1]^2 as a counted saddle problem, and its restricted
+    # view x - 5 on [-1,1]: the bisection candidate leaves the box, so the
+    # model VI subsolver runs; the model keeps F and its Jacobian at the
+    # anchor, so the step costs one order-2 query however often the
+    # subsolver evaluates it
     prob = SaddleProblem(
         Box([-1.0], [1.0]), Box([-1.0], [1.0]), 2,
         value=lambda z: 0.5 * (z[0] - 5) ** 2 - 0.5 * (z[1] - 5) ** 2,
@@ -172,10 +175,13 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
 
     monkeypatch.setattr(tensor_step_module, "_model_vi_subsolve", spied)
     cfg = TensorStepConfig(order=2, M=2.0)
-    z = tensor_step(prob.operator(), prob.domain, np.zeros(2), cfg)
-    assert len(evals) > 2
-    assert prob.oracle_counter == 1
-    assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
+    for op in (prob.operator(), prob.restricted(np.zeros(1), True)):
+        evals.clear()
+        before = prob.oracle_counter
+        z = tensor_step(op, op.domain, np.zeros(op.domain.dim), cfg)
+        assert len(evals) > 2
+        assert prob.oracle_counter == before + 1
+        assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +190,10 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
 
 def quad_oracle(dim=1, shift=0.0):
     c = np.full(dim, shift)
-    return FunctionOracle(
-        domain=Box([-10.0] * dim, [10.0] * dim),
-        value=lambda z: 0.5 * np.sum((z - c) ** 2),
-        grad=lambda z: z - c,
-        hess=lambda z: np.eye(dim), p=1, Lp=1.0)
+    return function_oracle(
+        lambda z: 0.5 * np.sum((z - c) ** 2), lambda z: z - c,
+        lambda z: np.eye(dim), domain=Box([-10.0] * dim, [10.0] * dim), p=1,
+        Lp=1.0)
 
 
 @pytest.mark.parametrize("q, lam", [(1, 0.5), (2, 1.0)])
