@@ -27,7 +27,7 @@ import numpy as np
 
 from .lowerbound import experiment_row
 from .minimax import baseline_eg_solve, derive_parameters, solve
-from .problems import _positive, check_derivatives, from_config
+from .problems import _int_key, _positive, check_derivatives, from_config
 
 RESULT_HEADER = ["row", "problem", "solver", "p", "eps", "seed", "residual",
                  "target_met", "oracle_calls", "flags"]
@@ -68,8 +68,15 @@ class BenchConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
-        if not self.seeds:
-            raise ValueError("at least one seed required")
+        if not (isinstance(self.problems, list) and self.problems
+                and all(isinstance(q, dict) for q in self.problems)):
+            raise ValueError("problems must be a non-empty list of objects, "
+                             f"got {self.problems!r}")
+        if not (isinstance(self.seeds, list) and self.seeds):
+            raise ValueError("seeds must be a non-empty list of integers "
+                             f">= 0, got {self.seeds!r}")
+        for s in self.seeds:
+            _int_key({"seed": s}, "seed", 0, lo=0)
 
     @classmethod
     def from_file(cls, path: str) -> "BenchConfig":

@@ -78,19 +78,23 @@ class Domain:
         False means "not known" and leaves the decision to a projection."""
         return False
 
-    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
-        z = self._check_dim(z)
+    def _distance(self, z) -> float:
+        """||project(z) - z||, without projecting when z is certainly
+        feasible; NaN for a NaN point."""
         if self._feasible(z):
-            return True
-        return bool(np.linalg.norm(self.project(z) - z) <= tol)
+            return 0.0
+        return float(np.linalg.norm(self.project(z) - z))
+
+    def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
+        return self._distance(self._check_dim(z)) <= tol
 
     def tangent_residual(self, z, Fz) -> float:
         """min_{c in N_Z(z)} ||Fz + c|| via Moreau decomposition."""
         z = self._check_dim(z)
         Fz = self._check_dim(Fz)
-        if not self.contains(z):
-            raise NotInDomain(
-                f"point is {np.linalg.norm(self.project(z) - z):.3e} outside")
+        dist = self._distance(z)
+        if not dist <= MEMBERSHIP_TOL:
+            raise NotInDomain(f"point is {dist:.3e} outside")
         return float(np.linalg.norm(self.project_tangent(z, -Fz)))
 
 

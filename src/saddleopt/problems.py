@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .geometry import ACTIVE_TOL, Box, Domain, Product, _check_beta
 
@@ -69,8 +68,10 @@ class OrderedBox(Domain):
 
     Projection is pool-adjacent-violators isotonic regression followed by
     clipping to [0, u], which is exact because the bound is common to all
-    coordinates.  The tangent-cone projection solves the active-generator
-    NNLS system exactly.
+    coordinates.  The tangent-cone projection is the same in pieces: z is
+    cut into runs of tied coordinates, v is pooled on each run, and the
+    last run is clipped below at 0 when z ends at 0, the first above at 0
+    when z starts at u; each run has one common bound, so this is exact.
     """
 
     upper: np.ndarray
@@ -94,35 +95,21 @@ class OrderedBox(Domain):
         return bool((z[:-1] >= z[1:]).all()
                     and ((0.0 <= z) & (z <= self.upper)).all())
 
-    def _active_generators(self, z):
-        n = self.dim
-        scale = max(1.0, float(self.upper[0]))
-        cols = []
-        for i in range(n - 1):
-            if z[i] - z[i + 1] <= ACTIVE_TOL * scale:
-                g = np.zeros(n)
-                g[i + 1], g[i] = 1.0, -1.0
-                cols.append(g)
-        for i in range(n):
-            if z[i] <= ACTIVE_TOL * scale:
-                g = np.zeros(n)
-                g[i] = -1.0
-                cols.append(g)
-            if self.upper[i] - z[i] <= ACTIVE_TOL * scale:
-                g = np.zeros(n)
-                g[i] = 1.0
-                cols.append(g)
-        return cols
-
     def project_tangent(self, z, v):
         z = self._check_dim(z)
-        v = np.asarray(v, dtype=float)
-        cols = self._active_generators(z)
-        if not cols:
-            return v.copy()
-        A = np.column_stack(cols)
-        t, _ = nnls(A, v)
-        return v - A @ t
+        t = np.array(v, dtype=float)
+        tol = ACTIVE_TOL * max(1.0, float(self.upper[0]))
+        # runs of tied coordinates; each run's cone is "nonincreasing"
+        cuts = [0, *(np.flatnonzero(z[:-1] - z[1:] > tol) + 1), self.dim]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if b - a > 1:
+                t[a:b] = _pav_nonincreasing(t[a:b])
+        # coordinates at 0 end the last run, those at u open the first
+        if z[-1] <= tol:
+            t[cuts[-2]:] = np.maximum(t[cuts[-2]:], 0.0)
+        if self.upper[0] - z[0] <= tol:
+            t[:cuts[1]] = np.minimum(t[:cuts[1]], 0.0)
+        return t
 
     def diameter(self):
         # upper is itself feasible and 0 is feasible; per-coordinate spread

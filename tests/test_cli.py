@@ -4,6 +4,9 @@ the package's public exports."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +40,11 @@ def test_unknown_solver_rejected():
     with pytest.raises(ValueError, match="solver"):
         BenchConfig(problems=[QUAD2], eps_grid=[1e-2, 1e-3],
                     solvers=["gradient_descent"])
+
+
+def test_empty_problem_list_is_refused():
+    with pytest.raises(ValueError, match="non-empty list of objects"):
+        BenchConfig(problems=[], eps_grid=[1e-2, 1e-3])
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +85,6 @@ def test_fit_rate_degenerate_counts_flagged():
 # suites
 # ---------------------------------------------------------------------------
 
-def test_empty_problem_list_gives_header_only_csv(tmp_path):
-    cfg = BenchConfig(problems=[], eps_grid=[1e-2, 1e-3])
-    summary = run_suite(cfg, str(tmp_path / "out"))
-    text = (tmp_path / "out" / "results.csv").read_text()
-    assert text.strip() == ",".join(RESULT_HEADER)
-    assert summary["rows"] == 0 and summary["exit_code"] == 0
-
-
 def test_suite_cardinality_and_determinism(tmp_path):
     cfg = BenchConfig(problems=[QUAD2,
                                 {"problem": "power", "dim": 2, "p": 1}],
@@ -98,6 +98,7 @@ def test_suite_cardinality_and_determinism(tmp_path):
             (tmp_path / "b" / name).read_bytes()
     with open(tmp_path / "a" / "results.csv") as fh:
         rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == RESULT_HEADER
     assert [r["row"] for r in rows] == ["0", "1", "2", "3"]
     assert all(r["target_met"] == "True" for r in rows)
 
@@ -226,6 +227,17 @@ def test_cli_check(capsys):
                "solvers": ["eg_baseline"]}, "every eps must be > 0"),
     ("bench", {"problems": [QUAD2], "eps_grid": ["0.02", 1e-2],
                "solvers": ["eg_baseline"]}, "every eps must be > 0"),
+    # seeds and problems are checked before any row runs
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "seeds": [-1]}, "seed must be an integer >= 0, got -1"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "seeds": [True]}, "seed must be an integer >= 0, got True"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "seeds": 3}, "seeds must be a non-empty list of integers"),
+    ("bench", {"problems": 3, "eps_grid": [1e-2, 3e-3]},
+     "problems must be a non-empty list of objects"),
+    ("bench", {"problems": [], "eps_grid": [1e-2, 3e-3]},
+     "problems must be a non-empty list of objects"),
 ])
 def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
                                            detail):
@@ -251,3 +263,15 @@ def test_every_public_name_resolves():
     ns = {}
     exec("from saddleopt import *", ns)
     assert set(saddleopt.__all__) <= set(ns)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is for the tests only
+    code = ("import sys, saddleopt, saddleopt.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(saddleopt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -14,6 +14,26 @@ from saddleopt.problems import OrderedBox
 
 def normal_cone_generators(domain, z, tol=1e-9):
     """Columns spanning N(z) as a finitely generated cone."""
+    if isinstance(domain, OrderedBox):
+        # one column per active constraint: x_{i+1} <= x_i, 0 <= x_i, x_i <= u
+        n = domain.dim
+        scale = max(1.0, float(domain.upper[0]))
+        cols = []
+        for i in range(n - 1):
+            if z[i] - z[i + 1] <= tol * scale:
+                g = np.zeros(n)
+                g[i + 1], g[i] = 1.0, -1.0
+                cols.append(g)
+        for i in range(n):
+            if z[i] <= tol * scale:
+                g = np.zeros(n)
+                g[i] = -1.0
+                cols.append(g)
+            if domain.upper[i] - z[i] <= tol * scale:
+                g = np.zeros(n)
+                g[i] = 1.0
+                cols.append(g)
+        return cols
     if isinstance(domain, Box):
         cols = []
         scale = np.maximum(1.0, np.abs(domain.hi - domain.lo))
@@ -45,6 +65,18 @@ def brute_residual(domain, z, F):
     A = np.column_stack(gens)
     _, res = nnls(A, -np.asarray(F, float))
     return float(res)
+
+
+def brute_tangent(domain, z, v):
+    """v minus its projection onto N(z): the projection onto the tangent
+    cone, by Moreau's decomposition."""
+    v = np.asarray(v, float)
+    gens = normal_cone_generators(domain, z)
+    if not gens:
+        return v.copy()
+    A = np.column_stack(gens)
+    t, _ = nnls(A, v)
+    return v - A @ t
 
 
 def random_domain(rng, dim, depth=0):
@@ -169,6 +201,10 @@ def test_residual_interior_is_norm():
 def test_residual_rejects_outside_point():
     with pytest.raises(NotInDomain):
         Box([0], [1]).tangent_residual([2.0], [1.0])
+    for dom, z in [(Box([0], [1]), [np.nan]),
+                   (OrderedBox(np.ones(2)), [0.5, np.nan])]:
+        with pytest.raises(NotInDomain):
+            dom.tangent_residual(z, np.ones(dom.dim))
 
 
 # ---------------------------------------------------------------------------

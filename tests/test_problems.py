@@ -1,9 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
+
+from test_geometry import brute_tangent
 
 from saddleopt.geometry import Box
 from saddleopt.problems import (
@@ -416,27 +416,59 @@ def test_ordered_box_rejects_unequal_or_negative_bounds(upper):
         OrderedBox(np.array(upper))
 
 
+def _tied_point(rng, n, u):
+    """A feasible point of OrderedBox(u) made of runs of tied coordinates,
+    the first run often at u and the last often at 0, each run spread by
+    less than the active tolerance."""
+    k = int(rng.integers(1, n + 1))
+    levels = np.sort(rng.uniform(0.0, u, k))[::-1]
+    if rng.uniform() < 0.5:
+        levels[0] = u
+    if rng.uniform() < 0.5:
+        levels[-1] = 0.0
+    cuts = np.sort(rng.choice(np.arange(1, n), k - 1, replace=False))
+    z = np.repeat(levels, np.diff([0, *cuts, n]))
+    if rng.uniform() < 0.5:
+        z = np.maximum(z - np.cumsum(rng.uniform(0.0, 1e-11, n)), 0.0)
+    return z
+
+
 def test_ordered_box_tangent_residual_vs_reference():
-    # independent reference: minimize ||F + A t||, t >= 0 by L-BFGS-B
+    # whole vectors against v - A nnls(A, v) over the active generators
     rng = np.random.default_rng(17)
-    for _ in range(60):
-        n = int(rng.integers(2, 7))
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
         dom = OrderedBox(np.full(n, rng.uniform(0.2, 2)))
-        z = _feasible_ordered(dom, rng)
-        F = rng.normal(size=n)
-        cols = dom._active_generators(z)
-        if cols:
-            A = np.column_stack(cols)
-            res = minimize(
-                lambda t: 0.5 * np.sum((F + A @ t) ** 2),
-                np.zeros(A.shape[1]),
-                jac=lambda t: A.T @ (F + A @ t),
-                bounds=[(0, None)] * A.shape[1], method="L-BFGS-B",
-                options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 500})
-            ref = math.sqrt(2 * res.fun)
-        else:
-            ref = np.linalg.norm(F)
-        assert dom.tangent_residual(z, F) == pytest.approx(ref, abs=1e-6)
+        z = _tied_point(rng, n, dom.upper[0])
+        v = rng.normal(scale=2, size=n)
+        t = dom.project_tangent(z, v)
+        assert np.max(np.abs(t - brute_tangent(dom, z, v))) <= 1e-12, (z, v)
+        assert dom.tangent_residual(z, -v) == np.linalg.norm(t)
+    # the chain instance's domain: an ordered box times a box, both scaled
+    for T in (1, 4, 16):
+        dom = hard_instance(1, T, DZ=3.0).domain
+        n, u = dom.left.dim, dom.left.upper[0]
+        for _ in range(50):
+            y = rng.uniform(0.0, u, n)
+            y[rng.uniform(size=n) < 0.3] = 0.0
+            y[rng.uniform(size=n) < 0.3] = u
+            z = join(_tied_point(rng, n, u), y)
+            v = rng.normal(size=2 * n)
+            t = dom.project_tangent(z, v)
+            assert np.max(np.abs(t - brute_tangent(dom, z, v))) <= 1e-12
+
+
+@given(st.integers(0, 5000), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_ordered_box_tangent_projection_is_a_projection(seed, n):
+    # Moreau: the projection is idempotent and t is orthogonal to v - t
+    rng = np.random.default_rng(seed)
+    dom = OrderedBox(np.full(n, rng.uniform(0.2, 2)))
+    z = _tied_point(rng, n, dom.upper[0])
+    v = rng.normal(scale=2, size=n)
+    t = dom.project_tangent(z, v)
+    assert np.array_equal(dom.project_tangent(z, t), t)
+    assert abs(t @ (v - t)) <= 1e-12 * (1.0 + v @ v)
 
 
 # ---------------------------------------------------------------------------
