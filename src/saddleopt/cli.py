@@ -65,9 +65,15 @@ class BenchConfig:
             raise ValueError("eps grid needs at least 2 points")
         if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise ValueError("eps grid must be strictly decreasing")
+        shape = ("solvers must be a non-empty list of distinct names from "
+                 f"{SOLVERS}, got {self.solvers!r}")
+        if not (isinstance(self.solvers, list) and self.solvers):
+            raise ValueError(shape)
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
+        if len(set(self.solvers)) < len(self.solvers):
+            raise ValueError(shape)
         if not (isinstance(self.problems, list) and self.problems
                 and all(isinstance(q, dict) for q in self.problems)):
             raise ValueError("problems must be a non-empty list of objects, "

@@ -3,10 +3,13 @@
 The inner workhorse of the triple-loop solver: the two-sided surrogate
 h_eps is uniformly monotone, so order-p extragradient epochs contract the
 distance to its saddle at a fixed rate, and a restart loop drives that
-distance below a target zeta3.  A final short gradient step ("polish")
-converts small distance into a small operator residual plus an explicit
-normal-cone certificate, which is exactly the currency the middle loop's
-inexact proximal oracle needs.
+distance below a target zeta3.  First-order steps size themselves from the
+local Lipschitz constant each step measures with the operator values it
+already has (the adaptive steps of Malitsky, "Golden ratio algorithms for
+variational inequalities", 2020); second-order steps keep the caller's M.
+A final short gradient step ("polish") converts small distance into a
+small operator residual plus an explicit normal-cone certificate, which is
+exactly the currency the middle loop's inexact proximal oracle needs.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
     """T extragradient steps with order-q half-steps; returns the
     eta-weighted average of the half iterates and the per-step trace.
 
+    M regularizes the first step.  A q=1 step then sets the next one's to
+    max(M/2, 2 L_k), where L_k = ||F(zh) - F(z)|| / ||zh - z|| is the local
+    Lipschitz constant measured from the two operator values the step
+    already has, so the rule costs no oracle call; q=2 steps keep M.  A
+    zero step (zh = z) means z solves the VI, and the epoch returns it.
+
     stop_residual > 0 turns the free per-step residual estimate into an
     early exit: once some half iterate already certifies the caller's
     distance target there is no point in finishing the epoch; the trace
@@ -67,14 +76,17 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
     cfg = TensorStepConfig(order=q, M=M)
     halves = []
     for _ in range(T):
+        if q == 1 and F0 is None:
+            # the q=1 step's only query, asked here for the step-size rule
+            F0 = np.asarray(op(z), float)
         zh = tensor_step(op, domain, z, cfg, F0=F0)
-        F0 = None
+        Fz, F0 = F0, None
         d = float(np.linalg.norm(zh - z))
-        if d == 0.0 and q == 2:
+        if d == 0.0:
             # the model was solved exactly at z: zh solves the VI itself
             trace.step_norms.append(0.0)
             return zh, trace
-        eta = math.factorial(q) / (M * d ** (q - 1))
+        eta = math.factorial(q) / (cfg.M * d ** (q - 1))
         Fh = np.asarray(op(zh), float)
         z = domain.project(z - eta * Fh)
         halves.append(zh)
@@ -85,6 +97,9 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         if stop_residual > 0.0 and r <= stop_residual:
             trace.certified, trace.F = True, Fh
             return zh, trace
+        if q == 1:
+            L_k = float(np.linalg.norm(Fh - Fz)) / d
+            cfg = TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
     if not halves:
         return z, trace
     w = np.asarray(trace.etas)
@@ -106,8 +121,9 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
                  F0=None):
     """Restart loop with distance certification; returns (point, trace).
 
-    Each epoch runs T3 = default_epoch_length steps at regularization M,
-    enough to halve the distance to the saddle, and up to
+    Each epoch runs T3 = default_epoch_length steps, enough to halve the
+    distance to the saddle, starting at regularization M (which q=1 steps
+    then adapt, see eg_epoch), and up to
     S3 = ceil(log2(D/zeta3)) + 2 epochs (D the domain diameter) run until
     the measured residual certifies distance <= zeta3.  The operator value
     measured at an epoch's end seeds the next epoch's first step, and

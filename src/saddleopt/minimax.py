@@ -94,7 +94,8 @@ class MinimaxConfig:
     zeta1: float
     zeta2: float
     zeta3: float
-    M_inner: float         # inner extragradient regularization (4 Lp of h_eps)
+    M_inner: float         # first inner EG step's regularization (4 Lp of
+                           # h_eps); q=1 steps adapt from it
 
     def __post_init__(self):
         for name in ("gamma", "mu_x", "mu_y", "delta", "stall1", "stall2",
@@ -145,6 +146,9 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     Lipschitz constants and moduli are not part of it: the solver reads
     each from its view.  zeta1 and S use f_eps's L1 (L1t) and M_inner =
     4 Lpg uses h_eps's Lp, both from power_lipschitz before the views exist.
+    M_inner regularizes the first step of each inner extragradient epoch; at
+    p=1 later steps follow the local Lipschitz constant they measure
+    (eg.eg_epoch), at p=2 every step keeps it.
     """
     p = problem.p
     Dx = problem.x_domain.diameter()
@@ -180,7 +184,7 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
         delta=eps / 100.0, stall1=stall1, stall2=stall2,
         zeta1=zeta1, zeta2=zeta2, zeta3=zeta3,
         # the contraction analysis wants 32 Lp; measured-stopping runs are
-        # stable (and ~8x faster) at the much smaller regularization
+        # stable at the much smaller 4 Lp, which p=1 epochs then adapt
         M_inner=4.0 * Lpg)
 
 

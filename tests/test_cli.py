@@ -238,6 +238,17 @@ def test_cli_check(capsys):
      "problems must be a non-empty list of objects"),
     ("bench", {"problems": [], "eps_grid": [1e-2, 3e-3]},
      "problems must be a non-empty list of objects"),
+    # solvers: a non-empty list of distinct known names
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "solvers": []}, "solvers must be a non-empty list of distinct"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "solvers": "minimax_aipe"},
+     "solvers must be a non-empty list of distinct"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "solvers": 3}, "solvers must be a non-empty list of distinct"),
+    ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
+               "solvers": ["eg_baseline", "eg_baseline"]},
+     "solvers must be a non-empty list of distinct"),
 ])
 def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
                                            detail):

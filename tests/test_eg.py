@@ -12,14 +12,15 @@ from saddleopt.problems import (
 )
 
 
-def xy_problem():
-    """f(x, y) = x*y on [-1,1]^2."""
-    box = Box([-1.0], [1.0])
+def xy_problem(L=1.0, half_width=1.0):
+    """f(x, y) = L*x*y on [-half_width, half_width]^2; its operator
+    F = L (y, -x) has ||F(a) - F(b)|| = L ||a - b|| for every pair."""
+    box = Box([-half_width], [half_width])
     return SaddleProblem(
         box, box, 1,
-        value=lambda z: z[0] * z[1],
-        grad=lambda z: np.array([z[1], z[0]]),
-        L1=1.0, Lp=1.0, name="xy")
+        value=lambda z: L * z[0] * z[1],
+        grad=lambda z: L * np.array([z[1], z[0]]),
+        L1=L, Lp=L, name="xy")
 
 
 def zero_problem(dim=2):
@@ -67,11 +68,42 @@ def test_epoch_hand_trace():
     assert tr.etas == [1.0]
 
 
-def test_epoch_eta_constant_for_q1():
+@pytest.mark.parametrize("L", [0.5, 3.0])
+def test_epoch_q1_step_follows_local_lipschitz(L):
+    # on F = L (y, -x) every step measures L exactly, and on this box no
+    # step projects: M goes 8L, 4L, 2L, then stays at 2L; from L/4 the
+    # first measurement lifts it straight to 2L
+    prob = xy_problem(L, half_width=1e3)
+    op, dom = prob.operator(), prob.domain
+    z0 = np.array([0.3, -0.2])
+    _, tr = eg_epoch(op, dom, z0, M=8 * L, T=4, q=1)
+    np.testing.assert_allclose(tr.etas, np.array([1 / 8, 1 / 4, 1 / 2,
+                                                  1 / 2]) / L, rtol=1e-12)
+    _, tr = eg_epoch(op, dom, z0, M=L / 4, T=2, q=1)
+    assert tr.etas[1] == pytest.approx(1 / (2 * L), rel=1e-12)
+
+
+def test_epoch_q1_step_rule_costs_no_call():
+    # a seeded epoch asks T half points and T - 1 anchors, nothing more
     h = make_h_eps(0)
-    _, tr = eg_epoch(h.operator(), h.domain, h.domain.sample(
-        np.random.default_rng(1)), M=4.0, T=6, q=1)
-    assert np.allclose(tr.etas, 0.25)
+    op = h.operator()
+    z0 = h.domain.sample(np.random.default_rng(1))
+    F0 = op(z0)
+    start = h.oracle_counter
+    _, tr = eg_epoch(op, h.domain, z0, M=4.0, T=6, q=1, F0=F0)
+    assert len(tr.etas) == 6
+    assert h.oracle_counter - start == 2 * 6 - 1
+
+
+def test_epoch_zero_step_returns_at_once():
+    # F = 0: the first step does not move, so its anchor solves the VI
+    prob = zero_problem()
+    z0 = np.array([0.3, -0.2, 0.1, 0.5])
+    start = prob.oracle_counter
+    z, tr = eg_epoch(prob.operator(), prob.domain, z0, M=1.0, T=5, q=1)
+    assert prob.oracle_counter - start == 1
+    assert np.array_equal(z, z0)
+    assert tr.step_norms == [0.0] and tr.etas == []
 
 
 def test_epoch_t0_returns_start():

@@ -366,6 +366,7 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
 @pytest.mark.parametrize("problem, eps, z0, budget", [
     (make_quadratic(3, 1, 0), 4e-2, None, 1_300),
     (make_power(3, 2, 2), 1e-2, np.full(6, 0.1), 3_000),
+    (make_bilinear(2, 1, 0), 4e-2, None, 4_500),
 ])
 def test_solve_stays_within_its_call_budget(problem, eps, z0, budget):
     # each level starts from what the level below computed and nothing is
