@@ -7,6 +7,7 @@ distance below a target zeta3.  First-order steps size themselves from the
 local Lipschitz constant each step measures with the operator values it
 already has (the adaptive steps of Malitsky, "Golden ratio algorithms for
 variational inequalities", 2020); second-order steps keep the caller's M.
+That rule, next_q1_config, also sizes the EG baseline's steps in minimax.
 A final short gradient step ("polish") converts small distance into a
 small operator residual plus an explicit normal-cone certificate, which is
 exactly the currency the middle loop's inexact proximal oracle needs.
@@ -51,16 +52,25 @@ def certified_distance(residual: float, mu_uc: float, p: int,
     return best
 
 
+def next_q1_config(cfg: TensorStepConfig, d: float, Fz, Fh
+                   ) -> TensorStepConfig:
+    """The next q=1 step's config after a step of length d > 0 from z to
+    zh: M_{k+1} = max(M_k/2, 2 L_k), where L_k = ||Fh - Fz|| / d is the
+    local Lipschitz constant measured from F(z) and F(zh), two values an
+    extragradient step already has, so the rule costs no oracle call."""
+    L_k = float(np.linalg.norm(Fh - Fz)) / d
+    return TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
+
+
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
              stop_residual: float = 0.0, F0=None):
     """T extragradient steps with order-q half-steps; returns the
     eta-weighted average of the half iterates and the per-step trace.
 
-    M regularizes the first step.  A q=1 step then sets the next one's to
-    max(M/2, 2 L_k), where L_k = ||F(zh) - F(z)|| / ||zh - z|| is the local
-    Lipschitz constant measured from the two operator values the step
-    already has, so the rule costs no oracle call; q=2 steps keep M.  A
-    zero step (zh = z) means z solves the VI, and the epoch returns it.
+    M regularizes the first step.  A q=1 step then sets the next one's
+    by next_q1_config, from the two operator values the step already has;
+    q=2 steps keep M.  A zero step (zh = z) means z solves the VI, and the
+    epoch returns it.
 
     stop_residual > 0 turns the free per-step residual estimate into an
     early exit: once some half iterate already certifies the caller's
@@ -98,8 +108,7 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
             trace.certified, trace.F = True, Fh
             return zh, trace
         if q == 1:
-            L_k = float(np.linalg.norm(Fh - Fz)) / d
-            cfg = TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
+            cfg = next_q1_config(cfg, d, Fz, Fh)
     if not halves:
         return z, trace
     w = np.asarray(trace.etas)

@@ -112,6 +112,9 @@ class Box(Domain):
             raise ValueError("box requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        # per-coordinate active-constraint tolerance of project_tangent
+        object.__setattr__(self, "_active_tol",
+                           ACTIVE_TOL * np.maximum(1.0, np.abs(hi - lo)))
 
     @property
     def dim(self):
@@ -119,7 +122,7 @@ class Box(Domain):
 
     def project(self, z):
         z = self._check_dim(z)
-        return np.clip(z, self.lo, self.hi)
+        return np.minimum(np.maximum(z, self.lo), self.hi)
 
     def _feasible(self, z):
         return bool(((self.lo <= z) & (z <= self.hi)).all())
@@ -127,9 +130,8 @@ class Box(Domain):
     def project_tangent(self, z, v):
         z = self._check_dim(z)
         v = np.array(v, dtype=float)
-        scale = np.maximum(1.0, np.abs(self.hi - self.lo))
-        at_lo = z - self.lo <= ACTIVE_TOL * scale
-        at_hi = self.hi - z <= ACTIVE_TOL * scale
+        at_lo = z - self.lo <= self._active_tol
+        at_hi = self.hi - z <= self._active_tol
         out = v.copy()
         out[at_lo] = np.maximum(out[at_lo], 0.0)
         out[at_hi] = np.minimum(out[at_hi], 0.0)

@@ -44,7 +44,9 @@ import numpy as np
 from .aipe import (  # noqa: F401
     OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
 )
-from .eg import certified_distance, iprox_psi, polish_step
+from .eg import (
+    certified_distance, iprox_psi, next_q1_config, polish_step,
+)
 from .problems import (
     PowerRegularized, SaddleProblem, _positive, join, power_lipschitz,
     regularize_f_eps, surrogate_g,
@@ -535,14 +537,21 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
                       max_oracle_calls: int = 10_000_000, z0=None):
     """Plain order-p extragradient on f itself, stopping at measured
     tangent residual <= eps; the comparison baseline for the benchmark.
-    eps must be a finite number > 0 (ValueError otherwise)."""
+    eps must be a finite number > 0 (ValueError otherwise).
+
+    The first step is regularized by M = 2 max(Lp, eps).  At p=1 each
+    later step's M comes from eg.next_q1_config, the rule the inner
+    epochs use, and the loop asks F(z) itself to hand it to the step, so
+    a step still costs two calls.  p=2 steps keep M.  A zero step
+    (zh = z) means z solves the VI: the loop records its residual, from
+    F(z) at p=1, and stops.
+    """
     t_start = time.perf_counter()
     _positive(eps, "eps")
     p = problem.p
     domain = problem.domain
     op = problem.operator()
-    M = 2.0 * max(problem.Lp, eps)
-    step_cfg = TensorStepConfig(order=p, M=M)
+    step_cfg = TensorStepConfig(order=p, M=2.0 * max(problem.Lp, eps))
     tracker = CountTracker(problem)
     gap_fn = getattr(problem, "_exact_gap", None)
     trace = []
@@ -557,23 +566,25 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     n_steps = 0
     with tracker.level("outer"):
         while problem.oracle_counter - start_count < max_oracle_calls:
-            zh = tensor_step(op, domain, z, step_cfg)
+            Fz = np.asarray(op(z), float) if p == 1 else None
+            zh = tensor_step(op, domain, z, step_cfg, F0=Fz)
             d = float(np.linalg.norm(zh - z))
-            Fh = np.asarray(op(zh), float)
+            # a zero step means zh = z solves the VI; at p=1 F(z) measures it
+            Fh = Fz if d == 0.0 and p == 1 else np.asarray(op(zh), float)
             r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
             if r < best_r:
                 best_z, best_r = zh, r
-            if n_steps % 16 == 0 or r <= eps:
+            if n_steps % 16 == 0 or r <= eps or d == 0.0:
                 gap = float(gap_fn(zh)) if gap_fn is not None else None
                 trace.append((problem.oracle_counter - start_count, r, gap,
                               "outer"))
             n_steps += 1
-            if r <= eps:
+            if r <= eps or d == 0.0:
                 break
-            if d == 0.0 and p == 2:
-                break
-            eta = math.factorial(p) / (M * d ** (p - 1))
+            eta = math.factorial(p) / (step_cfg.M * d ** (p - 1))
             z = domain.project(z - eta * Fh)
+            if p == 1:
+                step_cfg = next_q1_config(step_cfg, d, Fz, Fh)
         else:
             flags.append(f"oracle budget {max_oracle_calls} exhausted at "
                          f"residual {best_r:.3e}")

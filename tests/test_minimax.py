@@ -11,8 +11,8 @@ from saddleopt.minimax import (
     derive_parameters, ifunc_igrad_primal, iprox_phi, solve,
 )
 from saddleopt.problems import (
-    SaddleProblem, join, make_bilinear, make_power, make_quadratic,
-    regularize_f_eps, split, surrogate_g,
+    SaddleProblem, hard_instance, join, make_bilinear, make_power,
+    make_quadratic, regularize_f_eps, split, surrogate_g,
 )
 from saddleopt.tensor_step import TensorStepConfig, tensor_step
 
@@ -440,30 +440,78 @@ def test_solve_report_json_roundtrip():
 # baseline extragradient
 # ---------------------------------------------------------------------------
 
-def test_baseline_matches_hand_rolled_eg():
-    # replay the exact update rule and compare trajectories bitwise-close
-    prob_a = make_quadratic(3, seed=9)
-    prob_b = make_quadratic(3, seed=9)
-    eps = 1e-6
-    z_a, rep = baseline_eg_solve(prob_a, eps)
-
-    op = prob_b.operator()
-    dom = prob_b.domain
-    M = 2.0 * max(prob_b.Lp, eps)
-    cfg = TensorStepConfig(order=1, M=M)
+def hand_rolled_eg(prob, eps):
+    """Replay of the p=1 baseline: the first step at M = 2 max(Lp, eps),
+    then M <- max(M/2, 2 |F(zh) - F(z)| / |zh - z|); returns the best
+    point, its residual and the number of steps."""
+    op = prob.operator()
+    dom = prob.domain
+    M = 2.0 * max(prob.Lp, eps)
     z = dom.center()
     best_z, best_r = z, math.inf
-    for _ in range(10_000_000):
-        zh = tensor_step(op, dom, z, cfg)
+    for k in range(1, 10_000_000):
+        Fz = np.asarray(op(z), float)
+        zh = tensor_step(op, dom, z, TensorStepConfig(order=1, M=M))
+        d = float(np.linalg.norm(zh - z))
+        if d == 0.0:
+            r = float(np.linalg.norm(dom.project_tangent(z, -Fz)))
+            return (z, r, k) if r < best_r else (best_z, best_r, k)
         Fh = np.asarray(op(zh), float)
         r = float(np.linalg.norm(dom.project_tangent(zh, -Fh)))
         if r < best_r:
             best_z, best_r = zh, r
         if r <= eps:
-            break
+            return best_z, best_r, k
         z = dom.project(z - (1.0 / M) * Fh)
+        M = max(0.5 * M, 2.0 * (float(np.linalg.norm(Fh - Fz)) / d))
+
+
+def test_baseline_matches_hand_rolled_eg():
+    # replay the exact adaptive update rule and compare bit for bit
+    prob = make_quadratic(3, seed=9)
+    eps = 1e-6
+    z_a, rep = baseline_eg_solve(prob, eps)
+    best_z, best_r, _ = hand_rolled_eg(make_quadratic(3, seed=9), eps)
     assert np.array_equal(z_a, best_z)
     assert rep.residual == best_r
+
+
+@pytest.mark.parametrize("make, args, eps", [
+    (make_quadratic, (3, 1, 0), 1e-4),
+    (make_bilinear, (3, 1, 0), 1e-2),
+    (hard_instance, (1, 16), 1e-2),
+])
+def test_baseline_p1_step_costs_two_calls(make, args, eps):
+    # the step-size rule reuses F(z) and F(zh), so k steps cost 2k calls
+    _, _, k = hand_rolled_eg(make(*args), eps)
+    prob = make(*args)
+    _, rep = baseline_eg_solve(prob, eps)
+    assert rep.ok
+    assert prob.oracle_counter == sum(rep.counts.values()) == 2 * k
+    assert rep.trace[-1][0] == 2 * k
+
+
+def test_baseline_p1_zero_step_at_saddle():
+    # the center solves the VI: the first step is zero, and F(center),
+    # which it already has, measures the point
+    prob = make_power(2, p=1, seed=0)
+    z, rep = baseline_eg_solve(prob, 1e-8)
+    assert np.array_equal(z, prob.domain.center())
+    assert rep.residual == 0.0 and rep.ok and not rep.flags
+    assert sum(rep.counts.values()) == prob.oracle_counter == 1
+    assert len(rep.trace) == 1 and rep.trace[0][:2] == (1, 0.0)
+
+
+@pytest.mark.parametrize("problem, eps, budget", [
+    (make_bilinear(8, 1, 0), 1e-2, 6_000),
+    (hard_instance(1, 16), 1e-2, 60),
+])
+def test_baseline_stays_within_its_call_budget(problem, eps, budget):
+    # each p=1 step is sized from the local Lipschitz constant it measured;
+    # the fixed 1/(2 Lp) step costs well over these budgets
+    _, rep = baseline_eg_solve(problem, eps)
+    assert rep.ok
+    assert sum(rep.counts.values()) <= budget
 
 
 def test_baseline_budget_flag():
