@@ -7,7 +7,8 @@ distance below a target zeta3.  First-order steps size themselves from the
 local Lipschitz constant each step measures with the operator values it
 already has (the adaptive steps of Malitsky, "Golden ratio algorithms for
 variational inequalities", 2020); second-order steps keep the caller's M.
-That rule, next_q1_config, also sizes the EG baseline's steps in minimax.
+eg_steps takes those steps, for the epochs here and for the EG baseline
+in minimax.
 A final short gradient step ("polish") converts small distance into a
 small operator residual plus an explicit normal-cone certificate, which is
 exactly the currency the middle loop's inexact proximal oracle needs.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -52,25 +54,45 @@ def certified_distance(residual: float, mu_uc: float, p: int,
     return best
 
 
-def next_q1_config(cfg: TensorStepConfig, d: float, Fz, Fh
-                   ) -> TensorStepConfig:
-    """The next q=1 step's config after a step of length d > 0 from z to
-    zh: M_{k+1} = max(M_k/2, 2 L_k), where L_k = ||Fh - Fz|| / d is the
-    local Lipschitz constant measured from F(z) and F(zh), two values an
-    extragradient step already has, so the rule costs no oracle call."""
-    L_k = float(np.linalg.norm(Fh - Fz)) / d
-    return TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
+def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
+    """Order-q extragradient steps from z; yields (zh, Fh, r, d, eta) per
+    step: the half iterate, F there, the free residual estimate
+    ||project_tangent(zh, -Fh)||, the step length d = ||zh - z|| and the
+    step size eta = q!/(M d^{q-1}) of the update z <- project(z - eta Fh).
+
+    cfg regularizes the first step.  A q=1 step then sets the next one's
+    M_{k+1} = max(M_k/2, 2 L_k), where L_k = ||Fh - F(z)|| / d is the local
+    Lipschitz constant measured from two values the step already has, so
+    the rule costs no oracle call; q=2 steps keep M.  A zero step (zh = z)
+    means z solves the VI: it is yielded with eta None, measured from F(z),
+    and ends the steps.  F0, the operator value at z when the caller has
+    it, seeds the first step.
+    """
+    q = cfg.order
+    while True:
+        zh, Fz = tensor_step(op, domain, z, cfg, F0=F0)
+        d = float(np.linalg.norm(zh - z))
+        if d == 0.0:
+            # the model was solved exactly at z: zh solves the VI itself
+            Fh, eta = Fz, None
+        else:
+            eta = math.factorial(q) / (cfg.M * d ** (q - 1))
+            Fh = np.asarray(op(zh), float)
+        r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
+        yield zh, Fh, r, d, eta
+        if eta is None:
+            return
+        z, F0 = domain.project(z - eta * Fh), None
+        if q == 1:
+            L_k = float(np.linalg.norm(Fh - Fz)) / d
+            cfg = TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
 
 
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
              stop_residual: float = 0.0, F0=None):
-    """T extragradient steps with order-q half-steps; returns the
-    eta-weighted average of the half iterates and the per-step trace.
-
-    M regularizes the first step.  A q=1 step then sets the next one's
-    by next_q1_config, from the two operator values the step already has;
-    q=2 steps keep M.  A zero step (zh = z) means z solves the VI, and the
-    epoch returns it.
+    """T steps of eg_steps at regularization M; returns the eta-weighted
+    average of the half iterates and the per-step trace.  A zero step
+    returns its point, which solves the VI.
 
     stop_residual > 0 turns the free per-step residual estimate into an
     early exit: once some half iterate already certifies the caller's
@@ -83,32 +105,17 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
     if F0 is not None and z.tobytes() != z0.tobytes():
         F0 = None
     trace = EgTrace()
-    cfg = TensorStepConfig(order=q, M=M)
     halves = []
-    for _ in range(T):
-        if q == 1 and F0 is None:
-            # the q=1 step's only query, asked here for the step-size rule
-            F0 = np.asarray(op(z), float)
-        zh = tensor_step(op, domain, z, cfg, F0=F0)
-        Fz, F0 = F0, None
-        d = float(np.linalg.norm(zh - z))
-        if d == 0.0:
-            # the model was solved exactly at z: zh solves the VI itself
-            trace.step_norms.append(0.0)
-            return zh, trace
-        eta = math.factorial(q) / (cfg.M * d ** (q - 1))
-        Fh = np.asarray(op(zh), float)
-        z = domain.project(z - eta * Fh)
-        halves.append(zh)
+    steps = eg_steps(op, domain, z, TensorStepConfig(order=q, M=M), F0)
+    for zh, Fh, r, d, eta in islice(steps, T):
         trace.step_norms.append(d)
+        if eta is None:
+            return zh, trace
+        halves.append(zh)
         trace.etas.append(eta)
-        # free residual estimate: reuse the operator value at the half point
-        r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
         if stop_residual > 0.0 and r <= stop_residual:
             trace.certified, trace.F = True, Fh
             return zh, trace
-        if q == 1:
-            cfg = next_q1_config(cfg, d, Fz, Fh)
     if not halves:
         return z, trace
     w = np.asarray(trace.etas)

@@ -70,13 +70,6 @@ class AlgClassRun:
         return [join(x, y) for x, y in zip(self.xs, self.ys)]
 
 
-def default_schedule(T: int, option: str = "C", q: int = 1,
-                     M: float = None) -> list:
-    """A homogeneous schedule; all-C with q=1 is the extragradient
-    half-step family."""
-    return [StepSpec(option=option, q=q, M=M) for _ in range(T)]
-
-
 def anchored_eg_schedule(T: int, Lp: float = 1.0, c: float = 2.6) -> list:
     """Extragradient with Halpern anchoring toward z0, written as joint
     first-order steps with explicit span coefficients.
@@ -153,14 +146,14 @@ def run_alg_class(problem: SaddleProblem, schedule) -> AlgClassRun:
         x_bar, y_bar = xp, yp
         cfg = TensorStepConfig(order=step.q, M=M, vi_tol=TOL)
         if step.option == "A":
-            x = tensor_step(problem.restricted(y_bar, True), problem.x_domain,
-                            x_bar, cfg)
+            x, _ = tensor_step(problem.restricted(y_bar, True),
+                               problem.x_domain, x_bar, cfg)
         elif step.option == "B":
-            y = tensor_step(problem.restricted(x_bar, False),
-                            problem.y_domain, y_bar, cfg)
+            y, _ = tensor_step(problem.restricted(x_bar, False),
+                               problem.y_domain, y_bar, cfg)
         else:
-            z = tensor_step(problem.operator(), problem.domain,
-                            join(x_bar, y_bar), cfg)
+            z, _ = tensor_step(problem.operator(), problem.domain,
+                               join(x_bar, y_bar), cfg)
             x, y = split(z, problem.dx)
         run.xs.append(np.asarray(x, float).copy())
         run.ys.append(np.asarray(y, float).copy())

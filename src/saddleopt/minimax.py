@@ -44,14 +44,16 @@ import numpy as np
 from .aipe import (  # noqa: F401
     OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
 )
-from .eg import (
-    certified_distance, iprox_psi, next_q1_config, polish_step,
-)
+from .eg import certified_distance, eg_steps, iprox_psi, polish_step
 from .problems import (
     PowerRegularized, SaddleProblem, _positive, join, power_lipschitz,
     regularize_f_eps, surrogate_g,
 )
-from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
+# tensor_step is unused here, but perfbench/tracer.py patches it at this
+# import site, so the name must stay
+from .tensor_step import (  # noqa: F401
+    TensorStepConfig, prox_certificate, tensor_step,
+)
 
 LEVELS = ("outer", "middle", "inner", "polish")
 
@@ -539,19 +541,17 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     tangent residual <= eps; the comparison baseline for the benchmark.
     eps must be a finite number > 0 (ValueError otherwise).
 
-    The first step is regularized by M = 2 max(Lp, eps).  At p=1 each
-    later step's M comes from eg.next_q1_config, the rule the inner
-    epochs use, and the loop asks F(z) itself to hand it to the step, so
-    a step still costs two calls.  p=2 steps keep M.  A zero step
-    (zh = z) means z solves the VI: the loop records its residual, from
-    F(z) at p=1, and stops.
+    The steps are eg.eg_steps, the inner epochs' steps: the first is
+    regularized by M = 2 max(Lp, eps), later p=1 steps size themselves
+    from the local Lipschitz constant, so a step costs two calls, and p=2
+    steps keep M.  A zero step (zh = z) means z solves the VI: its
+    residual, from F(z), ends the run.  The budget is checked before each
+    step, so the run stops at the first step that meets or passes it.
     """
     t_start = time.perf_counter()
     _positive(eps, "eps")
     p = problem.p
     domain = problem.domain
-    op = problem.operator()
-    step_cfg = TensorStepConfig(order=p, M=2.0 * max(problem.Lp, eps))
     tracker = CountTracker(problem)
     gap_fn = getattr(problem, "_exact_gap", None)
     trace = []
@@ -563,28 +563,22 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     else:
         z = domain.project(np.asarray(z0, float))
     best_z, best_r = z, math.inf
+    steps = eg_steps(problem.operator(), domain, z,
+                     TensorStepConfig(order=p, M=2.0 * max(problem.Lp, eps)))
     n_steps = 0
     with tracker.level("outer"):
         while problem.oracle_counter - start_count < max_oracle_calls:
-            Fz = np.asarray(op(z), float) if p == 1 else None
-            zh = tensor_step(op, domain, z, step_cfg, F0=Fz)
-            d = float(np.linalg.norm(zh - z))
-            # a zero step means zh = z solves the VI; at p=1 F(z) measures it
-            Fh = Fz if d == 0.0 and p == 1 else np.asarray(op(zh), float)
-            r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
+            zh, _, r, _, eta = next(steps)
             if r < best_r:
                 best_z, best_r = zh, r
-            if n_steps % 16 == 0 or r <= eps or d == 0.0:
+            done = r <= eps or eta is None
+            if n_steps % 16 == 0 or done:
                 gap = float(gap_fn(zh)) if gap_fn is not None else None
                 trace.append((problem.oracle_counter - start_count, r, gap,
                               "outer"))
             n_steps += 1
-            if r <= eps or d == 0.0:
+            if done:
                 break
-            eta = math.factorial(p) / (step_cfg.M * d ** (p - 1))
-            z = domain.project(z - eta * Fh)
-            if p == 1:
-                step_cfg = next_q1_config(step_cfg, d, Fz, Fh)
         else:
             flags.append(f"oracle budget {max_oracle_calls} exhausted at "
                          f"residual {best_r:.3e}")

@@ -669,16 +669,8 @@ def hard_instance(p: int, T: int, Lp: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# gap and derivative checking
+# derivative checking
 # ---------------------------------------------------------------------------
-
-def duality_gap(problem: SaddleProblem, z) -> float:
-    """Gap(z) = max_y' f(x, y') - min_x' f(x', y) from the problem's closed
-    form; a problem without one raises ValueError."""
-    if not hasattr(problem, "_exact_gap"):
-        raise ValueError(f"no closed-form gap for {problem.name}")
-    return float(problem._exact_gap(np.asarray(z, dtype=float)))
-
 
 @dataclass
 class DerivativeReport:

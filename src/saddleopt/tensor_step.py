@@ -216,11 +216,12 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
 
 
 def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):
-    """The order-q regularized step from z_bar; returns the new point.
-    F0, the operator value at z_bar when the caller already has it, saves
-    that query."""
-    z, _, _, _ = _solve_model(model_operator(op, z_bar, cfg, F0), domain, cfg)
-    return z
+    """The order-q regularized step from z_bar; returns (z, F(z_bar)), the
+    new point and the operator value at the anchor that built the model.
+    F0, that value when the caller already has it, saves the query."""
+    G = model_operator(op, z_bar, cfg, F0)
+    z, _, _, _ = _solve_model(G, domain, cfg)
+    return z, G.F0
 
 
 def certified_gamma(q: int, Lp: float) -> float:

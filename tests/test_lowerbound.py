@@ -7,7 +7,7 @@ import pytest
 
 from saddleopt.lowerbound import (AlgClassRun, SpanViolation, StepSpec,
                                   anchored_eg_schedule, best_residual,
-                                  check_run, default_schedule, experiment_row,
+                                  check_run, experiment_row,
                                   residual_floor, run_alg_class,
                                   support_violation)
 from saddleopt.problems import hard_instance, join
@@ -94,7 +94,7 @@ def test_all_c_matches_hand_rolled_projected_gradient():
     # z_{t+1} = P(z_t - F(z_t)/M)
     prob = hard_instance(1, 6)
     M = 2.0 * prob.Lp
-    run = run_alg_class(prob, default_schedule(4, "C", 1, M))
+    run = run_alg_class(prob, [StepSpec("C", q=1, M=M)] * 4)
     op = prob.operator()
     z = np.zeros(2 * 7)
     for t in range(4):
@@ -237,6 +237,6 @@ def test_precondition_violation_reported():
 
 def test_p2_q2_schedule_runs_and_respects_support():
     prob = hard_instance(2, 4)
-    run = run_alg_class(prob, default_schedule(4, "C", q=2))
+    run = run_alg_class(prob, [StepSpec("C", q=2)] * 4)
     for row in check_run(prob, run):
         assert row.support_slack <= 0

@@ -450,8 +450,7 @@ def hand_rolled_eg(prob, eps):
     z = dom.center()
     best_z, best_r = z, math.inf
     for k in range(1, 10_000_000):
-        Fz = np.asarray(op(z), float)
-        zh = tensor_step(op, dom, z, TensorStepConfig(order=1, M=M))
+        zh, Fz = tensor_step(op, dom, z, TensorStepConfig(order=1, M=M))
         d = float(np.linalg.norm(zh - z))
         if d == 0.0:
             r = float(np.linalg.norm(dom.project_tangent(z, -Fz)))
@@ -491,10 +490,11 @@ def test_baseline_p1_step_costs_two_calls(make, args, eps):
     assert rep.trace[-1][0] == 2 * k
 
 
-def test_baseline_p1_zero_step_at_saddle():
+@pytest.mark.parametrize("p", [1, 2])
+def test_baseline_zero_step_at_saddle(p):
     # the center solves the VI: the first step is zero, and F(center),
-    # which it already has, measures the point
-    prob = make_power(2, p=1, seed=0)
+    # which the step already has at either order, measures the point
+    prob = make_power(2, p, 0)
     z, rep = baseline_eg_solve(prob, 1e-8)
     assert np.array_equal(z, prob.domain.center())
     assert rep.residual == 0.0 and rep.ok and not rep.flags
@@ -514,11 +514,18 @@ def test_baseline_stays_within_its_call_budget(problem, eps, budget):
     assert sum(rep.counts.values()) <= budget
 
 
-def test_baseline_budget_flag():
+@pytest.mark.parametrize("budget, calls", [
+    (0, 0), (1, 2), (200, 200), (201, 202),
+])
+def test_baseline_budget_flag(budget, calls):
+    # the budget is checked before each two-call step: a budget of 0 takes
+    # no step, and the step that meets or passes the budget is the last
     prob = make_bilinear(3, seed=0)
-    z, rep = baseline_eg_solve(prob, 1e-12, max_oracle_calls=200)
+    z, rep = baseline_eg_solve(prob, 1e-12, max_oracle_calls=budget)
+    assert prob.oracle_counter == sum(rep.counts.values()) == calls
     assert not rep.ok
-    assert any("budget" in f for f in rep.flags)
+    assert rep.flags == [f"oracle budget {budget} exhausted at residual "
+                         f"{rep.residual:.3e}"]
 
 
 def test_baseline_quadratic_converges():
@@ -527,13 +534,6 @@ def test_baseline_quadratic_converges():
     assert rep.ok and rep.residual <= 1e-5
     op = prob.operator()
     assert prob.domain.tangent_residual(z, op(z)) <= 1e-5
-
-
-def test_baseline_p2_zero_step_at_saddle():
-    prob = make_power(2, p=2, seed=0)   # saddle at the center start
-    z, rep = baseline_eg_solve(prob, 1e-8)
-    assert rep.residual <= 1e-8
-    assert np.linalg.norm(z - prob.known_saddle) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from test_geometry import brute_tangent
 from saddleopt.geometry import Box
 from saddleopt.problems import (
     OrderedBox, OrderError, SaddleProblem, _reg_grad,
-    _reg_value, check_derivatives, duality_gap, from_config, hard_instance,
+    _reg_value, check_derivatives, from_config, hard_instance,
     join, make_bilinear, make_power, make_quadratic,
     regularize_f_eps, split, surrogate_g, surrogate_h,
 )
@@ -519,21 +519,14 @@ def test_hard_instance_derivative_lipschitz():
 
 def test_gap_example():
     prob = scalar_bilinear()
-    g = duality_gap(prob, np.array([0.5, -0.5]))
+    g = prob._exact_gap(np.array([0.5, -0.5]))
     assert float(g) == pytest.approx(1.0)
-
-
-def test_gap_needs_a_closed_form():
-    prob = make_quadratic(2, seed=0)
-    del prob._exact_gap
-    with pytest.raises(ValueError, match="no closed-form gap"):
-        duality_gap(prob, prob.domain.center())
 
 
 def test_gap_zero_at_saddle():
     prob = make_quadratic(3, seed=7)
     assert hasattr(prob, "known_saddle")
-    assert float(duality_gap(prob, prob.known_saddle)) == pytest.approx(
+    assert float(prob._exact_gap(prob.known_saddle)) == pytest.approx(
         0.0, abs=1e-10)
 
 
@@ -543,7 +536,7 @@ def test_gap_bounded_by_residual():
     for trial in range(100):
         prob = make_bilinear(int(rng.integers(1, 5)), seed=trial)
         z = prob.domain.project(rng.normal(scale=1.5, size=prob.dx + prob.dy))
-        gap = float(duality_gap(prob, z))
+        gap = float(prob._exact_gap(z))
         r = prob.domain.tangent_residual(z, prob.operator()(z))
         assert gap <= prob.domain.diameter() * r + 1e-10
         F_ok += 1

@@ -96,7 +96,7 @@ def test_taylor_remainder_second_order():
 
 def test_step_q1_linear():
     op = Op(lambda z: z)
-    z = tensor_step(op, BIG, [1.0], TensorStepConfig(order=1, M=2.0))
+    z, _ = tensor_step(op, BIG, [1.0], TensorStepConfig(order=1, M=2.0))
     assert np.allclose(z, [0.5])
 
 
@@ -104,7 +104,7 @@ def test_step_q1_corner_fixed_point():
     # at the lower corner with F in the normal cone the projection is a no-op
     op = Op(lambda z: np.ones_like(z))
     box = Box([0.0, 0.0], [1.0, 1.0])
-    z = tensor_step(op, box, [0.0, 0.0], TensorStepConfig(order=1, M=2.0))
+    z, _ = tensor_step(op, box, [0.0, 0.0], TensorStepConfig(order=1, M=2.0))
     assert np.allclose(z, [0.0, 0.0])
 
 
@@ -113,7 +113,7 @@ def test_step_q2_scalar_frozen():
     s_star = brentq(lambda s: 1 + 3 * s + abs(s) * s, -1.0, 0.0, xtol=1e-14)
     assert s_star == pytest.approx((3 - np.sqrt(13)) / 2, abs=1e-12)
     cfg = TensorStepConfig(order=2, M=2.0)
-    z = tensor_step(cube_op(), BIG, [1.0], cfg)
+    z, _ = tensor_step(cube_op(), BIG, [1.0], cfg)
     assert z[0] == pytest.approx(1 + s_star, abs=1e-8)
     assert z[0] == pytest.approx(0.6972, abs=1e-4)
 
@@ -138,7 +138,7 @@ def test_model_vi_residual(q):
         op = prob.operator()
         zb = prob.domain.project(prob.domain.sample(rng) * 3)  # often on faces
         cfg = TensorStepConfig(order=q, M=2 * (prob.Lp if q == 2 else prob.L1))
-        z = tensor_step(op, prob.domain, zb, cfg)
+        z, _ = tensor_step(op, prob.domain, zb, cfg)
         G = model_operator(op, zb, cfg)
         r = prob.domain.tangent_residual(z, G(z))
         assert r <= cfg.vi_tol * (1 + np.linalg.norm(op(zb))) + 1e-12
@@ -150,7 +150,7 @@ def test_step_q2_constrained_hits_boundary():
     op = Op(lambda z: z - 5.0, lambda z: np.eye(z.size), order=2)
     box = Box([-1.0, -1.0], [1.0, 1.0])
     cfg = TensorStepConfig(order=2, M=2.0)
-    z = tensor_step(op, box, np.zeros(2), cfg)
+    z, _ = tensor_step(op, box, np.zeros(2), cfg)
     G = model_operator(op, np.zeros(2), cfg)
     assert box.tangent_residual(z, G(z)) <= cfg.vi_tol * (1 + 5 * np.sqrt(2))
     assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
@@ -161,7 +161,7 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
     # view x - 5 on [-1,1]: the bisection candidate leaves the box, so the
     # model VI subsolver runs; the model keeps F and its Jacobian at the
     # anchor, so the step costs one order-2 query however often the
-    # subsolver evaluates it
+    # subsolver evaluates it, and returns that query's F
     prob = SaddleProblem(
         Box([-1.0], [1.0]), Box([-1.0], [1.0]), 2,
         value=lambda z: 0.5 * (z[0] - 5) ** 2 - 0.5 * (z[1] - 5) ** 2,
@@ -178,10 +178,26 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
     for op in (prob.operator(), prob.restricted(np.zeros(1), True)):
         evals.clear()
         before = prob.oracle_counter
-        z = tensor_step(op, op.domain, np.zeros(op.domain.dim), cfg)
+        z, F = tensor_step(op, op.domain, np.zeros(op.domain.dim), cfg)
         assert len(evals) > 2
         assert prob.oracle_counter == before + 1
         assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
+        assert F.tobytes() == op.derivatives(np.zeros(op.domain.dim))[0] \
+            .tobytes()
+
+
+def test_q1_step_returns_the_handed_in_anchor_value():
+    # F0 is F at the anchor: the step makes no query and hands F0 back
+    prob = make_power(2, p=1, seed=0)
+    op = prob.operator()
+    zb = np.full(4, 0.3)
+    F0 = op(zb)
+    before = prob.oracle_counter
+    z, F = tensor_step(op, prob.domain, zb, TensorStepConfig(order=1, M=2.0),
+                       F0=F0)
+    assert prob.oracle_counter == before
+    assert F.tobytes() == F0.tobytes()
+    assert np.array_equal(z, prob.domain.project(zb - F0 / 2.0))
 
 
 # ---------------------------------------------------------------------------
