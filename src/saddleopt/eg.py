@@ -92,7 +92,7 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
              stop_residual: float = 0.0, F0=None):
     """T steps of eg_steps at regularization M; returns the eta-weighted
     average of the half iterates and the per-step trace.  A zero step
-    returns its point, which solves the VI.
+    returns its point, which solves the VI, and the trace keeps F there.
 
     stop_residual > 0 turns the free per-step residual estimate into an
     early exit: once some half iterate already certifies the caller's
@@ -110,6 +110,7 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
     for zh, Fh, r, d, eta in islice(steps, T):
         trace.step_norms.append(d)
         if eta is None:
+            trace.F = Fh
             return zh, trace
         halves.append(zh)
         trace.etas.append(eta)
@@ -143,7 +144,9 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     S3 = ceil(log2(D/zeta3)) + 2 epochs (D the domain diameter) run until
     the measured residual certifies distance <= zeta3.  The operator value
     measured at an epoch's end seeds the next epoch's first step, and
-    trace.F keeps it at the returned point; F0 is that value at z0.
+    trace.F keeps it at the returned point; F0 is that value at z0.  A zero
+    step ends the loop at its point, measured from the F it was taken
+    with: the next epoch would take the same step from there.
     """
     c_min = max(min(problem.mu_x, problem.mu_y), 1e-12)
     T3 = default_epoch_length(problem, c_min)
@@ -171,13 +174,15 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
             best = z
             full.certified, full.F = True, tr.F
             break
-        F0 = op(z)
+        zero_step = tr.F is not None
+        F0 = tr.F if zero_step else op(z)
         r = domain.tangent_residual(z, F0)
         bound = certified_distance(r, mu, p, mu2=mu2)
-        if bound < best_bound:
+        if bound < best_bound or zero_step:
             best, best_bound, full.F = z, bound, F0
         if bound <= zeta3:
             full.certified = True
+        if full.certified or zero_step:
             break
     return best, full
 

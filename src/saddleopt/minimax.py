@@ -12,7 +12,8 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
 
 Both accelerated levels take their oracles from one Envelope: inexact
 values and gradients come from warm-started, uniformly convex restricted
-minimizations (Danskin's rule), one routine for either side.  Each level
+minimizations (Danskin's rule), one routine for either side, whose p=1
+steps follow the curvature they measure (_inner_min).  Each level
 hands its answer up: an envelope gradient comes with the value its solve
 measured, and each prox oracle (iprox_psi for the middle loop, iprox_phi
 for the outer one) hands back its measured point and base oracle tuple,
@@ -206,38 +207,53 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
     through gradient domination, or when the residual stops improving
     (the flat directions of a weakly regularized subproblem eventually
     hit oracle resolution).  oracle is a restricted view, from
-    SaddleProblem.restricted.  Returns (x, out): the best certified point
-    seen and the view's joint oracle tuple there, so the caller need not
-    ask again.
+    SaddleProblem.restricted.  Returns (x, (base, out)): the best
+    certified point seen and the tuples of the one query there, the one
+    oracle.joint returned and the view's joint tuple, so the caller need
+    not ask again.
 
-    No point is queried twice in a row: the tuple of the last query is
+    The step is 1/L.  At p=1, L follows the curvature measured between
+    the last two momentum points, L = min(Lp, max(L/2, L_hat, 1e-8)) with
+    L_hat = ||g(w) - g(w_prev)|| / ||w - w_prev||, from gradients already
+    in hand, so the rule makes no query; the view's Lp caps it.  A
+    restricted block is often curved only by its regularizer, far less
+    than Lp.  The rule keeps no descent guarantee: its safety rests on
+    the measured stop and the gradient restart (Malitsky & Mishchenko,
+    "Adaptive gradient descent without descent", 2020, give a variant
+    that keeps one).  At p=2, Armijo backtracking on the quadratic upper
+    model sets L.
+
+    No point is queried twice in a row: the tuples of the last query are
     reused while the next point has the same bytes and needs no higher
     order (a residual check followed by a restart at the checked point,
-    the value and gradient read at one point).  warm_out, the joint tuple
-    at warm, seeds that reuse; pass it only for the same problem view at
-    the same fixed block.
+    the value and gradient read at one point).  warm_out, the (base, out)
+    pair at warm, seeds that reuse; pass it only for the same problem
+    view at the same fixed block.
     """
     dom = oracle.domain
     p = oracle.p
     start = np.asarray(warm if warm is not None else dom.center(), float)
     x = dom.project(start)
-    last = None   # (point bytes, joint tuple, restricted tuple)
+    # (point bytes, (base tuple, joint tuple), restricted tuple)
+    last = None
     if warm_out is not None and x.tobytes() == start.tobytes():
-        last = (x.tobytes(), warm_out, oracle.restrict(warm_out))
+        last = (x.tobytes(), warm_out, oracle.restrict(warm_out[1]))
 
     def query(v, order):
         nonlocal last
         key = v.tobytes()
-        if last is None or last[0] != key or len(last[1]) <= order:
-            last = (key,) + oracle.query(v, order)
+        if last is None or last[0] != key or len(last[2]) <= order:
+            base, out, res = oracle.query_base(v, order)
+            last = (key, (base, out), res)
         return last[1], last[2]
 
-    L = max(oracle.Lp, 1e-8)
+    L = L_max = max(oracle.Lp, 1e-8)
     if p == 2:
         # the quadratic upper model needs a gradient-Lipschitz constant;
         # start from local curvature and let backtracking correct it
         L = max(float(np.linalg.norm(query(x, 2)[1][2], 2)), 1e-8)
     w = x.copy()
+    w_prev = g_prev = None
     t = 1.0
     best_x, best_out, best_r = x, None, math.inf
     since_improve = 0
@@ -245,6 +261,13 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
         f_w, g_w = query(w, 1)[1][:2]
         g_w = np.asarray(g_w, float)
         if p == 1:
+            if w_prev is not None:
+                # the curvature between the last two momentum points
+                dw = float(np.linalg.norm(w - w_prev))
+                L_hat = float(np.linalg.norm(g_w - g_prev)) / dw \
+                    if dw > 0.0 else 0.0
+                L = min(L_max, max(0.5 * L, L_hat, 1e-8))
+            w_prev, g_prev = w, g_w
             x_new = dom.project(w - g_w / L)
         else:
             f_w = float(f_w)
@@ -289,34 +312,40 @@ class Envelope:
     of x (the outer loop's primal envelope of f_eps).  mu is the solved
     block's uniform-convexity modulus (view.uc) and the view's L1 turns a
     gradient accuracy into a distance target.  pt is where the next
-    restricted solve starts; the joint tuple kept with it seeds that
-    solve's reuse when the fixed block has the same bytes.
+    restricted solve starts; the tuples kept with it, the base problem's
+    and the view's joint tuple of one query at pt joined with the other
+    block, seed that solve's reuse when the fixed block has the same bytes.
     """
 
     def __init__(self, view: PowerRegularized, x_side: bool, pt=None):
         self.view, self.x_side, self.pt = view, x_side, pt
         self.mu = view.uc(x_side)
-        self._at = None   # (fixed bytes, joint tuple at pt joined with fixed)
+        self._at = None   # (fixed bytes, (base, joint) tuples kept with pt)
 
-    def keep(self, pt, fixed, out):
-        """Starts the next solve at pt; out is the view's joint tuple at pt
-        joined with the other block at fixed."""
-        self.pt, self._at = pt, (fixed.tobytes(), out)
+    def keep(self, pt, fixed, base):
+        """Starts the next solve at pt; base is the base problem's tuple at
+        pt joined with the other block at fixed, which the view extends
+        without a call."""
+        z = join(pt, fixed) if self.x_side else join(fixed, pt)
+        self.pt = pt
+        self._at = (fixed.tobytes(), (base, self.view.extend(z, base)))
 
     def out_at(self, fixed):
-        """The joint tuple kept with pt if it was taken at fixed, else None."""
+        """The (base, joint) tuples kept with pt if taken at fixed, else
+        None."""
         if self._at is not None and self._at[0] == fixed.tobytes():
             return self._at[1]
         return None
 
     def solve(self, fixed, target_gap):
         """_inner_min of the solved block with the other at fixed, started
-        at pt and seeded with the tuple kept there; keeps the new point.
-        Returns (point, joint tuple, restricted oracle)."""
+        at pt and seeded with the tuples kept there; keeps the new point.
+        Returns (point, (base tuple, joint tuple), restricted oracle), the
+        tuples of the one query at the point joined with fixed."""
         fixed = np.asarray(fixed, float)
         oracle = self.view.restricted(fixed, self.x_side)
         pt, out = _inner_min(oracle, target_gap, self.pt, self.out_at(fixed))
-        self.keep(pt, fixed, out)
+        self.pt, self._at = pt, (fixed.tobytes(), out)
         return pt, out, oracle
 
     def bundle(self, tracker: CountTracker, level: str, iprox):
@@ -350,7 +379,7 @@ def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
     if need_grad:
         target = min(target, _dist_to_gap(env.mu, env.view.p,
                                           delta / env.view.L1))
-    pt, out, _ = env.solve(fixed, target)
+    pt, (_, out), _ = env.solve(fixed, target)
     dx = env.view.dx
     if env.x_side:
         return -float(out[0]), -np.asarray(out[1], float)[dx:], pt
@@ -368,8 +397,9 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     (x_tilde, u_tilde, certificate, (z, base_out), next_start); the
     certificate residual adds a Danskin-error bound (from the measured
     dual-side residual) to the directly measured polished gradient.  That
-    measurement is one order-p base query at z = (x_tilde, y_hat), and
-    base_out is its tuple: the x-prox term is constant in y, so y_hat is
+    measurement is one order-p base query at z = (x_tilde, y_hat), the
+    envelope solve's own when the polish step did not move, and base_out
+    is its tuple: the x-prox term is constant in y, so y_hat is
     also the caller's start for maximizing f_eps(x_tilde, .).  Failed dual
     prox certificates are appended to flags; the middle loop keeps going
     past them.  A failed certificate gets one retry with zeta2 and zeta3
@@ -400,11 +430,11 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                 yb = np.asarray(yb, float)
                 out = env.out_at(yb)
                 F0 = None if out is None \
-                    else g_eps.operator().from_tuple(out)
+                    else g_eps.operator().from_tuple(out[1])
                 y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
                     g_eps, x_bar, yb, g, cfg.delta, cfg.M_inner, zeta3,
                     z0=join(env.pt, yb), F0=F0)
-            env.keep(z_hat[:dx], y_t, g_eps.extend(z_hat, base_out))
+            env.keep(z_hat[:dx], y_t, base_out)
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
                              f"> {cert.bound:.3e}")
@@ -415,14 +445,19 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         y_hat = np.asarray(y, float)
 
         with tracker.level("middle"):
-            x_hat, out, oracle = env.solve(y_hat,
-                                           _dist_to_gap(env.mu, p, zeta2))
+            x_hat, (base_hat, out), oracle = env.solve(
+                y_hat, _dist_to_gap(env.mu, p, zeta2))
         with tracker.level("polish"):
             x_t, u_t = polish_step(oracle, g_eps.x_domain, x_hat, g_eps.L1,
                                    Fz=oracle.restrict(out)[1])
             # measured residual at the polished point + Danskin error bound
             z_t = join(x_t, y_hat)
-            base_out = g_eps.base.oracle_eval(z_t, p)
+            # a polish step that did not move is measured by the solve's
+            # own query there
+            if x_t.tobytes() == x_hat.tobytes() and len(base_hat) > p:
+                base_out = base_hat
+            else:
+                base_out = g_eps.base_eval(z_t, p)
             g_at = g_eps.extend(z_t, base_out)[1]
             w = g_at[:dx] + u_t
             # maximizing f_eps(x_t, .) means minimizing -f_eps, whose
@@ -483,7 +518,8 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         """
         x = np.asarray(x, float)
         with tracker.level("outer"):
-            y_hat, out, _ = rec.solve(x, _dist_to_gap(rec.mu, p, cfg.zeta1))
+            y_hat, (_, out), _ = rec.solve(
+                x, _dist_to_gap(rec.mu, p, cfg.zeta1))
         # the first candidate's F comes with the recovery's last query;
         # every recovery follows at least one iprox_phi, which sets mid
         candidates = [(y_hat, op_feps.from_tuple(out)),
@@ -510,7 +546,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         nonlocal mid
         x_t, u_t, cert, (z_m, base_out), mid = iprox_phi(
             f_eps, xb, g, cfg, mid, tracker=tracker, flags=flags)
-        outer.keep(z_m[problem.dx:], x_t, f_eps.extend(z_m, base_out))
+        outer.keep(z_m[problem.dx:], x_t, base_out)
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")

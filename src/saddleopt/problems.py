@@ -206,21 +206,38 @@ class SaddleProblem:
             out.append(self._hess(z))
         return tuple(out)
 
+    def base_eval(self, z, order: int):
+        """The one counted query this problem's tuple at z is built from,
+        by extend: oracle_eval itself here, the base problem's query for a
+        regularized view."""
+        return self.oracle_eval(z, order)
+
+    def extend(self, z, out):
+        """This problem's tuple at z from base_eval's tuple there: the
+        same tuple here."""
+        return out
+
     def operator(self) -> "OperatorView":
         return OperatorView(self)
 
     def restricted(self, fixed, x_side: bool) -> "FunctionOracle":
         """The function of one block with the other held at fixed: f(., y)
         over X with x_side, else -f(x, .) over Y, whose minimization
-        maximizes f in y.  Its joint query is this problem's oracle_eval at
-        the joint point; restrict reads the block's value, gradient and
-        Hessian from that tuple."""
+        maximizes f in y.  Its one query is this problem's base_eval at the
+        joint point, lifted by extend to this problem's tuple there;
+        restrict reads the block's value, gradient and Hessian from that
+        tuple."""
         fixed = np.asarray(fixed, float)
         blk = slice(None, self.dx) if x_side else slice(self.dx, None)
 
+        def point(v):
+            return join(v, fixed) if x_side else join(fixed, v)
+
         def joint(v, order):
-            z = join(v, fixed) if x_side else join(fixed, v)
-            return self.oracle_eval(z, order)
+            return self.base_eval(point(v), order)
+
+        def lift(v, out):
+            return self.extend(point(v), out)
 
         def restrict(out):
             res = [out[0]]
@@ -233,7 +250,7 @@ class SaddleProblem:
         # a regularized problem's Lp already counts its power terms
         return FunctionOracle(
             domain=self.x_domain if x_side else self.y_domain,
-            joint=joint, restrict=restrict, p=self.p, Lp=self.Lp,
+            joint=joint, restrict=restrict, lift=lift, p=self.p, Lp=self.Lp,
             mu=self.uc(x_side),
             name=f"{self.name}|{'x' if x_side else 'y'}")
 
@@ -273,11 +290,13 @@ class FunctionOracle:
     gradient, derivatives the gradient and the Hessian.
 
     joint(v, order) is the one counted query, returning a tuple at v (for
-    a restricted view, its problem's tuple at the joint point);
-    restrict(tuple) -> (value, grad, ...) of this function from it.  Every
-    question is answered from one such query.  mu is the (p+1)th-order
-    uniform-convexity modulus (0 if unknown); Lp bounds the Lipschitz
-    constant of the pth derivative.
+    a restricted view, its problem's base tuple at the joint point);
+    lift(v, tuple), if given, turns it into the joint tuple (that
+    problem's own tuple there), which is otherwise the same tuple;
+    restrict(joint tuple) -> (value, grad, ...) of this function from it.
+    Every question is answered from one such query.  mu is the
+    (p+1)th-order uniform-convexity modulus (0 if unknown); Lp bounds the
+    Lipschitz constant of the pth derivative.
     """
 
     domain: Domain
@@ -287,11 +306,18 @@ class FunctionOracle:
     Lp: float
     mu: float = 0.0
     name: str = ""
+    lift: Callable = None
 
     def query(self, v, order: int):
         """One counted query at v: (joint tuple, restricted tuple)."""
-        out = self.joint(v, order)
-        return out, self.restrict(out)
+        return self.query_base(v, order)[1:]
+
+    def query_base(self, v, order: int):
+        """One counted query at v: (the tuple joint returned, the joint
+        tuple, the restricted tuple)."""
+        base = self.joint(v, order)
+        out = base if self.lift is None else self.lift(v, base)
+        return base, out, self.restrict(out)
 
     def value(self, v):
         return self.query(v, 0)[1][0]
@@ -370,6 +396,9 @@ class PowerRegularized(SaddleProblem):
 
     def oracle_eval(self, z, order):
         return self.extend(z, self.base.oracle_eval(z, order))
+
+    def base_eval(self, z, order):
+        return self.base.oracle_eval(z, order)
 
     def extend(self, z, out):
         """This view's tuple at z from the base problem's tuple there, of

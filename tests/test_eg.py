@@ -160,6 +160,20 @@ def test_restart_from_saddle_is_fixed():
     assert np.linalg.norm(out - z_star) <= 1e-5
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_restart_zero_step_costs_one_call(p):
+    # at the power game's saddle the first step does not move: the epoch
+    # hands back F there, and the restart loop ends instead of taking the
+    # same step again in each of its epochs
+    prob = make_power(2, p, 0)
+    center = prob.domain.center()
+    z, tr = restarted_eg(prob, 2.0 * prob.Lp, 1e-3, z0=center)
+    assert prob.oracle_counter == 1
+    assert np.array_equal(z, center)
+    assert tr.step_norms == [0.0]
+    assert np.array_equal(tr.F, prob.operator()(center))
+
+
 def test_restart_certifies_distance():
     h = make_h_eps(8, gamma=0.8, mu=0.2)
     z_star = reference_saddle(h)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from saddleopt import minimax
+from saddleopt.aipe import gap_from_residual
 from saddleopt.geometry import Box
 from saddleopt.minimax import (
     CountTracker, Envelope, MinimaxConfig, baseline_eg_solve,
     derive_parameters, ifunc_igrad_primal, iprox_phi, solve,
 )
 from saddleopt.problems import (
-    SaddleProblem, hard_instance, join, make_bilinear, make_power,
-    make_quadratic, regularize_f_eps, split, surrogate_g,
+    FunctionOracle, SaddleProblem, hard_instance, join, make_bilinear,
+    make_power, make_quadratic, regularize_f_eps, split, surrogate_g,
 )
 from saddleopt.tensor_step import TensorStepConfig, tensor_step
 
@@ -367,6 +368,8 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
     (make_quadratic(3, 1, 0), 4e-2, None, 1_300),
     (make_power(3, 2, 2), 1e-2, np.full(6, 0.1), 3_000),
     (make_bilinear(2, 1, 0), 4e-2, None, 4_500),
+    (make_bilinear(3, 1, 0), 1e-2, None, 17_800),
+    (hard_instance(1, 16), 1e-2, None, 30_600),
 ])
 def test_solve_stays_within_its_call_budget(problem, eps, z0, budget):
     # each level starts from what the level below computed and nothing is
@@ -374,6 +377,46 @@ def test_solve_stays_within_its_call_budget(problem, eps, z0, budget):
     _, rep = solve(problem, eps, z0=z0)
     assert rep.ok
     assert sum(rep.counts.values()) <= budget
+
+
+def test_inner_min_steps_at_the_curvature_it_measures():
+    # f = (m/2)(v-c)' diag(1, .5, .2) (v-c) is far flatter than its Lp = 1:
+    # steps of 1/Lp crawl, steps at the measured curvature do not
+    m = 1e-3
+    c = np.array([0.3, -0.5, 0.8])
+    diag = np.array([1.0, 0.5, 0.2])
+    calls = []
+
+    def joint(v, order):
+        calls.append(order)
+        d = v - c
+        return (0.5 * m * d @ (diag * d), m * diag * d)[:order + 1]
+
+    box = Box(-np.ones(3), np.ones(3))
+    oracle = FunctionOracle(domain=box, joint=joint, restrict=lambda o: o,
+                            p=1, Lp=1.0, mu=0.2 * m)
+    x, (_, out) = minimax._inner_min(oracle, 1e-12, None)
+    r = box.tangent_residual(x, out[1])
+    assert gap_from_residual(r, oracle.mu, 1) <= 1e-12
+    assert len(calls) <= 100
+
+
+def test_envelope_solves_end_before_their_iteration_cap(monkeypatch):
+    # 20 000 queries would mean an _inner_min ran to its iteration cap
+    problem = make_bilinear(3, 1, 0)
+    real_min = minimax._inner_min
+    used = []
+
+    def inner_min(oracle, target_gap, warm, warm_out=None):
+        before = problem.oracle_counter
+        out = real_min(oracle, target_gap, warm, warm_out)
+        used.append(problem.oracle_counter - before)
+        return out
+
+    monkeypatch.setattr(minimax, "_inner_min", inner_min)
+    _, rep = solve(problem, 1e-2)
+    assert rep.ok and used
+    assert max(used) < 20_000
 
 
 @pytest.mark.parametrize("problem, z0", [
