@@ -7,8 +7,12 @@ distance below a target zeta3.  First-order steps size themselves from the
 local Lipschitz constant each step measures with the operator values it
 already has (the adaptive steps of Malitsky, "Golden ratio algorithms for
 variational inequalities", 2020); second-order steps keep the caller's M.
-eg_steps takes those steps, for the epochs here and for the EG baseline
-in minimax.
+The epochs take first-order steps as past_eg_steps, Popov's past
+extragradient ("A modification of the Arrow-Hurwicz method for search of
+saddle points", 1980): one oracle call per step, since the last half
+point's value stands in for the anchor's, and on the strongly monotone
+h_eps it keeps extragradient's linear rate.  Second-order epoch steps and
+the EG baseline in minimax take eg_steps, two calls per q=1 step.
 A final short gradient step ("polish") converts small distance into a
 small operator residual plus an explicit normal-cone certificate, which is
 exactly the currency the middle loop's inexact proximal oracle needs.
@@ -59,6 +63,8 @@ def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
     step: the half iterate, F there, the free residual estimate
     ||project_tangent(zh, -Fh)||, the step length d = ||zh - z|| and the
     step size eta = q!/(M d^{q-1}) of the update z <- project(z - eta Fh).
+    Each step asks F at its anchor z and at zh, two calls; the EG baseline
+    takes these steps, and so do the q=2 epochs.
 
     cfg regularizes the first step.  A q=1 step then sets the next one's
     M_{k+1} = max(M_k/2, 2 L_k), where L_k = ||Fh - F(z)|| / d is the local
@@ -88,10 +94,45 @@ def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
             cfg = TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
 
 
+def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
+    """Popov's past-extragradient q=1 steps from z; yields what eg_steps
+    yields, at one oracle call per step.
+
+    Step k takes zh_k = project(z_k - F(zh_{k-1})/M_k), with zh_{-1} = z,
+    asks F(zh_k) and updates z_{k+1} = project(z_k - F(zh_k)/M_k).  The
+    next M is max(M_k/2, 2 L_k), with L_k = ||F(zh_k) - F(zh_{k-1})|| /
+    ||zh_k - zh_{k-1}|| measured between consecutive half points; a half
+    point equal to the last one reuses its value, and L_k = 0 there.  Only
+    the first step is built from F(z) itself, so only it ends the steps
+    when it does not move (eta None): then z solves the VI.  F0, the
+    operator value at z when the caller has it, seeds the first step.
+    """
+    zh_prev, F_prev = z, F0
+    first = True
+    while True:
+        # F_prev is F(zh_{k-1}); the first step queries F(z) unless given
+        zh, F_prev = tensor_step(op, domain, z, TensorStepConfig(1, M),
+                                 F0=F_prev)
+        d = float(np.linalg.norm(zh - z))
+        dh = float(np.linalg.norm(zh - zh_prev))
+        Fh = F_prev if dh == 0.0 else np.asarray(op(zh), float)
+        zero_step = first and d == 0.0
+        eta = None if zero_step else 1.0 / M
+        r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
+        yield zh, Fh, r, d, eta
+        if zero_step:
+            return
+        z = domain.project(z - eta * Fh)
+        L_k = float(np.linalg.norm(Fh - F_prev)) / dh if dh > 0.0 else 0.0
+        M = max(0.5 * M, 2.0 * L_k)
+        zh_prev, F_prev, first = zh, Fh, False
+
+
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
              stop_residual: float = 0.0, F0=None):
-    """T steps of eg_steps at regularization M; returns the eta-weighted
-    average of the half iterates and the per-step trace.  A zero step
+    """T extragradient steps at regularization M; returns the eta-weighted
+    average of the half iterates and the per-step trace.  q=1 steps are
+    past_eg_steps, one call each; q=2 steps are eg_steps.  A zero step
     returns its point, which solves the VI, and the trace keeps F there.
 
     stop_residual > 0 turns the free per-step residual estimate into an
@@ -106,7 +147,8 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         F0 = None
     trace = EgTrace()
     halves = []
-    steps = eg_steps(op, domain, z, TensorStepConfig(order=q, M=M), F0)
+    steps = past_eg_steps(op, domain, z, M, F0) if q == 1 else \
+        eg_steps(op, domain, z, TensorStepConfig(order=q, M=M), F0)
     for zh, Fh, r, d, eta in islice(steps, T):
         trace.step_norms.append(d)
         if eta is None:
@@ -140,7 +182,7 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
 
     Each epoch runs T3 = default_epoch_length steps, enough to halve the
     distance to the saddle, starting at regularization M (which q=1 steps
-    then adapt, see eg_epoch), and up to
+    then adapt, at one call each, see eg_epoch), and up to
     S3 = ceil(log2(D/zeta3)) + 2 epochs (D the domain diameter) run until
     the measured residual certifies distance <= zeta3.  The operator value
     measured at an epoch's end seeds the next epoch's first step, and

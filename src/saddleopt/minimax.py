@@ -100,7 +100,7 @@ class MinimaxConfig:
     zeta2: float
     zeta3: float
     M_inner: float         # first inner EG step's regularization (4 Lp of
-                           # h_eps); q=1 steps adapt from it
+                           # h_eps); single-call q=1 steps adapt from it
 
     def __post_init__(self):
         for name in ("gamma", "mu_x", "mu_y", "delta", "stall1", "stall2",
@@ -152,8 +152,9 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     each from its view.  zeta1 and S use f_eps's L1 (L1t) and M_inner =
     4 Lpg uses h_eps's Lp, both from power_lipschitz before the views exist.
     M_inner regularizes the first step of each inner extragradient epoch; at
-    p=1 later steps follow the local Lipschitz constant they measure
-    (eg.eg_epoch), at p=2 every step keeps it.
+    p=1 the epochs take one-call past-extragradient steps whose M follows
+    the local Lipschitz constant measured between consecutive half points
+    (eg.past_eg_steps), at p=2 every step keeps it.
     """
     p = problem.p
     Dx = problem.x_domain.diameter()
@@ -577,10 +578,10 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     tangent residual <= eps; the comparison baseline for the benchmark.
     eps must be a finite number > 0 (ValueError otherwise).
 
-    The steps are eg.eg_steps, the inner epochs' steps: the first is
-    regularized by M = 2 max(Lp, eps), later p=1 steps size themselves
-    from the local Lipschitz constant, so a step costs two calls, and p=2
-    steps keep M.  A zero step (zh = z) means z solves the VI: its
+    The steps are eg.eg_steps, the two-call steps of extragradient, not
+    the inner epochs' one-call p=1 steps: the first is regularized by
+    M = 2 max(Lp, eps), later p=1 steps size themselves from the local
+    Lipschitz constant, so a step costs two calls, and p=2 steps keep M.  A zero step (zh = z) means z solves the VI: its
     residual, from F(z), ends the run.  The budget is checked before each
     step, so the run stops at the first step that meets or passes it.
     """
