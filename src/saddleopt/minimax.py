@@ -581,8 +581,9 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     The steps are eg.eg_steps, the two-call steps of extragradient, not
     the inner epochs' one-call p=1 steps: the first is regularized by
     M = 2 max(Lp, eps), later p=1 steps size themselves from the local
-    Lipschitz constant, so a step costs two calls, and p=2 steps keep M.  A zero step (zh = z) means z solves the VI: its
-    residual, from F(z), ends the run.  The budget is checked before each
+    Lipschitz constant, so a step costs two calls, and p=2 steps keep M.
+    A zero step (zh = z) means z solves the VI: its residual, from F(z),
+    ends the run.  The budget is checked before each
     step, so the run stops at the first step that meets or passes it.
     """
     t_start = time.perf_counter()
