@@ -12,18 +12,18 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
 
 Both accelerated levels take their oracles from one Envelope: inexact
 values and gradients come from warm-started, uniformly convex restricted
-minimizations (Danskin's rule), one routine for either side, whose p=1
-steps follow the curvature they measure (_inner_min).  Each level
-hands its answer up: an envelope gradient comes with the value its solve
-measured, and each prox oracle (iprox_psi for the middle loop, iprox_phi
-for the outer one) hands back its measured point and base oracle tuple,
-which the envelope keeps as the start of its next solve at the point the
-prox returned.  The worst-case loop counts of the analysis (T1, T2, S)
-are only caps: every level stops on measured certificates and stalls, the
-inner tolerances are eps/100 rather than a worst-case delta chain, and the
-outer loop halts as soon as a recovered primal-dual pair has tangent
-residual <= eps for the ORIGINAL operator -- which is also the guarantee
-the solver reports.
+minimizations (Danskin's rule), one routine for either side, whose
+steps follow the curvature they measure at either order (_inner_min).
+Each level hands its answer up: an envelope gradient comes with the
+value its solve measured, and each prox oracle (iprox_psi for the middle
+loop, iprox_phi for the outer one) hands back its measured point and
+base oracle tuple, which the envelope keeps as the start of its next
+solve at the point the prox returned.  The worst-case loop counts of
+the analysis (T1, T2, S) are only caps: every level stops on measured
+certificates and stalls, the inner tolerances are eps/100 rather than a
+worst-case delta chain, and the outer loop halts as soon as a recovered
+primal-dual pair has tangent residual <= eps for the ORIGINAL operator
+-- which is also the guarantee the solver reports.
 
 The schedule (MinimaxConfig, from derive_parameters) holds no Lipschitz
 constant or modulus: each level reads them from the regularized view it
@@ -213,23 +213,25 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
     oracle.joint returned and the view's joint tuple, so the caller need
     not ask again.
 
-    The step is 1/L.  At p=1, L follows the curvature measured between
-    the last two momentum points, L = min(Lp, max(L/2, L_hat, 1e-8)) with
-    L_hat = ||g(w) - g(w_prev)|| / ||w - w_prev||, from gradients already
-    in hand, so the rule makes no query; the view's Lp caps it.  A
+    The step is 1/L at either order, L = min(L_max, max(L/2, L_hat, 1e-8))
+    with L_hat = ||g(w) - g(w_prev)|| / ||w - w_prev|| the curvature
+    measured between the last two momentum points from gradients already
+    in hand, so the rule makes no query, and no order-0 query is made.  A
     restricted block is often curved only by its regularizer, far less
-    than Lp.  The rule keeps no descent guarantee: its safety rests on
-    the measured stop and the gradient restart (Malitsky & Mishchenko,
-    "Adaptive gradient descent without descent", 2020, give a variant
-    that keeps one).  At p=2, Armijo backtracking on the quadratic upper
-    model sets L.
+    than any bound.  At p=1, L starts at the view's Lp, which caps it.  At
+    p=2, Lp bounds how fast the Hessian changes, not the gradient (it is 0
+    on a quadratic), so L starts at the Hessian's norm at the start point,
+    from the one order-2 query there, and has no cap.  The rule keeps no
+    descent guarantee: its safety rests on the measured stop and the
+    gradient restart (Malitsky & Mishchenko, "Adaptive gradient descent
+    without descent", 2020, give a variant that keeps one).
 
     No point is queried twice in a row: the tuples of the last query are
     reused while the next point has the same bytes and needs no higher
-    order (a residual check followed by a restart at the checked point,
-    the value and gradient read at one point).  warm_out, the (base, out)
-    pair at warm, seeds that reuse; pass it only for the same problem
-    view at the same fixed block.
+    order (the start point's order-2 query serving its first gradient, a
+    residual check followed by a restart at the checked point).
+    warm_out, the (base, out) pair at warm, seeds that reuse; pass it
+    only for the same problem view at the same fixed block.
     """
     dom = oracle.domain
     p = oracle.p
@@ -248,38 +250,26 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
             last = (key, (base, out), res)
         return last[1], last[2]
 
-    L = L_max = max(oracle.Lp, 1e-8)
-    if p == 2:
-        # the quadratic upper model needs a gradient-Lipschitz constant;
-        # start from local curvature and let backtracking correct it
+    if p == 1:
+        L = L_max = max(oracle.Lp, 1e-8)
+    else:
         L = max(float(np.linalg.norm(query(x, 2)[1][2], 2)), 1e-8)
+        L_max = math.inf
     w = x.copy()
     w_prev = g_prev = None
     t = 1.0
     best_x, best_out, best_r = x, None, math.inf
     since_improve = 0
     for k in range(20_000):
-        f_w, g_w = query(w, 1)[1][:2]
-        g_w = np.asarray(g_w, float)
-        if p == 1:
-            if w_prev is not None:
-                # the curvature between the last two momentum points
-                dw = float(np.linalg.norm(w - w_prev))
-                L_hat = float(np.linalg.norm(g_w - g_prev)) / dw \
-                    if dw > 0.0 else 0.0
-                L = min(L_max, max(0.5 * L, L_hat, 1e-8))
-            w_prev, g_prev = w, g_w
-            x_new = dom.project(w - g_w / L)
-        else:
-            f_w = float(f_w)
-            for _ in range(60):
-                x_new = dom.project(w - g_w / L)
-                d = x_new - w
-                f_new = float(query(x_new, 0)[1][0])
-                if f_new <= f_w + g_w @ d + 0.5 * L * (d @ d) \
-                        + 1e-12 * (1.0 + abs(f_w)):
-                    break
-                L *= 2.0
+        g_w = np.asarray(query(w, 1)[1][1], float)
+        if w_prev is not None:
+            # the curvature between the last two momentum points
+            dw = float(np.linalg.norm(w - w_prev))
+            L_hat = float(np.linalg.norm(g_w - g_prev)) / dw \
+                if dw > 0.0 else 0.0
+            L = min(L_max, max(0.5 * L, L_hat, 1e-8))
+        w_prev, g_prev = w, g_w
+        x_new = dom.project(w - g_w / L)
         step = x_new - x
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         # gradient restart: momentum pointing uphill resets the schedule

@@ -366,7 +366,7 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
 
 @pytest.mark.parametrize("problem, eps, z0, budget", [
     (make_quadratic(3, 1, 0), 4e-2, None, 1_300),
-    (make_power(3, 2, 2), 1e-2, np.full(6, 0.1), 3_000),
+    (make_power(3, 2, 2), 1e-2, np.full(6, 0.1), 1_750),
     (make_bilinear(2, 1, 0), 4e-2, None, 2_300),
     (make_bilinear(3, 1, 0), 1e-2, None, 12_000),
     (hard_instance(1, 16), 1e-2, None, 20_500),
@@ -381,9 +381,12 @@ def test_solve_stays_within_its_call_budget(problem, eps, z0, budget):
     assert sum(rep.counts.values()) <= budget
 
 
-def test_inner_min_steps_at_the_curvature_it_measures():
-    # f = (m/2)(v-c)' diag(1, .5, .2) (v-c) is far flatter than its Lp = 1:
-    # steps of 1/Lp crawl, steps at the measured curvature do not
+@pytest.mark.parametrize("p, Lp", [(1, 1.0), (2, 0.0)])
+def test_inner_min_steps_at_the_curvature_it_measures(p, Lp):
+    # f = (m/2)(v-c)' diag(1, .5, .2) (v-c) is far flatter than its p=1
+    # Lp = 1: steps of 1/Lp crawl, steps at the measured curvature do not.
+    # At p=2 its Hessian is constant, so Lp = 0 bounds no gradient change,
+    # and the steps start at the Hessian's norm; neither order asks a value
     m = 1e-3
     c = np.array([0.3, -0.5, 0.8])
     diag = np.array([1.0, 0.5, 0.2])
@@ -392,14 +395,16 @@ def test_inner_min_steps_at_the_curvature_it_measures():
     def joint(v, order):
         calls.append(order)
         d = v - c
-        return (0.5 * m * d @ (diag * d), m * diag * d)[:order + 1]
+        return (0.5 * m * d @ (diag * d), m * diag * d,
+                m * np.diag(diag))[:order + 1]
 
     box = Box(-np.ones(3), np.ones(3))
     oracle = FunctionOracle(domain=box, joint=joint, restrict=lambda o: o,
-                            p=1, Lp=1.0, mu=0.2 * m)
+                            p=p, Lp=Lp, mu=0.2 * m)
     x, (_, out) = minimax._inner_min(oracle, 1e-12, None)
     r = box.tangent_residual(x, out[1])
-    assert gap_from_residual(r, oracle.mu, 1) <= 1e-12
+    assert gap_from_residual(r, oracle.mu, p) <= 1e-12
+    assert 0 not in calls
     assert len(calls) <= 100
 
 
