@@ -78,6 +78,10 @@ class BenchConfig:
                 and all(isinstance(q, dict) for q in self.problems)):
             raise ValueError("problems must be a non-empty list of objects, "
                              f"got {self.problems!r}")
+        for q in self.problems:
+            if "seed" in q:
+                raise ValueError("a problems entry takes its seed from "
+                                 f"seeds, not a seed key, got {q!r}")
         if not (isinstance(self.seeds, list) and self.seeds):
             raise ValueError("seeds must be a non-empty list of integers "
                              f">= 0, got {self.seeds!r}")
@@ -347,6 +351,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "lowerbound" and args.tmax < 4:
         p_lb.error("--tmax must be at least 4")
+    if args.command == "bench" and args.jobs < 1:
+        p_bench.error("--jobs must be at least 1")
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "bench":

@@ -243,7 +243,7 @@ def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
 
 
 def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
-              delta: float, M: float, zeta3: float, z0=None, F0=None):
+              delta: float, M: float, zeta3: float, z0=None, base0=None):
     """Inexact proximal oracle for the middle loop's dual function.
 
     Psi(y) = min_x g_eps(x, y); its proximal subproblem at y_bar is the
@@ -253,17 +253,17 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     measured y-block residual plus a Lipschitz bound on the Danskin-gradient
     error, obtained from the certified distance of the x block to its own
     minimizer.  A failed certificate gets one retry at the tenfold tighter
-    target zeta3/10, warm-started from the first attempt.  F0, the operator
-    of g_eps at a start z0 whose y block is y_bar, seeds the first step:
-    the prox term has zero gradient at its center, so it is h_eps's too.
+    target zeta3/10, warm-started from the first attempt.  base0, the base
+    tuple of one query at z0 (default (x_bar, y_bar)), seeds the first
+    step with h_eps's operator read from it.
 
     Returns (y_hat, v_hat, certificate, (z_hat, base_out)): the polished
     point z_hat = (x_hat, y_hat) is measured by one order-p query of the
-    base problem, and base_out is that tuple, which any view on the same base
-    extends (PowerRegularized.extend) without another call.  x_hat is the
-    argmin of g_eps(., y_hat) to within the certified dist_x, since the
-    y-prox term of h_eps does not depend on x, so the caller can start its
-    next solve on g_eps(., y_hat) there.
+    base problem, and base_out is that tuple, which any view on the same
+    base reads without another call.  x_hat is the argmin of g_eps(.,
+    y_hat) to within the certified dist_x, since the y-prox term of h_eps
+    does not depend on x, so the caller can start its next solve on
+    g_eps(., y_hat) there.
     """
     x_bar = np.asarray(x_bar, float)
     y_bar = np.asarray(y_bar, float)
@@ -274,14 +274,12 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     domain = h_eps.domain
     if z0 is None:
         z0 = join(x_bar, y_bar)
-    if F0 is not None and np.asarray(z0, float)[dx:].tobytes() \
-            != y_bar.tobytes():
-        F0 = None
+    F0 = None if base0 is None else op.read(z0, base0)[1]
     for target in (zeta3, zeta3 / 10.0):
         zS, tr = restarted_eg(h_eps, M, target, z0, F0)
         z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1, Fz=tr.F)
-        base_out = h_eps.base.oracle_eval(z_hat, p)
-        resid_vec = op.from_tuple(h_eps.extend(z_hat, base_out)) + c_hat
+        base_out, out = op.query(z_hat, p)
+        resid_vec = out[1] + c_hat
         rx = float(np.linalg.norm(resid_vec[:dx]))
         ry = float(np.linalg.norm(resid_vec[dx:]))
         y_hat = z_hat[dx:]

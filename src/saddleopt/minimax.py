@@ -200,7 +200,7 @@ def _dist_to_gap(mu: float, p: int, dist: float) -> float:
     return max(mu / (p + 1) * dist ** (p + 1), 1e-16)
 
 
-def _inner_min(oracle, target_gap, warm, warm_out=None):
+def _inner_min(oracle, target_gap, warm, warm_base=None):
     """Uniformly convex restricted minimization for the envelope oracles.
 
     Accelerated projected gradient with gradient-based adaptive restart;
@@ -208,10 +208,9 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
     through gradient domination, or when the residual stops improving
     (the flat directions of a weakly regularized subproblem eventually
     hit oracle resolution).  oracle is a restricted view, from
-    SaddleProblem.restricted.  Returns (x, (base, out)): the best
-    certified point seen and the tuples of the one query there, the one
-    oracle.joint returned and the view's joint tuple, so the caller need
-    not ask again.
+    SaddleProblem.restricted.  Returns (x, base): the best certified point
+    seen and the base tuple of the one query there, which the caller reads
+    instead of asking again.
 
     The step is 1/L at either order, L = min(L_max, max(L/2, L_hat, 1e-8))
     with L_hat = ||g(w) - g(w_prev)|| / ||w - w_prev|| the curvature
@@ -226,28 +225,26 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
     gradient restart (Malitsky & Mishchenko, "Adaptive gradient descent
     without descent", 2020, give a variant that keeps one).
 
-    No point is queried twice in a row: the tuples of the last query are
-    reused while the next point has the same bytes and needs no higher
-    order (the start point's order-2 query serving its first gradient, a
-    residual check followed by a restart at the checked point).
-    warm_out, the (base, out) pair at warm, seeds that reuse; pass it
-    only for the same problem view at the same fixed block.
+    No point is queried twice in a row: the last query is reused while
+    the next point has the same bytes and needs no higher order (the start
+    point's order-2 query serving its first gradient, a residual check
+    followed by a restart at the checked point).  warm_base, the base
+    tuple at warm joined with the view's fixed block, seeds that reuse.
     """
     dom = oracle.domain
     p = oracle.p
     start = np.asarray(warm if warm is not None else dom.center(), float)
     x = dom.project(start)
-    # (point bytes, (base tuple, joint tuple), restricted tuple)
+    # (point bytes, base tuple, the view's tuple)
     last = None
-    if warm_out is not None and x.tobytes() == start.tobytes():
-        last = (x.tobytes(), warm_out, oracle.restrict(warm_out[1]))
+    if warm_base is not None and x.tobytes() == start.tobytes():
+        last = (x.tobytes(), warm_base, oracle.read(x, warm_base))
 
     def query(v, order):
         nonlocal last
         key = v.tobytes()
         if last is None or last[0] != key or len(last[2]) <= order:
-            base, out, res = oracle.query_base(v, order)
-            last = (key, (base, out), res)
+            last = (key, *oracle.query(v, order))
         return last[1], last[2]
 
     if p == 1:
@@ -258,7 +255,7 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
     w = x.copy()
     w_prev = g_prev = None
     t = 1.0
-    best_x, best_out, best_r = x, None, math.inf
+    best_x, best_base, best_r = x, None, math.inf
     since_improve = 0
     for k in range(20_000):
         g_w = np.asarray(query(w, 1)[1][1], float)
@@ -280,19 +277,19 @@ def _inner_min(oracle, target_gap, warm, warm_out=None):
             w = dom.project(x_new + ((t - 1.0) / t_new) * step)
         x, t = x_new, t_new
         if k % 8 == 0 or np.linalg.norm(step) <= 1e-15 * (1 + np.linalg.norm(x)):
-            out, res = query(x, 1)
+            base, res = query(x, 1)
             r = dom.tangent_residual(x, np.asarray(res[1], float))
             if r < 0.9 * best_r:
-                best_x, best_out, best_r, since_improve = x, out, r, 0
+                best_x, best_base, best_r, since_improve = x, base, r, 0
             else:
                 if r < best_r:
-                    best_x, best_out, best_r = x, out, r
+                    best_x, best_base, best_r = x, base, r
                 since_improve += 1
             if gap_from_residual(r, oracle.mu, p) <= target_gap:
-                return x, out
+                return x, base
             if since_improve >= 25:
                 break
-    return best_x, best_out
+    return best_x, best_base
 
 
 class Envelope:
@@ -303,41 +300,38 @@ class Envelope:
     of x (the outer loop's primal envelope of f_eps).  mu is the solved
     block's uniform-convexity modulus (view.uc) and the view's L1 turns a
     gradient accuracy into a distance target.  pt is where the next
-    restricted solve starts; the tuples kept with it, the base problem's
-    and the view's joint tuple of one query at pt joined with the other
-    block, seed that solve's reuse when the fixed block has the same bytes.
+    restricted solve starts; the base tuple kept with it, of one query at
+    pt joined with the other block, seeds that solve's reuse when the
+    fixed block has the same bytes.
     """
 
     def __init__(self, view: PowerRegularized, x_side: bool, pt=None):
         self.view, self.x_side, self.pt = view, x_side, pt
         self.mu = view.uc(x_side)
-        self._at = None   # (fixed bytes, (base, joint) tuples kept with pt)
+        self._at = None   # (fixed bytes, base tuple kept with pt)
 
     def keep(self, pt, fixed, base):
-        """Starts the next solve at pt; base is the base problem's tuple at
-        pt joined with the other block at fixed, which the view extends
-        without a call."""
-        z = join(pt, fixed) if self.x_side else join(fixed, pt)
-        self.pt = pt
-        self._at = (fixed.tobytes(), (base, self.view.extend(z, base)))
+        """Starts the next solve at pt; base is the base tuple at pt joined
+        with the other block at fixed."""
+        self.pt, self._at = pt, (fixed.tobytes(), base)
 
-    def out_at(self, fixed):
-        """The (base, joint) tuples kept with pt if taken at fixed, else
-        None."""
+    def base_at(self, fixed):
+        """The base tuple kept with pt if taken at fixed, else None."""
         if self._at is not None and self._at[0] == fixed.tobytes():
             return self._at[1]
         return None
 
     def solve(self, fixed, target_gap):
         """_inner_min of the solved block with the other at fixed, started
-        at pt and seeded with the tuples kept there; keeps the new point.
-        Returns (point, (base tuple, joint tuple), restricted oracle), the
-        tuples of the one query at the point joined with fixed."""
+        at pt and seeded with the tuple kept there; keeps the new point.
+        Returns (point, base tuple, restricted oracle), the tuple of the one
+        query at the point joined with fixed."""
         fixed = np.asarray(fixed, float)
         oracle = self.view.restricted(fixed, self.x_side)
-        pt, out = _inner_min(oracle, target_gap, self.pt, self.out_at(fixed))
-        self.pt, self._at = pt, (fixed.tobytes(), out)
-        return pt, out, oracle
+        pt, base = _inner_min(oracle, target_gap, self.pt,
+                              self.base_at(fixed))
+        self.keep(pt, fixed, base)
+        return pt, base, oracle
 
     def bundle(self, tracker: CountTracker, level: str, iprox):
         """This envelope's OracleBundle: value and gradient queries count
@@ -361,20 +355,19 @@ def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
     The restricted solve runs to a value target of delta for the value;
     a gradient call needs the solution to distance delta/L1, which a
     (p+1)-uniformly convex objective converts into a (much tighter) value
-    target.  The gradient is the view's gradient in the fixed block at the
-    solution (Danskin's rule), negated with the value for an x-side
-    envelope.  Returns (value, gradient, solution); env keeps the solution,
-    with the joint tuple there, as the next call's start.
+    target.  The value and gradient are those of the fixed block's own
+    restricted view at the solution (Danskin's rule), read from the base
+    tuple of the solve's last query.  Returns (value, gradient, solution);
+    env keeps the solution, with that tuple, as the next call's start.
     """
     target = max(delta, 1e-16)
     if need_grad:
         target = min(target, _dist_to_gap(env.mu, env.view.p,
                                           delta / env.view.L1))
-    pt, (_, out), _ = env.solve(fixed, target)
-    dx = env.view.dx
-    if env.x_side:
-        return -float(out[0]), -np.asarray(out[1], float)[dx:], pt
-    return float(out[0]), np.asarray(out[1], float)[:dx], pt
+    pt, base, _ = env.solve(fixed, target)
+    fixed_view = env.view.restricted(pt, not env.x_side)
+    value, grad = fixed_view.read(fixed, base)[:2]
+    return float(value), np.asarray(grad, float), pt
 
 
 def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
@@ -407,6 +400,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     p = problem_f_eps.p
     tracker = tracker or CountTracker(problem_f_eps.base)
     g_eps = surrogate_g(problem_f_eps, x_bar, gamma)
+    op = g_eps.operator()
     dx = g_eps.dx
     y_dom = g_eps.y_domain
     flags = flags if flags is not None else []
@@ -419,12 +413,9 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         def mid_iprox(yb, g, d):
             with tracker.level("inner"):
                 yb = np.asarray(yb, float)
-                out = env.out_at(yb)
-                F0 = None if out is None \
-                    else g_eps.operator().from_tuple(out[1])
                 y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
                     g_eps, x_bar, yb, g, cfg.delta, cfg.M_inner, zeta3,
-                    z0=join(env.pt, yb), F0=F0)
+                    z0=join(env.pt, yb), base0=env.base_at(yb))
             env.keep(z_hat[:dx], y_t, base_out)
             if not cert.ok:
                 flags.append(f"dual prox certificate: {cert.residual:.3e} "
@@ -436,11 +427,11 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         y_hat = np.asarray(y, float)
 
         with tracker.level("middle"):
-            x_hat, (base_hat, out), oracle = env.solve(
+            x_hat, base_hat, oracle = env.solve(
                 y_hat, _dist_to_gap(env.mu, p, zeta2))
         with tracker.level("polish"):
             x_t, u_t = polish_step(oracle, g_eps.x_domain, x_hat, g_eps.L1,
-                                   Fz=oracle.restrict(out)[1])
+                                   Fz=oracle.read(x_hat, base_hat)[1])
             # measured residual at the polished point + Danskin error bound
             z_t = join(x_t, y_hat)
             # a polish step that did not move is measured by the solve's
@@ -448,12 +439,12 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
             if x_t.tobytes() == x_hat.tobytes() and len(base_hat) > p:
                 base_out = base_hat
             else:
-                base_out = g_eps.base_eval(z_t, p)
-            g_at = g_eps.extend(z_t, base_out)[1]
-            w = g_at[:dx] + u_t
+                base_out = op.joint(z_t, p)
+            F = op.read(z_t, base_out)[1]
+            w = F[:dx] + u_t
             # maximizing f_eps(x_t, .) means minimizing -f_eps, whose
             # gradient field at y_hat is -grad_y g_eps (x terms don't enter)
-            r_y = y_dom.tangent_residual(y_hat, -g_at[dx:])
+            r_y = y_dom.tangent_residual(y_hat, F[dx:])
         dist_y = certified_distance(r_y, problem_f_eps.uc(False), p,
                                     mu2=problem_f_eps.mu2_y)
         cert = prox_certificate(x_bar, x_t, u_t,
@@ -509,11 +500,11 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         """
         x = np.asarray(x, float)
         with tracker.level("outer"):
-            y_hat, (_, out), _ = rec.solve(
+            y_hat, base, _ = rec.solve(
                 x, _dist_to_gap(rec.mu, p, cfg.zeta1))
         # the first candidate's F comes with the recovery's last query;
         # every recovery follows at least one iprox_phi, which sets mid
-        candidates = [(y_hat, op_feps.from_tuple(out)),
+        candidates = [(y_hat, op_feps.read(join(x, y_hat), base)[1]),
                       (mid[problem.dx:], None)]
         z_t, r = None, math.inf
         with tracker.level("polish"):

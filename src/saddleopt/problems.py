@@ -2,11 +2,15 @@
 surrogates, and the chain-structured hard instance used by the
 lower-bound experiments.
 
-A SaddleProblem bundles f, its derivatives up to order p in {1, 2}, the
-feasible sets X, Y, and Lipschitz constants.  Solvers only touch problems
-through ``oracle_eval`` (which counts calls) or views derived from it, so
-oracle-complexity accounting is exact: one query of any order on any view,
-regularized surrogates included, is one base call and counts once.
+A SaddleProblem holds f, its derivatives up to order p in {1, 2}, the
+feasible sets X, Y, and Lipschitz constants.  Solvers see a problem
+through an OracleView, its operator() or one restricted() block, whose
+one counted query is the base problem's ``oracle_eval``; the view reads
+its own numbers from the base tuple that query returns, adding the power
+terms of a regularized surrogate on the way (``extend``).  So
+oracle-complexity accounting is exact: one query of any order on any
+view is one base call and counts once, and a tuple handed up by one
+subsolver can be read by any other view on the same base without a call.
 """
 
 from __future__ import annotations
@@ -143,10 +147,12 @@ class OrderError(ValueError):
 
 
 class SaddleProblem:
-    """Oracle bundle for f on X x Y with F = (grad_x f, -grad_y f).
+    """f on X x Y with F = (grad_x f, -grad_y f).
 
     value/grad/hess are callables on the joint vector z = (x, y); hess may
     be None for p = 1.  Every oracle_eval increments a thread-safe counter.
+    base is the problem whose oracle_eval a query of this one calls (itself
+    here), and extend turns that base tuple into this problem's tuple.
     """
 
     def __init__(self, x_domain: Domain, y_domain: Domain, p: int,
@@ -170,6 +176,7 @@ class SaddleProblem:
         self.dy = y_domain.dim
         self._counter = 0
         self._lock = threading.Lock()
+        self.base = self
         # regularizer metadata (zero for raw problems)
         self.mu_x = 0.0
         self.mu_y = 0.0
@@ -206,27 +213,34 @@ class SaddleProblem:
             out.append(self._hess(z))
         return tuple(out)
 
-    def base_eval(self, z, order: int):
-        """The one counted query this problem's tuple at z is built from,
-        by extend: oracle_eval itself here, the base problem's query for a
-        regularized view."""
-        return self.oracle_eval(z, order)
+    def extend(self, z, base):
+        """This problem's tuple at z from the base problem's tuple there:
+        the same tuple here."""
+        return base
 
-    def extend(self, z, out):
-        """This problem's tuple at z from base_eval's tuple there: the
-        same tuple here."""
-        return out
+    def operator(self) -> "OracleView":
+        """F(z) = (grad_x f, -grad_y f), with the Jacobian at order 2; its
+        value is f's."""
+        sign = np.ones(self.dx + self.dy)
+        sign[self.dx:] = -1.0
 
-    def operator(self) -> "OperatorView":
-        return OperatorView(self)
+        def read(z, base):
+            out = self.extend(z, base)
+            res = [out[0]]
+            if len(out) > 1:
+                res.append(sign * out[1])
+            if len(out) > 2:
+                res.append(sign[:, None] * out[2])
+            return tuple(res)
 
-    def restricted(self, fixed, x_side: bool) -> "FunctionOracle":
+        return OracleView(self.domain, self.base.oracle_eval, read, self.p,
+                          self.Lp, name=self.name)
+
+    def restricted(self, fixed, x_side: bool) -> "OracleView":
         """The function of one block with the other held at fixed: f(., y)
         over X with x_side, else -f(x, .) over Y, whose minimization
-        maximizes f in y.  Its one query is this problem's base_eval at the
-        joint point, lifted by extend to this problem's tuple there;
-        restrict reads the block's value, gradient and Hessian from that
-        tuple."""
+        maximizes f in y.  It reads the block's value, gradient and Hessian
+        from the base tuple at the joint point."""
         fixed = np.asarray(fixed, float)
         blk = slice(None, self.dx) if x_side else slice(self.dx, None)
 
@@ -234,12 +248,10 @@ class SaddleProblem:
             return join(v, fixed) if x_side else join(fixed, v)
 
         def joint(v, order):
-            return self.base_eval(point(v), order)
+            return self.base.oracle_eval(point(v), order)
 
-        def lift(v, out):
-            return self.extend(point(v), out)
-
-        def restrict(out):
+        def read(v, base):
+            out = self.extend(point(v), base)
             res = [out[0]]
             if len(out) > 1:
                 res.append(out[1][blk])
@@ -248,10 +260,9 @@ class SaddleProblem:
             return tuple(res) if x_side else tuple(-r for r in res)
 
         # a regularized problem's Lp already counts its power terms
-        return FunctionOracle(
-            domain=self.x_domain if x_side else self.y_domain,
-            joint=joint, restrict=restrict, lift=lift, p=self.p, Lp=self.Lp,
-            mu=self.uc(x_side),
+        return OracleView(
+            self.x_domain if x_side else self.y_domain, joint, read, self.p,
+            self.Lp, mu=self.uc(x_side),
             name=f"{self.name}|{'x' if x_side else 'y'}")
 
     def uc(self, x_side: bool) -> float:
@@ -260,76 +271,45 @@ class SaddleProblem:
         return (self.mu_x if x_side else self.mu_y) / 2 ** (self.p - 1)
 
 
-class OperatorView:
-    """F(z) = (grad_x f, -grad_y f), with Jacobian access for p = 2."""
-
-    def __init__(self, problem: SaddleProblem):
-        self.problem = problem
-        self.domain = problem.domain
-        s = np.ones(problem.dx + problem.dy)
-        s[problem.dx:] = -1.0
-        self._sign = s
-
-    def __call__(self, z):
-        return self.from_tuple(self.problem.oracle_eval(z, 1))
-
-    def from_tuple(self, out):
-        """F from a joint oracle tuple of the problem (order >= 1)."""
-        return self._sign * out[1]
-
-    def derivatives(self, z):
-        """(F(z), its Jacobian) from one order-2 query."""
-        out = self.problem.oracle_eval(z, 2)
-        return self.from_tuple(out), self._sign[:, None] * out[2]
-
-
 @dataclass
-class FunctionOracle:
-    """A convex function with derivatives on a compact domain, and its own
-    gradient field, shaped like OperatorView: calling it gives the
-    gradient, derivatives the gradient and the Hessian.
+class OracleView:
+    """A problem seen as a function (or, for operator(), a field) on a
+    compact domain: calling it gives the field (the gradient), value the
+    value and derivatives the field and its Jacobian (the Hessian).
 
-    joint(v, order) is the one counted query, returning a tuple at v (for
-    a restricted view, its problem's base tuple at the joint point);
-    lift(v, tuple), if given, turns it into the joint tuple (that
-    problem's own tuple there), which is otherwise the same tuple;
-    restrict(joint tuple) -> (value, grad, ...) of this function from it.
-    Every question is answered from one such query.  mu is the
-    (p+1)th-order uniform-convexity modulus (0 if unknown); Lp bounds the
-    Lipschitz constant of the pth derivative.
+    joint(v, order) is the one counted query, the base problem's
+    oracle_eval at v's joint point, and returns the base tuple there;
+    read(v, base) returns this view's (value, field[, Jacobian]) at v from
+    that tuple and makes no call.  Any view on the same base reads the same
+    tuple, so a subsolver hands up a point and the base tuple of its one
+    query there.  mu is the (p+1)th-order uniform-convexity modulus (0 if
+    unknown); Lp bounds the Lipschitz constant of the pth derivative.
     """
 
     domain: Domain
     joint: Callable
-    restrict: Callable
+    read: Callable
     p: int
     Lp: float
     mu: float = 0.0
     name: str = ""
-    lift: Callable = None
 
     def query(self, v, order: int):
-        """One counted query at v: (joint tuple, restricted tuple)."""
-        return self.query_base(v, order)[1:]
-
-    def query_base(self, v, order: int):
-        """One counted query at v: (the tuple joint returned, the joint
-        tuple, the restricted tuple)."""
+        """One counted query at v: (base tuple, this view's tuple)."""
         base = self.joint(v, order)
-        out = base if self.lift is None else self.lift(v, base)
-        return base, out, self.restrict(out)
+        return base, self.read(v, base)
 
     def value(self, v):
         return self.query(v, 0)[1][0]
 
     def __call__(self, v):
-        """The gradient at v."""
+        """The field (gradient) at v."""
         return self.query(v, 1)[1][1]
 
     grad = __call__
 
     def derivatives(self, v):
-        """(gradient, Hessian) at v from one order-2 query."""
+        """(field, Jacobian) at v from one order-2 query."""
         return self.query(v, 2)[1][1:]
 
 
@@ -377,7 +357,6 @@ class PowerRegularized(SaddleProblem):
     """
 
     def __init__(self, base: SaddleProblem, x_terms, y_terms, name=""):
-        self.base = base
         self.x_terms = [(float(c), np.asarray(w, float)) for c, w in x_terms]
         self.y_terms = [(float(c), np.asarray(w, float)) for c, w in y_terms]
         p = base.p
@@ -386,6 +365,7 @@ class PowerRegularized(SaddleProblem):
         L1, Lp = power_lipschitz(base, mu_x, mu_y)
         super().__init__(base.x_domain, base.y_domain, p, None, None,
                          L1=L1, Lp=Lp, name=name or f"reg({base.name})")
+        self.base = base
         self.mu_x = mu_x
         self.mu_y = mu_y
         # p = 1 power terms are quadratic, so they add order-2 strength
@@ -397,29 +377,26 @@ class PowerRegularized(SaddleProblem):
     def oracle_eval(self, z, order):
         return self.extend(z, self.base.oracle_eval(z, order))
 
-    def base_eval(self, z, order):
-        return self.base.oracle_eval(z, order)
-
-    def extend(self, z, out):
-        """This view's tuple at z from the base problem's tuple there, of
-        the same order; adds the power terms and makes no oracle call.
-        Every view built on one base (f_eps, g_eps, h_eps) can extend the
-        same base tuple."""
-        order = len(out) - 1
+    def extend(self, z, base):
+        """This problem's tuple at z from the base problem's tuple there,
+        of the same order; adds the power terms and makes no oracle call.
+        Every problem built on one base (f_eps, g_eps, h_eps) can extend
+        the same base tuple."""
+        order = len(base) - 1
         x, y = split(z, self.dx)
-        v = out[0]
+        v = base[0]
         v += sum(_reg_value(x - w, c, self.p) for c, w in self.x_terms)
         v -= sum(_reg_value(y - w, c, self.p) for c, w in self.y_terms)
         res = [v]
         if order >= 1:
-            g = np.array(out[1], dtype=float)
+            g = np.array(base[1], dtype=float)
             for c, w in self.x_terms:
                 g[:self.dx] += _reg_grad(x - w, c, self.p)
             for c, w in self.y_terms:
                 g[self.dx:] -= _reg_grad(y - w, c, self.p)
             res.append(g)
         if order >= 2:
-            H = np.array(out[2], dtype=float)
+            H = np.array(base[2], dtype=float)
             for c, w in self.x_terms:
                 H[:self.dx, :self.dx] += _reg_hess(x - w, c, self.p)
             for c, w in self.y_terms:

@@ -8,20 +8,20 @@ from saddleopt.aipe import (
     OracleBundle, aipe_epoch, aipe_restart, gap_from_residual, solve_a,
 )
 from saddleopt.geometry import Box
-from saddleopt.problems import FunctionOracle
+from saddleopt.problems import OracleView
 from saddleopt.tensor_step import (
     ProxCertificate, TensorStepConfig, iprox_via_tensor,
 )
 
 
 def function_oracle(value, grad, hess, **fields):
-    """A FunctionOracle whose one joint query evaluates value, grad, hess."""
+    """An OracleView whose one joint query evaluates value, grad, hess."""
     def joint(v, order):
         return tuple(f(v) for f in (value, grad, hess)[:order + 1])
-    return FunctionOracle(joint=joint, restrict=lambda out: out, **fields)
+    return OracleView(joint=joint, read=lambda v, base: base, **fields)
 
 
-def exact_bundle(h: FunctionOracle, domain, M, order, calls=None):
+def exact_bundle(h: OracleView, domain, M, order, calls=None):
     """Tensor-step prox oracle on h; appends each prox center to calls."""
     cfg = TensorStepConfig(order=order, M=M)
 
@@ -70,7 +70,7 @@ def quartic_oracle(dim=3, seed=0):
                            mu=0.25)
 
 
-def reference_min(h: FunctionOracle):
+def reference_min(h: OracleView):
     box = h.domain
     best = None
     for s in range(5):

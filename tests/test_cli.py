@@ -180,6 +180,21 @@ def test_cli_lowerbound_rejects_small_tmax(capsys):
     assert "--tmax must be at least 4" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_bench_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"problems": [QUAD2],
+                                    "eps_grid": [1e-2, 3e-3]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", str(cfg_path),
+              "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs must be at least 1" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bench(tmp_path, capsys):
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps({"problems": [QUAD2],
@@ -248,7 +263,9 @@ def test_cli_check(capsys):
                "solvers": 3}, "solvers must be a non-empty list of distinct"),
     ("bench", {"problems": [QUAD2], "eps_grid": [1e-2, 3e-3],
                "solvers": ["eg_baseline", "eg_baseline"]},
-     "solvers must be a non-empty list of distinct"),
+     "solvers must be a non-empty list of distinct"),    # the suite's seeds set every row's seed; a problem's own is refused
+    ("bench", {"problems": [dict(QUAD2, seed=7)], "eps_grid": [1e-2, 3e-3]},
+     "a problems entry takes its seed from seeds, not a seed key"),
 ])
 def test_bad_config_is_one_line_and_exit_2(tmp_path, capsys, command, cfg,
                                            detail):

@@ -12,7 +12,7 @@ from saddleopt.minimax import (
     derive_parameters, ifunc_igrad_primal, iprox_phi, solve,
 )
 from saddleopt.problems import (
-    FunctionOracle, SaddleProblem, hard_instance, join, make_bilinear,
+    OracleView, SaddleProblem, hard_instance, join, make_bilinear,
     make_power, make_quadratic, regularize_f_eps, split, surrogate_g,
 )
 from saddleopt.tensor_step import TensorStepConfig, tensor_step
@@ -346,9 +346,9 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
         events.append(("psi", out[3][0]))
         return out
 
-    def inner_min(oracle, target_gap, warm, warm_out=None):
-        events.append(("min", warm, warm_out))
-        return real_min(oracle, target_gap, warm, warm_out)
+    def inner_min(oracle, target_gap, warm, warm_base=None):
+        events.append(("min", warm, warm_base))
+        return real_min(oracle, target_gap, warm, warm_base)
 
     monkeypatch.setattr(minimax, "iprox_psi", psi)
     monkeypatch.setattr(minimax, "_inner_min", inner_min)
@@ -358,10 +358,10 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
     follows = [(a[1], b) for a, b in zip(events, events[1:])
                if a[0] == "psi"]
     assert follows
-    for z_hat, (kind, warm, warm_out) in follows:
+    for z_hat, (kind, warm, warm_base) in follows:
         assert kind == "min"
         assert warm.tobytes() == z_hat[:problem.dx].tobytes()
-        assert warm_out is not None
+        assert warm_base is not None
 
 
 @pytest.mark.parametrize("problem, eps, z0, budget", [
@@ -399,10 +399,10 @@ def test_inner_min_steps_at_the_curvature_it_measures(p, Lp):
                 m * np.diag(diag))[:order + 1]
 
     box = Box(-np.ones(3), np.ones(3))
-    oracle = FunctionOracle(domain=box, joint=joint, restrict=lambda o: o,
-                            p=p, Lp=Lp, mu=0.2 * m)
-    x, (_, out) = minimax._inner_min(oracle, 1e-12, None)
-    r = box.tangent_residual(x, out[1])
+    oracle = OracleView(domain=box, joint=joint, read=lambda v, base: base,
+                        p=p, Lp=Lp, mu=0.2 * m)
+    x, base = minimax._inner_min(oracle, 1e-12, None)
+    r = box.tangent_residual(x, oracle.read(x, base)[1])
     assert gap_from_residual(r, oracle.mu, p) <= 1e-12
     assert 0 not in calls
     assert len(calls) <= 100
@@ -414,9 +414,9 @@ def test_envelope_solves_end_before_their_iteration_cap(monkeypatch):
     real_min = minimax._inner_min
     used = []
 
-    def inner_min(oracle, target_gap, warm, warm_out=None):
+    def inner_min(oracle, target_gap, warm, warm_base=None):
         before = problem.oracle_counter
-        out = real_min(oracle, target_gap, warm, warm_out)
+        out = real_min(oracle, target_gap, warm, warm_base)
         used.append(problem.oracle_counter - before)
         return out
 
@@ -435,12 +435,12 @@ def test_no_query_repeats_the_previous_one(monkeypatch, problem, z0):
     # every subsolver hands back the oracle output at the point it returns,
     # so no base query asks again at the point of the query just before it
     # for an order that query already returned
-    base_eval = SaddleProblem.oracle_eval
+    real_eval = SaddleProblem.oracle_eval
     log = []
 
     def logged(self, z, order):
         log.append((np.asarray(z, float).tobytes(), order))
-        return base_eval(self, z, order)
+        return real_eval(self, z, order)
 
     monkeypatch.setattr(SaddleProblem, "oracle_eval", logged)
     _, rep = solve(problem, 3e-2, z0=z0)

@@ -173,9 +173,10 @@ def test_joint_query_restricts_bit_for_bit(p):
                              (prob.restricted(x, False), y, join(x, y))):
                 for order in range(1, p + 1):
                     before = prob.oracle_counter
-                    out, res = fo.query(v, order)
+                    base_out, res = fo.query(v, order)
                     assert prob.oracle_counter == before + 1
                     ref = prob.oracle_eval(z, order)
+                    out = prob.extend(z, base_out)
                     assert len(out) == len(res) == order + 1
                     assert all(np.array_equal(a, b) for a, b in zip(out, ref))
                     assert res[0] == fo.value(v)
@@ -183,7 +184,37 @@ def test_joint_query_restricts_bit_for_bit(p):
                     if order == 2:
                         assert np.array_equal(res[2], fo.derivatives(v)[1])
                     assert all(np.array_equal(a, b) for a, b in
-                               zip(fo.restrict(out), res))
+                               zip(fo.read(v, base_out), res))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_one_base_query_reads_through_every_view(p):
+    # every hand-off passes a point and the base tuple of its one query:
+    # the operator and both restricted blocks of the base problem, f_eps,
+    # g_eps and h_eps read that tuple exactly as their own fresh query, and
+    # reading makes no call
+    rng = np.random.default_rng(30 + p)
+    base = make_power(3, p=p, seed=p)
+    f_eps = regularize_f_eps(base, base.domain.sample(rng), 0.3, 0.2)
+    g_eps = surrogate_g(f_eps, base.x_domain.sample(rng), 0.5)
+    h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.7)
+    z = base.domain.sample(rng)
+    x, y = split(z, base.dx)
+    views = [(view, v) for prob in (base, f_eps, g_eps, h_eps)
+             for view, v in ((prob.operator(), z),
+                             (prob.restricted(y, True), x),
+                             (prob.restricted(x, False), y))]
+    before = base.oracle_counter
+    tup = base.oracle_eval(z, p)
+    reads = [view.read(v, tup) for view, v in views]
+    assert base.oracle_counter == before + 1
+    for (view, v), got in zip(views, reads):
+        fresh_base, fresh = view.query(v, p)
+        assert len(got) == len(fresh) == p + 1
+        assert all(np.array_equal(a, b) for a, b in zip(tup, fresh_base))
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh)), \
+            view.name
+    assert base.oracle_counter == before + 1 + len(views)
 
 
 def test_quadratic_hessian_signs():
