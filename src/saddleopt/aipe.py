@@ -172,11 +172,12 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
 
 
 def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
-                 delta: float, T: int, S: int, gap_oracle=None,
+                 delta: float, T: int, S: int,
                  stall_patience: int = STALL_PATIENCE, probe=None):
     """The restart scheme: up to S epochs of order oracles.order, each
     seeded from the previous epoch's best point (each epoch projects its
-    start point).  Returns (z, {"gaps": [...], "traces": [AipeState]}).
+    start point).  Returns (z, traces), one AipeState per epoch run; an
+    epoch's h_hat[0] is the value at its start point.
 
     stall_patience and probe(best_point) -> bool are passed to every epoch.
     The loop ends after an epoch that hits a proximal fixed point, aborts
@@ -185,27 +186,21 @@ def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
     it once an epoch's best recorded value improves on the previous best by
     no more than delta: the oracles can no longer resolve progress.  A
     falsy one turns off this break along with the in-epoch stall exit.
-    gap_oracle(z) -> float, if given, logs the gap at the start point and
-    after every epoch.
     """
     z = np.asarray(z0, float)
-    gaps = [] if gap_oracle is None \
-        else [float(gap_oracle(domain.project(z)))]
     traces = []
     prev_best = math.inf
     for _ in range(S):
         z, st = aipe_epoch(oracles, domain, z, gamma, delta, T,
                            stall_patience, probe)
         traces.append(st)
-        if gap_oracle is not None:
-            gaps.append(float(gap_oracle(z)))
         if st.fixed_point or st.aborted or st.stopped_by_probe:
             break
         cur_best = min(st.h_hat + st.h_tilde)
         if stall_patience and cur_best > prev_best - delta:
             break
         prev_best = min(prev_best, cur_best)
-    return z, {"gaps": gaps, "traces": traces}
+    return z, traces
 
 
 def gap_from_residual(residual: float, mu: float, p: int) -> float:

@@ -201,20 +201,20 @@ def run_suite(config: BenchConfig, out_dir: str, jobs: int = 1) -> dict:
 
 
 def _fit_groups(results) -> dict:
-    """Per-(problem, solver) rate fits over the clean rows, where at least
-    3 epsilon points exist."""
+    """Per-(problem, p, solver) rate fits over the clean rows, where at
+    least 3 epsilon points exist, keyed "name|p=P|solver"."""
     groups = {}
     for r in results:
         if r["flags"]:
             continue
-        groups.setdefault((r["problem"], r["solver"]), []).append(
-            (r["eps"], r["oracle_calls"]))
+        groups.setdefault(f"{r['problem']}|p={r['p']}|{r['solver']}",
+                          []).append((r["eps"], r["oracle_calls"]))
     fits = {}
-    for (pname, solver), rows in groups.items():
+    for key, rows in groups.items():
         if len(rows) < 3:
             continue
         fit = fit_rate(rows)
-        fits[f"{pname}|{solver}"] = {"slope": fit.slope,
+        fits[key] = {"slope": fit.slope,
                                      "half_width": fit.half_width,
                                      "degenerate": fit.degenerate}
     return fits
@@ -244,8 +244,9 @@ def run_check() -> int:
         z = prob.domain.project(z)
         rep = check_derivatives(prob, z)
         status = "ok" if rep.ok else "FAIL"
+        hess = f", hess err {rep.max_hess_err:.2e}" if prob.p == 2 else ""
         print(f"derivatives {prob.name}: {status} "
-              f"(grad err {rep.max_grad_err:.2e})")
+              f"(grad err {rep.max_grad_err:.2e}{hess})")
         if not rep.ok:
             failures.append(prob.name)
         # geometry: projection idempotent, zero operator has zero residual

@@ -187,10 +187,6 @@ class Product(Domain):
     def diameter(self):
         return float(np.hypot(self.left.diameter(), self.right.diameter()))
 
-    def scale(self, beta):
-        _check_beta(beta)
-        return Product(self.left.scale(beta), self.right.scale(beta))
-
     def interior_margin(self, z):
         z = self._check_dim(z)
         a, b = self._split(z)

@@ -536,10 +536,10 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     bundle = outer.bundle(tracker, "outer", out_iprox)
     with tracker.level("outer"):
-        x, info = aipe_restart(bundle, problem.x_domain, z0[:problem.dx],
-                               cfg.gamma, cfg.stall1, cfg.T1, cfg.S,
-                               probe=probe)
-        if not info["traces"][-1].stopped_by_probe:
+        x, traces = aipe_restart(bundle, problem.x_domain, z0[:problem.dx],
+                                 cfg.gamma, cfg.stall1, cfg.T1, cfg.S,
+                                 probe=probe)
+        if not traces[-1].stopped_by_probe:
             recover(x)
 
     z_t, r = best["z"], best["r"]

@@ -2,6 +2,11 @@
 surrogates, and the chain-structured hard instance used by the
 lower-bound experiments.
 
+The three built-in games are one separable family on [-1,1]^d boxes,
+f = s_x(x) + x'Ay + b'x + c'y - s_y(y), each s being 0 (bilinear), a
+diagonal P w^2/2 (quadratic) or a w^4/4 (power); one builder writes their
+value, gradient, Hessian and exact duality gap.
+
 A SaddleProblem holds f, its derivatives up to order p in {1, 2}, the
 feasible sets X, Y, and Lipschitz constants.  Solvers see a problem
 through an OracleView, its operator() or one restricted() block, whose
@@ -446,9 +451,69 @@ def surrogate_h(problem_g_eps: PowerRegularized, y_bar,
 # built-in games on boxes
 # ---------------------------------------------------------------------------
 
-def _box_linear_max(coef, lo, hi):
-    """max of coef.y over the box [lo, hi], attained componentwise."""
-    return float(np.sum(np.where(coef >= 0, coef * hi, coef * lo)))
+def _name(kind: str, **keys) -> str:
+    """kind(key=value,...) over the keys that are not None.  Every maker
+    names its problem here, passing each kind key that is off its default,
+    so two problems that differ in a kind key differ in name."""
+    shown = ",".join(f"{k}={v}" for k, v in keys.items() if v is not None)
+    return f"{kind}({shown})"
+
+
+def _separable(P=None, a=None):
+    """One side's separable term s(w) of a box game: 0, the diagonal
+    P w^2/2 or the quartic a w^4/4.  Returns (value, gradient, Hessian
+    diagonal, best), where best(m) is (m'w*, w*) for w* the maximizer of
+    m'w - s(w) over [-1,1]^d: the box corner, clip(m/P) or clip(cbrt(m/a))."""
+    if P is not None:
+        def best(m):
+            w = np.clip(m / P, -1.0, 1.0)
+            return m @ w, w
+        return lambda w: 0.5 * w @ (P * w), lambda w: P * w, lambda w: P, best
+    if a is not None:
+        def best(m):
+            w = np.clip(np.cbrt(m / a), -1.0, 1.0)
+            return m @ w, w
+        return (lambda w: 0.25 * a * np.sum(w ** 4), lambda w: a * w ** 3,
+                lambda w: 3 * a * w ** 2, best)
+    return (lambda w: 0.0, lambda w: 0.0, np.zeros_like,
+            lambda m: (np.sum(np.where(m >= 0, m, -m)),
+                       np.where(m >= 0, 1.0, -1.0)))
+
+
+def _box_game(name, p, A, b, c, sx, sy, L1, Lp) -> SaddleProblem:
+    """f = s_x(x) + x'Ay - s_y(y) + b'x + c'y on [-1,1]^d x [-1,1]^d, for
+    separable terms s_x, s_y from _separable."""
+    dim = A.shape[0]
+    vx, gx, hx, best_x = sx
+    vy, gy, hy, best_y = sy
+    box = Box(-np.ones(dim), np.ones(dim))
+
+    def value(z):
+        x, y = split(z, dim)
+        return float(vx(x) + x @ A @ y - vy(y) + b @ x + c @ y)
+
+    def grad(z):
+        x, y = split(z, dim)
+        return join(gx(x) + A @ y + b, A.T @ x - gy(y) + c)
+
+    def hess(z):
+        x, y = split(z, dim)
+        return np.block([[np.diag(hx(x)), A], [A.T, np.diag(-hy(y))]])
+
+    prob = SaddleProblem(box, box, p, value, grad, hess if p == 2 else None,
+                         L1=L1, Lp=Lp, name=name)
+
+    def exact_gap(z):
+        # max_y' f(x, y') - min_x' f(x', y); min_x' is -max_x' of -f.  The
+        # order of each sum fixes the last bits of the gaps a trace logs
+        x, y = split(np.asarray(z, float), dim)
+        my, ys = best_y(A.T @ x + c)
+        mx, xs = best_x(-(A @ y + b))
+        return float(vx(x) + b @ x + my - vy(ys)) \
+            - float(-vy(y) + c @ y - mx + vx(xs))
+
+    prob._exact_gap = exact_gap
+    return prob
 
 
 def make_bilinear(dim: int, p: int = 1, seed: int = 0,
@@ -461,38 +526,9 @@ def make_bilinear(dim: int, p: int = 1, seed: int = 0,
     b = rng.normal(scale=0.3, size=dim)
     c = rng.normal(scale=0.3, size=dim)
     nA = np.linalg.norm(A, 2)
-    xdom = Box(-np.ones(dim), np.ones(dim))
-    ydom = Box(-np.ones(dim), np.ones(dim))
-
-    def value(z):
-        x, y = split(z, dim)
-        return float(x @ A @ y + b @ x + c @ y)
-
-    def grad(z):
-        x, y = split(z, dim)
-        return join(A @ y + b, A.T @ x + c)
-
-    def hess(z):
-        H = np.zeros((2 * dim, 2 * dim))
-        H[:dim, dim:] = A
-        H[dim:, :dim] = A.T
-        return H
-
-    prob = SaddleProblem(xdom, ydom, p, value, grad,
-                         hess if p == 2 else None,
-                         L1=max(nA, 1e-8), Lp=(nA if p == 1 else 0.0),
-                         name=f"bilinear(d={dim},seed={seed})")
-
-    def exact_gap(z):
-        x, y = split(np.asarray(z, float), dim)
-        max_over_y = float(b @ x) + _box_linear_max(A.T @ x + c,
-                                                    ydom.lo, ydom.hi)
-        min_over_x = float(c @ y) - _box_linear_max(-(A @ y + b),
-                                                    xdom.lo, xdom.hi)
-        return max_over_y - min_over_x
-
-    prob._exact_gap = exact_gap
-    return prob
+    return _box_game(_name("bilinear", d=dim, seed=seed, L1=L1), p, A, b, c,
+                     _separable(), _separable(), L1=max(nA, 1e-8),
+                     Lp=(nA if p == 1 else 0.0))
 
 
 def make_quadratic(dim: int, p: int = 1, seed: int = 0) -> SaddleProblem:
@@ -504,51 +540,18 @@ def make_quadratic(dim: int, p: int = 1, seed: int = 0) -> SaddleProblem:
     A = rng.normal(scale=0.5 / np.sqrt(dim), size=(dim, dim))
     b = rng.normal(scale=0.1, size=dim)
     c = rng.normal(scale=0.1, size=dim)
-    xdom = Box(-np.ones(dim), np.ones(dim))
-    ydom = Box(-np.ones(dim), np.ones(dim))
-
-    def value(z):
-        x, y = split(z, dim)
-        return float(0.5 * x @ (P * x) + x @ A @ y - 0.5 * y @ (Q * y)
-                     + b @ x + c @ y)
-
-    def grad(z):
-        x, y = split(z, dim)
-        return join(P * x + A @ y + b, A.T @ x - Q * y + c)
-
-    Hconst = np.block([[np.diag(P), A], [A.T, -np.diag(Q)]])
-
-    def hess(z):
-        return Hconst.copy()
-
-    L1 = float(np.linalg.norm(Hconst, 2))
-    prob = SaddleProblem(xdom, ydom, p, value, grad,
-                         hess if p == 2 else None,
-                         L1=L1, Lp=(L1 if p == 1 else 0.0),
-                         name=f"quadratic(d={dim},seed={seed})")
+    H = np.block([[np.diag(P), A], [A.T, -np.diag(Q)]])
+    L1 = float(np.linalg.norm(H, 2))
+    prob = _box_game(_name("quadratic", d=dim, seed=seed), p, A, b, c,
+                     _separable(P=P), _separable(P=Q), L1=L1,
+                     Lp=(L1 if p == 1 else 0.0))
     prob.mu2_x = float(np.min(P))
     prob.mu2_y = float(np.min(Q))
 
     # interior saddle from the first-order conditions, if it lands inside
-    zs = np.linalg.solve(Hconst, -join(b, c))
+    zs = np.linalg.solve(H, -join(b, c))
     if np.max(np.abs(zs)) < 0.95:
         prob.known_saddle = zs
-
-    def exact_gap(z):
-        x, y = split(np.asarray(z, float), dim)
-        # max_y' concave separable quadratic over the box
-        m = A.T @ x + c
-        ys = np.clip(m / Q, ydom.lo, ydom.hi)
-        max_part = float(0.5 * x @ (P * x) + b @ x
-                         + m @ ys - 0.5 * ys @ (Q * ys))
-        # min_x' convex separable quadratic over the box
-        l = A @ y + b
-        xs = np.clip(-l / P, xdom.lo, xdom.hi)
-        min_part = float(-0.5 * y @ (Q * y) + c @ y
-                         + l @ xs + 0.5 * xs @ (P * xs))
-        return max_part - min_part
-
-    prob._exact_gap = exact_gap
     return prob
 
 
@@ -558,47 +561,12 @@ def make_power(dim: int, p: int = 2, seed: int = 0,
     on [-1,1]^dim boxes; the natural smooth p=2 test (L2 = 6a)."""
     rng = np.random.default_rng(seed)
     A = rng.normal(scale=0.5 / np.sqrt(dim), size=(dim, dim))
-    xdom = Box(-np.ones(dim), np.ones(dim))
-    ydom = Box(-np.ones(dim), np.ones(dim))
     nA = np.linalg.norm(A, 2)
-
-    def value(z):
-        x, y = split(z, dim)
-        return float(0.25 * a * np.sum(x ** 4) + x @ A @ y
-                     - 0.25 * a * np.sum(y ** 4))
-
-    def grad(z):
-        x, y = split(z, dim)
-        return join(a * x ** 3 + A @ y, A.T @ x - a * y ** 3)
-
-    def hess(z):
-        x, y = split(z, dim)
-        H = np.zeros((2 * dim, 2 * dim))
-        H[:dim, :dim] = np.diag(3 * a * x ** 2)
-        H[:dim, dim:] = A
-        H[dim:, :dim] = A.T
-        H[dim:, dim:] = np.diag(-3 * a * y ** 2)
-        return H
-
-    prob = SaddleProblem(xdom, ydom, p, value, grad,
-                         hess if p == 2 else None,
-                         L1=3 * a + nA,
-                         Lp=(3 * a + nA if p == 1 else 6 * a),
-                         name=f"power(d={dim},seed={seed})")
-
-    def exact_gap(z):
-        x, y = split(np.asarray(z, float), dim)
-        m = A.T @ x
-        ys = np.clip(np.cbrt(m / a), ydom.lo, ydom.hi)
-        max_part = float(0.25 * a * np.sum(x ** 4)
-                         + m @ ys - 0.25 * a * np.sum(ys ** 4))
-        l = A @ y
-        xs = np.clip(np.cbrt(-l / a), xdom.lo, xdom.hi)
-        min_part = float(-0.25 * a * np.sum(y ** 4)
-                         + l @ xs + 0.25 * a * np.sum(xs ** 4))
-        return max_part - min_part
-
-    prob._exact_gap = exact_gap
+    zero = np.zeros(dim)
+    prob = _box_game(_name("power", d=dim, seed=seed,
+                           a=None if a == 1.0 else a), p, A, zero, zero,
+                     _separable(a=a), _separable(a=a), L1=3 * a + nA,
+                     Lp=(3 * a + nA if p == 1 else 6 * a))
     if p == 2:
         prob.known_saddle = np.zeros(2 * dim)
     return prob
@@ -668,7 +636,8 @@ def hard_instance(p: int, T: int, Lp: float = 1.0,
     prob = SaddleProblem(
         xdom, ydom, p, value, grad, hess if p == 2 else None,
         L1=max(L1bar / beta ** (p - 1), 1e-8), Lp=Lp,
-        name=f"hard_new(p={p},T={T})")
+        name=_name("hard_new", p=p, T=T, Lp=None if Lp == 1.0 else Lp,
+                   DZ=DZ))
     prob.T = T
     prob.beta = beta
     return prob

@@ -77,13 +77,10 @@ def prox_certificate(z_bar, z, u, residual, gamma: float, q: int,
                      delta: float) -> ProxCertificate:
     """The inexact-prox condition at z for the anchor z_bar:
     lam = gamma ||z - z_bar||^{q-1}, bound = (lam/2)||z - z_bar|| + delta,
-    ok = residual <= bound.  residual is the measured norm, or a function
-    lam -> norm when the measurement itself needs lam.
+    ok = residual <= bound, for residual the measured norm.
     """
     s = float(np.linalg.norm(z - z_bar))
     lam = float(gamma) * s ** (q - 1)
-    if callable(residual):
-        residual = residual(lam)
     bound = 0.5 * lam * s + delta
     return ProxCertificate(z=z, u=u, lam=lam, residual=residual, bound=bound,
                            ok=residual <= bound)
@@ -222,33 +219,3 @@ def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):
     G = model_operator(op, z_bar, cfg, F0)
     z, _, _, _ = _solve_model(G, domain, cfg)
     return z, G.F0
-
-
-def certified_gamma(q: int, Lp: float) -> float:
-    """The proximal-oracle gamma that an M = 2 Lp tensor step certifies."""
-    return 2.0 * Lp / math.factorial(q)
-
-
-def iprox_via_tensor(h_grad, domain: Domain, z_bar, gamma: float,
-                     cfg: TensorStepConfig) -> ProxCertificate:
-    """One inexact proximal step on a function via its gradient field.
-
-    h_grad is the gradient operator (callable, with .derivatives for q = 2),
-    such as an OracleView.  gamma sets the certificate's lam = gamma
-    ||z - z_bar||^{q-1}; the step itself is governed by cfg.M.  gamma =
-    M/q! makes the certificate exact when M >= 2 Lp (use certified_gamma).
-    """
-    G = model_operator(h_grad, z_bar, cfg)
-    z, _slack, _iters, _ok = _solve_model(G, domain, cfg)
-    s = z - G.z_bar
-
-    # leftover model force; its tangential part is inner-solve noise, the
-    # normal part is the certified u
-    u = -np.asarray(G(z), float)
-    u = u - domain.project_tangent(z, u)
-
-    grad_z = np.asarray(h_grad(z), float)
-    delta = cfg.vi_tol * (1.0 + np.linalg.norm(G.F0)) * 2.0
-    return prox_certificate(
-        G.z_bar, z, u, lambda lam: float(np.linalg.norm(grad_z + u + lam * s)),
-        gamma, cfg.order, delta)

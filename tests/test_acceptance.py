@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from test_aipe import (
-    exact_bundle, function_oracle, quad_oracle, quartic_oracle, reference_min,
+    certified_gamma, exact_bundle, function_oracle, iprox_via_tensor,
+    quad_oracle, quartic_oracle, reference_min, restart_gaps,
 )
 from test_eg import make_h_eps, reference_saddle
 from test_geometry import boundaryish_point, brute_residual, random_domain
@@ -29,9 +30,7 @@ from saddleopt.problems import (
     make_bilinear, make_power, make_quadratic,
     regularize_f_eps, split, surrogate_g, surrogate_h,
 )
-from saddleopt.tensor_step import (
-    TensorStepConfig, iprox_via_tensor, certified_gamma,
-)
+from saddleopt.tensor_step import TensorStepConfig
 
 
 def test_criterion_01_tangent_residual_matches_brute_force():
@@ -145,11 +144,10 @@ def test_criterion_07_restart_gap_ratio():
     _, f_star = reference_min(h)
     bundle = exact_bundle(h, h.domain, M=2 * h.Lp, order=2)
     T = math.ceil(8.0 * (h.Lp / h.mu) ** (2.0 / 7.0))
-    _, info = aipe_restart(
+    _, traces = aipe_restart(
         bundle, h.domain, h.domain.sample(np.random.default_rng(3)),
-        gamma=h.Lp, delta=0.0, T=T, S=8,
-        gap_oracle=lambda z: h.value(z) - f_star)
-    gaps = info["gaps"]
+        gamma=h.Lp, delta=0.0, T=T, S=8)
+    gaps = restart_gaps(traces, f_star)
     assert len(gaps) >= 2
     for g0, g1 in zip(gaps, gaps[1:]):
         if g0 < 1e-12:

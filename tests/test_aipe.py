@@ -10,8 +10,48 @@ from saddleopt.aipe import (
 from saddleopt.geometry import Box
 from saddleopt.problems import OracleView
 from saddleopt.tensor_step import (
-    ProxCertificate, TensorStepConfig, iprox_via_tensor,
+    ProxCertificate, TensorStepConfig, _solve_model, model_operator,
+    prox_certificate,
 )
+
+
+def certified_gamma(q: int, Lp: float) -> float:
+    """The proximal-oracle gamma that an M = 2 Lp tensor step certifies."""
+    return 2.0 * Lp / math.factorial(q)
+
+
+def iprox_via_tensor(h_grad, domain, z_bar, gamma: float,
+                     cfg: TensorStepConfig) -> ProxCertificate:
+    """One inexact proximal step on a function through the library's tensor
+    step model, certified by its prox_certificate.
+
+    h_grad is the gradient operator (callable, with .derivatives for q = 2),
+    such as an OracleView.  gamma sets the certificate's lam = gamma
+    ||z - z_bar||^{q-1}; the step itself is governed by cfg.M.  gamma =
+    M/q! makes the certificate exact when M >= 2 Lp (use certified_gamma).
+    """
+    G = model_operator(h_grad, z_bar, cfg)
+    z, _slack, _iters, _ok = _solve_model(G, domain, cfg)
+    s = z - G.z_bar
+
+    # leftover model force; its tangential part is inner-solve noise, the
+    # normal part is the certified u
+    u = -np.asarray(G(z), float)
+    u = u - domain.project_tangent(z, u)
+
+    grad_z = np.asarray(h_grad(z), float)
+    delta = cfg.vi_tol * (1.0 + np.linalg.norm(G.F0)) * 2.0
+    lam = float(gamma) * float(np.linalg.norm(s)) ** (cfg.order - 1)
+    return prox_certificate(
+        G.z_bar, z, u, float(np.linalg.norm(grad_z + u + lam * s)), gamma,
+        cfg.order, delta)
+
+
+def restart_gaps(traces, f_star):
+    """The gap at the start point and after every epoch, read from the
+    traces: each epoch's best point has the smallest value it recorded."""
+    return [traces[0].h_hat[0] - f_star] + \
+        [min(st.h_hat + st.h_tilde) - f_star for st in traces]
 
 
 def function_oracle(value, grad, hess, **fields):
@@ -214,9 +254,9 @@ def test_failed_prox_certificate_aborts_the_epoch_and_the_restarts():
     assert st.note.startswith("prox certificate failed at t=0")
     assert st.lam == []
     assert np.array_equal(z, [2.0, -1.0])
-    _, info = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
-                           S=3)
-    (st,) = info["traces"]
+    _, traces = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
+                             S=3)
+    (st,) = traces
     assert st.aborted
 
 
@@ -227,24 +267,19 @@ def test_failed_prox_certificate_aborts_the_epoch_and_the_restarts():
 def test_restart_s0_returns_start():
     h = quad_oracle([0.0])
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
-    z, info = aipe_restart(bundle, h.domain, [1.0], 1.0, 0.0, T=5, S=0)
+    z, traces = aipe_restart(bundle, h.domain, [1.0], 1.0, 0.0, T=5, S=0)
     assert np.allclose(z, [1.0])
-    assert info["traces"] == []
+    assert traces == []
 
 
 def test_restart_gap_halving_quartic():
     h = quartic_oracle(dim=3, seed=2)
     z_star, f_star = reference_min(h)
     bundle = exact_bundle(h, h.domain, M=2 * h.Lp, order=2)
-
-    def gap(z):
-        return h.value(z) - f_star
-
     T = math.ceil(8.0 * (h.Lp / h.mu) ** (2.0 / 7.0))
-    z, info = aipe_restart(bundle, h.domain, h.domain.sample(
-        np.random.default_rng(3)), gamma=h.Lp, delta=0.0, T=T, S=8,
-        gap_oracle=gap)
-    gaps = info["gaps"]
+    z, traces = aipe_restart(bundle, h.domain, h.domain.sample(
+        np.random.default_rng(3)), gamma=h.Lp, delta=0.0, T=T, S=8)
+    gaps = restart_gaps(traces, f_star)
     for g0, g1 in zip(gaps, gaps[1:]):
         if g0 < 1e-12:
             break
@@ -260,9 +295,9 @@ def test_restart_probe_stops_after_first_epoch():
         seen.append(np.array(z))
         return True
 
-    z, info = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
-                           S=4, probe=probe)
-    (st,) = info["traces"]
+    z, traces = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
+                             S=4, probe=probe)
+    (st,) = traces
     assert st.stopped_by_probe and not st.aborted and not st.fixed_point
     assert len(st.lam) == 1 and len(seen) == 1
     assert np.array_equal(z, seen[0])
@@ -274,13 +309,13 @@ def test_restart_without_patience_runs_past_a_stalled_epoch():
     h = quad_oracle([0.5], lo=-1.0, hi=1.0)
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
     kw = dict(gamma=1.0, delta=1e-3, T=8, S=3)
-    _, info = aipe_restart(bundle, h.domain, [-1.0], **kw)
-    assert len(info["traces"]) == 2
-    _, info = aipe_restart(bundle, h.domain, [-1.0], stall_patience=None,
-                           **kw)
-    assert len(info["traces"]) == 3
-    assert min(info["traces"][1].h_hat + info["traces"][1].h_tilde) \
-        > min(info["traces"][0].h_hat + info["traces"][0].h_tilde) - 1e-3
+    _, traces = aipe_restart(bundle, h.domain, [-1.0], **kw)
+    assert len(traces) == 2
+    _, traces = aipe_restart(bundle, h.domain, [-1.0], stall_patience=None,
+                             **kw)
+    assert len(traces) == 3
+    assert min(traces[1].h_hat + traces[1].h_tilde) \
+        > min(traces[0].h_hat + traces[0].h_tilde) - 1e-3
 
 
 def test_gap_from_residual():

@@ -1,10 +1,12 @@
 """Tests for the benchmark harness: configs, rate fits, suites, CLI, and
 the package's public exports."""
 
+import ast
 import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -125,6 +127,25 @@ def test_rate_fit_in_summary(tmp_path):
     assert fit["slope"] > 0
 
 
+@pytest.mark.parametrize("problems", [
+    [{"problem": "power", "dim": 2, "p": 1},
+     {"problem": "power", "dim": 2, "p": 2}],
+    [{"problem": "bilinear", "dim": 2, "L1": 1.0},
+     {"problem": "bilinear", "dim": 2, "L1": 4.0}],
+])
+def test_rate_fits_keep_distinct_problems_apart(tmp_path, problems):
+    # two problems with the same dim and seed but another p or L1 must get
+    # one fit each, not one fit over their 6 rows together
+    cfg = BenchConfig(problems=problems, eps_grid=[0.1, 0.05, 0.02],
+                      solvers=["eg_baseline"], seeds=[0])
+    summary = run_suite(cfg, str(tmp_path / "out"))
+    assert summary["rows"] == 6 and not summary["flagged_rows"]
+    assert len(summary["rate_fits"]) == 2        # so 3 rows each
+    with open(tmp_path / "out" / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len({(r["problem"], r["p"]) for r in rows}) == 2
+
+
 # ---------------------------------------------------------------------------
 # lower-bound experiment plumbing
 # ---------------------------------------------------------------------------
@@ -214,6 +235,12 @@ def test_cli_check(capsys):
     # the self-test checks the derivatives of every kind from_config builds
     for kind in _KIND_KEYS:
         assert any(ln.startswith(f"derivatives {kind}(") for ln in lines), kind
+    # the p=2 problems (power and the p=2 chain) also report the Hessian
+    for ln in lines:
+        if ln.startswith("derivatives "):
+            p2 = ln.startswith(("derivatives power(",
+                                "derivatives hard_new(p=2,"))
+            assert ("hess err" in ln) == p2, ln
 
 
 @pytest.mark.parametrize("command, cfg, detail", [
@@ -291,6 +318,39 @@ def test_every_public_name_resolves():
     ns = {}
     exec("from saddleopt import *", ns)
     assert set(saddleopt.__all__) <= set(ns)
+
+
+def test_library_holds_no_test_only_code():
+    """Every top-level function and class of the package is referenced by
+    another package module or the benchmark, used elsewhere in its own
+    module, or exported in __all__; anything else only the tests reach."""
+    lib = pathlib.Path(saddleopt.__file__).parent
+    bench = lib.parents[1] / "perfbench"
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted(lib.glob("*.py")) + sorted(bench.glob("*.py"))}
+
+    def names(nodes):
+        out = set()
+        for node in nodes:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    out.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    out.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    out.add(n.name)
+        return out
+
+    unused = []
+    for path in lib.glob("*.py"):
+        body = trees[path].body
+        others = names(t for p, t in trees.items() if p != path)
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = names(n for n in body if n is not node)
+                if node.name not in others | own | set(saddleopt.__all__):
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []
 
 
 def test_import_loads_no_scipy():

@@ -561,17 +561,57 @@ def test_gap_zero_at_saddle():
         0.0, abs=1e-10)
 
 
+BOX_GAMES = [make_bilinear, make_quadratic, make_power]
+
+
 def test_gap_bounded_by_residual():
     rng = np.random.default_rng(21)
     F_ok = 0
-    for trial in range(100):
-        prob = make_bilinear(int(rng.integers(1, 5)), seed=trial)
-        z = prob.domain.project(rng.normal(scale=1.5, size=prob.dx + prob.dy))
-        gap = float(prob._exact_gap(z))
-        r = prob.domain.tangent_residual(z, prob.operator()(z))
-        assert gap <= prob.domain.diameter() * r + 1e-10
-        F_ok += 1
-    assert F_ok == 100
+    for make in BOX_GAMES:
+        for p in (1, 2):
+            for trial in range(100):
+                prob = make(int(rng.integers(1, 5)), p=p, seed=trial)
+                z = prob.domain.project(
+                    rng.normal(scale=1.5, size=prob.dx + prob.dy))
+                gap = float(prob._exact_gap(z))
+                r = prob.domain.tangent_residual(z, prob.operator()(z))
+                assert gap <= prob.domain.diameter() * r + 1e-10, \
+                    (prob.name, p)
+                F_ok += 1
+    assert F_ok == 600
+
+
+def box_max(fun, dim, rng):
+    """max of a concave fun (value, gradient) over [-1,1]^dim, by L-BFGS-B
+    from a random start."""
+    res = minimize(lambda w: tuple(-v for v in fun(w)),
+                   rng.uniform(-1.0, 1.0, dim), jac=True, method="L-BFGS-B",
+                   bounds=[(-1.0, 1.0)] * dim,
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+    return -res.fun
+
+
+@pytest.mark.parametrize("make", BOX_GAMES)
+def test_exact_gap_matches_brute_force_max_min(make):
+    # the exact gap's best responses (box corner, clip, clipped cube root)
+    # against a numerical max over y of f(x, .) and min over x of f(., y)
+    rng = np.random.default_rng(22)
+    for trial in range(6):
+        dim = int(rng.integers(1, 5))
+        prob = make(dim, p=1 + trial % 2, seed=trial)
+        z = prob.domain.project(rng.normal(scale=1.5, size=2 * dim))
+        x, y = split(z, dim)
+
+        def in_y(v):
+            f, g = prob.oracle_eval(join(x, v), 1)
+            return f, g[dim:]
+
+        def in_x(v):
+            f, g = prob.oracle_eval(join(v, y), 1)
+            return -f, -g[:dim]
+
+        gap = box_max(in_y, dim, rng) + box_max(in_x, dim, rng)
+        assert float(prob._exact_gap(z)) == pytest.approx(gap, abs=1e-7)
 
 
 def test_check_derivatives():
