@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain
+from .geometry import Domain, norm
 
 # iterations without a best-value improvement before an epoch exits early
 STALL_PATIENCE = 5
@@ -127,8 +127,8 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
                        f"residual {cert.residual:.3e} > bound "
                        f"{cert.bound:.3e}")
             break
-        s = float(np.linalg.norm(z_tilde - z_bar))
-        if s <= 1e-15 * (1.0 + np.linalg.norm(z_bar)):
+        s = norm(z_tilde - z_bar)
+        if s <= 1e-15 * (1.0 + norm(z_bar)):
             # proximal fixed point: the prox condition collapses to
             # ||grad h + u|| <= delta, so z~ is already a solution
             st.fixed_point = True

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import norm
 from .lowerbound import experiment_row
 from .minimax import baseline_eg_solve, derive_parameters, solve
 from .problems import _int_key, _positive, check_derivatives, from_config
@@ -251,7 +252,7 @@ def run_check() -> int:
             failures.append(prob.name)
         # geometry: projection idempotent, zero operator has zero residual
         zp = prob.domain.project(prob.domain.sample(rng) * 1.5)
-        if np.linalg.norm(prob.domain.project(zp) - zp) > 1e-12:
+        if norm(prob.domain.project(zp) - zp) > 1e-12:
             failures.append(f"{prob.name}:projection")
             print(f"geometry {prob.name}: FAIL (projection not idempotent)")
         elif prob.domain.tangent_residual(zp, np.zeros_like(zp)) > 1e-12:

@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .geometry import Domain
+from .geometry import Domain, norm
 from .problems import PowerRegularized, SaddleProblem, join, surrogate_h
 from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
 
@@ -77,20 +77,20 @@ def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
     q = cfg.order
     while True:
         zh, Fz = tensor_step(op, domain, z, cfg, F0=F0)
-        d = float(np.linalg.norm(zh - z))
+        d = norm(zh - z)
         if d == 0.0:
             # the model was solved exactly at z: zh solves the VI itself
             Fh, eta = Fz, None
         else:
             eta = math.factorial(q) / (cfg.M * d ** (q - 1))
             Fh = np.asarray(op(zh), float)
-        r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
+        r = norm(domain.project_tangent(zh, -Fh))
         yield zh, Fh, r, d, eta
         if eta is None:
             return
         z, F0 = domain.project(z - eta * Fh), None
         if q == 1:
-            L_k = float(np.linalg.norm(Fh - Fz)) / d
+            L_k = norm(Fh - Fz) / d
             cfg = TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
 
 
@@ -113,17 +113,17 @@ def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
         # F_prev is F(zh_{k-1}); the first step queries F(z) unless given
         zh, F_prev = tensor_step(op, domain, z, TensorStepConfig(1, M),
                                  F0=F_prev)
-        d = float(np.linalg.norm(zh - z))
-        dh = float(np.linalg.norm(zh - zh_prev))
+        d = norm(zh - z)
+        dh = norm(zh - zh_prev)
         Fh = F_prev if dh == 0.0 else np.asarray(op(zh), float)
         zero_step = first and d == 0.0
         eta = None if zero_step else 1.0 / M
-        r = float(np.linalg.norm(domain.project_tangent(zh, -Fh)))
+        r = norm(domain.project_tangent(zh, -Fh))
         yield zh, Fh, r, d, eta
         if zero_step:
             return
         z = domain.project(z - eta * Fh)
-        L_k = float(np.linalg.norm(Fh - F_prev)) / dh if dh > 0.0 else 0.0
+        L_k = norm(Fh - F_prev) / dh if dh > 0.0 else 0.0
         M = max(0.5 * M, 2.0 * L_k)
         zh_prev, F_prev, first = zh, Fh, False
 
@@ -280,8 +280,8 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
         z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1, Fz=tr.F)
         base_out, out = op.query(z_hat, p)
         resid_vec = out[1] + c_hat
-        rx = float(np.linalg.norm(resid_vec[:dx]))
-        ry = float(np.linalg.norm(resid_vec[dx:]))
+        rx = norm(resid_vec[:dx])
+        ry = norm(resid_vec[dx:])
         y_hat = z_hat[dx:]
         v_hat = c_hat[dx:]
         # x block: g_eps(., y_hat) is (mu_x)-power-regularized, so the

@@ -9,10 +9,17 @@ projection that the solvers need is the tangent residual
 the constrained analogue of the gradient norm.  By Moreau's decomposition
 this equals the norm of the projection of -F(z) onto the tangent cone at
 z, which has a closed form for boxes and products.
+
+Every vector norm of the package is norm(v) = sqrt(v @ v), bit for bit
+what np.linalg.norm gives for a 1-d float vector without its per-call
+overhead; only matrix 2-norms call np.linalg.norm, with an ord.  A
+domain's dim is stored once when it is built, so the shape check that
+opens each entry point reads an attribute.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +33,11 @@ MEMBERSHIP_TOL = 1e-10
 ACTIVE_TOL = 1e-9
 
 
+def norm(v) -> float:
+    """The Euclidean norm of a 1-d float vector."""
+    return math.sqrt(v @ v)
+
+
 class DimensionMismatch(ValueError):
     pass
 
@@ -35,7 +47,7 @@ class NotInDomain(ValueError):
 
 
 class Domain:
-    """Abstract compact convex set in R^dim."""
+    """Abstract compact convex set in R^dim; dim is set when it is built."""
 
     dim: int
 
@@ -83,7 +95,7 @@ class Domain:
         feasible; NaN for a NaN point."""
         if self._feasible(z):
             return 0.0
-        return float(np.linalg.norm(self.project(z) - z))
+        return norm(self.project(z) - z)
 
     def contains(self, z, tol: float = MEMBERSHIP_TOL) -> bool:
         return self._distance(self._check_dim(z)) <= tol
@@ -95,7 +107,7 @@ class Domain:
         dist = self._distance(z)
         if not dist <= MEMBERSHIP_TOL:
             raise NotInDomain(f"point is {dist:.3e} outside")
-        return float(np.linalg.norm(self.project_tangent(z, -Fz)))
+        return norm(self.project_tangent(z, -Fz))
 
 
 @dataclass(frozen=True)
@@ -112,13 +124,10 @@ class Box(Domain):
             raise ValueError("box requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "dim", lo.shape[0])
         # per-coordinate active-constraint tolerance of project_tangent
         object.__setattr__(self, "_active_tol",
                            ACTIVE_TOL * np.maximum(1.0, np.abs(hi - lo)))
-
-    @property
-    def dim(self):
-        return self.lo.shape[0]
 
     def project(self, z):
         z = self._check_dim(z)
@@ -138,7 +147,7 @@ class Box(Domain):
         return out
 
     def diameter(self):
-        return float(np.linalg.norm(self.hi - self.lo))
+        return norm(self.hi - self.lo)
 
     def scale(self, beta):
         _check_beta(beta)
@@ -160,9 +169,8 @@ class Product(Domain):
     left: Domain
     right: Domain
 
-    @property
-    def dim(self):
-        return self.left.dim + self.right.dim
+    def __post_init__(self):
+        object.__setattr__(self, "dim", self.left.dim + self.right.dim)
 
     def _split(self, z):
         return z[: self.left.dim], z[self.left.dim:]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import norm
 from .problems import SaddleProblem, hard_instance, join, split
 from .tensor_step import TensorStepConfig, tensor_step
 
@@ -140,9 +141,8 @@ def run_alg_class(problem: SaddleProblem, schedule) -> AlgClassRun:
         # shift lets callers confirm it stayed negligible
         xp = problem.x_domain.project(x_bar)
         yp = problem.y_domain.project(y_bar)
-        run.base_shift = max(run.base_shift,
-                             float(np.linalg.norm(xp - x_bar)),
-                             float(np.linalg.norm(yp - y_bar)))
+        run.base_shift = max(run.base_shift, norm(xp - x_bar),
+                             norm(yp - y_bar))
         x_bar, y_bar = xp, yp
         cfg = TensorStepConfig(order=step.q, M=M, vi_tol=TOL)
         if step.option == "A":

@@ -46,6 +46,7 @@ from .aipe import (  # noqa: F401
     OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
 )
 from .eg import certified_distance, eg_steps, iprox_psi, polish_step
+from .geometry import norm
 from .problems import (
     PowerRegularized, SaddleProblem, _positive, join, power_lipschitz,
     regularize_f_eps, surrogate_g,
@@ -261,9 +262,8 @@ def _inner_min(oracle, target_gap, warm, warm_base=None):
         g_w = np.asarray(query(w, 1)[1][1], float)
         if w_prev is not None:
             # the curvature between the last two momentum points
-            dw = float(np.linalg.norm(w - w_prev))
-            L_hat = float(np.linalg.norm(g_w - g_prev)) / dw \
-                if dw > 0.0 else 0.0
+            dw = norm(w - w_prev)
+            L_hat = norm(g_w - g_prev) / dw if dw > 0.0 else 0.0
             L = min(L_max, max(0.5 * L, L_hat, 1e-8))
         w_prev, g_prev = w, g_w
         x_new = dom.project(w - g_w / L)
@@ -276,7 +276,7 @@ def _inner_min(oracle, target_gap, warm, warm_base=None):
         else:
             w = dom.project(x_new + ((t - 1.0) / t_new) * step)
         x, t = x_new, t_new
-        if k % 8 == 0 or np.linalg.norm(step) <= 1e-15 * (1 + np.linalg.norm(x)):
+        if k % 8 == 0 or norm(step) <= 1e-15 * (1 + norm(x)):
             base, res = query(x, 1)
             r = dom.tangent_residual(x, np.asarray(res[1], float))
             if r < 0.9 * best_r:
@@ -448,8 +448,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         dist_y = certified_distance(r_y, problem_f_eps.uc(False), p,
                                     mu2=problem_f_eps.mu2_y)
         cert = prox_certificate(x_bar, x_t, u_t,
-                                float(np.linalg.norm(w))
-                                + problem_f_eps.L1 * dist_y, gamma, p,
+                                norm(w) + problem_f_eps.L1 * dist_y, gamma, p,
                                 cfg.delta)
         if cert.ok:
             break

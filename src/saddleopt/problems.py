@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ACTIVE_TOL, Box, Domain, Product, _check_beta
+from .geometry import ACTIVE_TOL, Box, Domain, Product, _check_beta, norm
 
 
 def split(z, dx):
@@ -90,10 +90,7 @@ class OrderedBox(Domain):
         if np.any(u < 0) or np.any(u != u[:1]):
             raise ValueError("upper bounds must be equal and nonnegative")
         object.__setattr__(self, "upper", u)
-
-    @property
-    def dim(self):
-        return self.upper.shape[0]
+        object.__setattr__(self, "dim", u.shape[0])
 
     def project(self, z):
         z = self._check_dim(z)
@@ -123,7 +120,7 @@ class OrderedBox(Domain):
     def diameter(self):
         # upper is itself feasible and 0 is feasible; per-coordinate spread
         # is capped by upper, so ||upper|| is the exact diameter.
-        return float(np.linalg.norm(self.upper))
+        return norm(self.upper)
 
     def scale(self, beta):
         _check_beta(beta)
@@ -205,10 +202,13 @@ class SaddleProblem:
     def oracle_eval(self, z, order: int):
         if order > self.p:
             raise OrderError(f"order {order} oracle on a p={self.p} problem")
-        z = np.asarray(z, dtype=float)
+        z = self.domain._check_dim(z)
         # coarse sanity guard only: finite-difference probes may sit a few
-        # steps outside a face, which is fine for the analytic formulas
-        if not self.domain.contains(z, tol=1e-4 * max(1.0, np.linalg.norm(z))):
+        # steps outside a face, which is fine for the analytic formulas; a
+        # point of infinite norm would make the tolerance infinite
+        nz = norm(z)
+        if not (math.isfinite(nz)
+                and self.domain.contains(z, tol=1e-4 * max(1.0, nz))):
             raise ValueError("oracle query outside the domain")
         self._count()
         out = [self._value(z)]
@@ -335,21 +335,23 @@ def power_lipschitz(problem: SaddleProblem, mu_x: float,
             problem.Lp + math.factorial(p) * max(mu_x, mu_y))
 
 
-def _reg_value(w, coeff, p):
-    return coeff / (p + 1) * np.linalg.norm(w) ** (p + 1)
-
-
-def _reg_grad(w, coeff, p):
-    return coeff * np.linalg.norm(w) ** (p - 1) * w
-
-
-def _reg_hess(w, coeff, p):
-    n = np.linalg.norm(w)
-    d = len(w)
-    if n == 0.0:
-        return np.zeros((d, d))
-    return coeff * (n ** (p - 1) * np.eye(d)
-                    + (p - 1) * n ** (p - 3) * np.outer(w, w))
+def _power_term(w, coeff, p, order):
+    """[value, gradient, Hessian] of (coeff/(p+1))||w||^{p+1} up to order,
+    all from one norm of w."""
+    n = norm(w)
+    out = [coeff / (p + 1) * n ** (p + 1)]
+    if order >= 1:
+        out.append(coeff * n ** (p - 1) * w)
+    if order >= 2:
+        d = len(w)
+        # a nonzero n is at least sqrt(5e-324), so n ** (p - 3), at p = 2,
+        # is finite and raises no OverflowError
+        if n == 0.0:
+            out.append(np.zeros((d, d)))
+        else:
+            out.append(coeff * (n ** (p - 1) * np.eye(d)
+                                + (p - 1) * n ** (p - 3) * np.outer(w, w)))
+    return out
 
 
 class PowerRegularized(SaddleProblem):
@@ -358,7 +360,10 @@ class PowerRegularized(SaddleProblem):
     x_terms/y_terms are lists of (coefficient, center); x terms are added,
     y terms subtracted, keeping the function convex-concave.  Each query
     makes one base oracle_eval call of the same order, which checks the
-    order and the domain and counts once, then adds the regularizer terms.
+    order and the domain and counts once, then adds the regularizer terms:
+    each term takes its value, gradient and Hessian from one norm of the
+    block's offset from its center, and the value adds the x terms' sum,
+    then subtracts the y terms' sum.
     """
 
     def __init__(self, base: SaddleProblem, x_terms, y_terms, name=""):
@@ -389,24 +394,21 @@ class PowerRegularized(SaddleProblem):
         the same base tuple."""
         order = len(base) - 1
         x, y = split(z, self.dx)
+        xs = [_power_term(x - w, c, self.p, order) for c, w in self.x_terms]
+        ys = [_power_term(y - w, c, self.p, order) for c, w in self.y_terms]
         v = base[0]
-        v += sum(_reg_value(x - w, c, self.p) for c, w in self.x_terms)
-        v -= sum(_reg_value(y - w, c, self.p) for c, w in self.y_terms)
+        v += sum(t[0] for t in xs)
+        v -= sum(t[0] for t in ys)
         res = [v]
-        if order >= 1:
-            g = np.array(base[1], dtype=float)
-            for c, w in self.x_terms:
-                g[:self.dx] += _reg_grad(x - w, c, self.p)
-            for c, w in self.y_terms:
-                g[self.dx:] -= _reg_grad(y - w, c, self.p)
-            res.append(g)
-        if order >= 2:
-            H = np.array(base[2], dtype=float)
-            for c, w in self.x_terms:
-                H[:self.dx, :self.dx] += _reg_hess(x - w, c, self.p)
-            for c, w in self.y_terms:
-                H[self.dx:, self.dx:] -= _reg_hess(y - w, c, self.p)
-            res.append(H)
+        for k in range(1, order + 1):
+            # the gradient (k = 1) or Hessian (k = 2) block of each side
+            D = np.array(base[k], dtype=float)
+            bx, by = (slice(None, self.dx),) * k, (slice(self.dx, None),) * k
+            for t in xs:
+                D[bx] += t[k]
+            for t in ys:
+                D[by] -= t[k]
+            res.append(D)
         return tuple(res)
 
     @property

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain
+from .geometry import Domain, norm
 
 # interior margin at which the q=2 bisection solution is trusted without
 # running the constrained VI subsolver
@@ -79,7 +79,7 @@ def prox_certificate(z_bar, z, u, residual, gamma: float, q: int,
     lam = gamma ||z - z_bar||^{q-1}, bound = (lam/2)||z - z_bar|| + delta,
     ok = residual <= bound, for residual the measured norm.
     """
-    s = float(np.linalg.norm(z - z_bar))
+    s = norm(z - z_bar)
     lam = float(gamma) * s ** (q - 1)
     bound = 0.5 * lam * s + delta
     return ProxCertificate(z=z, u=u, lam=lam, residual=residual, bound=bound,
@@ -106,7 +106,7 @@ def model_operator(op, z_bar, cfg: TensorStepConfig, F0=None):
     def G(z):
         s = np.asarray(z, float) - z_bar
         lin = F0 if J is None else F0 + J @ s
-        return lin + scale * np.linalg.norm(s) ** (q - 1) * s
+        return lin + scale * norm(s) ** (q - 1) * s
 
     G.z_bar, G.F0, G.J = z_bar, F0, J
     return G
@@ -125,7 +125,7 @@ def _bisection_q2(F0, J, M):
         return -np.linalg.solve(J + lam * eye, F0)
 
     def target(lam):
-        return 0.5 * M * np.linalg.norm(s_of(lam))
+        return 0.5 * M * norm(s_of(lam))
 
     lo = _LAMBDA_FLOOR
     t_lo = target(lo)
@@ -150,7 +150,7 @@ def _bisection_q2(F0, J, M):
     lam = 0.5 * (lo + hi)
     s = s_of(lam)
     # one fixed-point polish: re-solve at the lambda the final s implies
-    lam = max(0.5 * M * np.linalg.norm(s), _LAMBDA_FLOOR)
+    lam = max(0.5 * M * norm(s), _LAMBDA_FLOOR)
     return s_of(lam), lam
 
 
@@ -195,17 +195,17 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
         # projection solves the model VI exactly
         return z, 0.0, 0, True
 
-    tol = cfg.vi_tol * (1.0 + np.linalg.norm(F0))
+    tol = cfg.vi_tol * (1.0 + norm(F0))
     s, _lam = _bisection_q2(F0, J, cfg.M)
     cand = z_bar + s
     if domain.interior_margin(cand) >= _INTERIOR_MARGIN:
-        slack = float(np.linalg.norm(G(cand)))
+        slack = norm(G(cand))
         if slack <= tol:
             return cand, slack, 0, True
     # constrained (or the bisection left too much slack): solve the VI.
     # iterates stay feasible, so the model is Lipschitz with the domain-wide
     # bound below (the ||s||^{q-1} s regularizer has local constant 1.5 M r)
-    reach = min(domain.diameter(), 10.0 * (np.linalg.norm(s) + 1.0))
+    reach = min(domain.diameter(), 10.0 * (norm(s) + 1.0))
     lip = float(np.linalg.norm(J, 2)) + 1.5 * cfg.M * reach
     start = domain.project(cand)
     z, r, iters, ok = _model_vi_subsolve(G, domain, start, lip, tol)

@@ -353,6 +353,21 @@ def test_library_holds_no_test_only_code():
     assert unused == []
 
 
+def test_library_norms_every_vector_through_geometry_norm():
+    """np.linalg.norm is called only for a matrix norm, with an ord; a
+    vector norm goes through geometry.norm, which skips its overhead."""
+    lib = pathlib.Path(saddleopt.__file__).parent
+    bare = []
+    for path in sorted(lib.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).endswith("linalg.norm")
+                    and len(node.args) < 2
+                    and not any(k.arg == "ord" for k in node.keywords)):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
+
+
 def test_import_loads_no_scipy():
     # numpy is the one runtime dependency; scipy is for the tests only
     code = ("import sys, saddleopt, saddleopt.cli; "

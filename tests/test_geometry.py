@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
-from saddleopt.geometry import Box, DimensionMismatch, NotInDomain, Product
+from saddleopt.geometry import (
+    Box, DimensionMismatch, NotInDomain, Product, norm,
+)
 from saddleopt.problems import OrderedBox
 
 
@@ -139,6 +141,20 @@ def test_contains_matches_projection_distance(dom, points):
         for tol in (1e-10, 1e-2):
             expected = bool(np.linalg.norm(dom.project(z) - z) <= tol)
             assert dom.contains(z, tol) is expected, (z, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 64), scale=st.floats(-150, 150),
+       dx=st.integers(0, 64), zero=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_norm_is_np_linalg_norm_bit_for_bit(n, scale, dx, zero, seed):
+    # norm replaces np.linalg.norm on every vector of the package, so it
+    # must give the same float: lengths 0-64, magnitudes 1e-150 to 1e150,
+    # all-zero vectors and the contiguous blocks z[:dx], z[dx:] of a point
+    rng = np.random.default_rng(seed)
+    z = np.zeros(n) if zero else rng.normal(size=n) * 10.0 ** scale
+    dx = min(dx, n)
+    for v in (z, z[:dx], z[dx:]):
+        assert np.float64(norm(v)).tobytes() == np.linalg.norm(v).tobytes()
 
 
 def test_dimension_mismatch():

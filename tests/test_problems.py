@@ -7,10 +7,10 @@ from test_geometry import brute_tangent
 
 from saddleopt.geometry import Box
 from saddleopt.problems import (
-    OrderedBox, OrderError, SaddleProblem, _reg_grad,
-    _reg_value, check_derivatives, from_config, hard_instance,
-    join, make_bilinear, make_power, make_quadratic,
-    regularize_f_eps, split, surrogate_g, surrogate_h,
+    OrderedBox, OrderError, PowerRegularized, SaddleProblem,
+    check_derivatives, from_config, hard_instance, join, make_bilinear,
+    make_power, make_quadratic, regularize_f_eps, split, surrogate_g,
+    surrogate_h,
 )
 
 
@@ -60,6 +60,24 @@ def test_oracle_order_and_domain_errors():
         prob.oracle_eval([0.0, 0.0], 2)
     with pytest.raises(ValueError):
         prob.oracle_eval([5.0, 0.0], 0)
+
+
+@pytest.mark.parametrize("make", [lambda: make_bilinear(2, p=1, seed=0),
+                                  lambda: hard_instance(1, 4)])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_oracle_eval_refuses_nonfinite_points(make, bad):
+    # an infinite coordinate once made the guard's tolerance infinite, so
+    # the query was counted and returned NaNs; every block is refused
+    prob = make()
+    z0 = prob.domain.center()
+    for i in (0, prob.dx):
+        z = z0.copy()
+        z[i] = bad
+        for order in range(prob.p + 1):
+            before = prob.oracle_counter
+            with pytest.raises(ValueError, match="outside the domain"):
+                prob.oracle_eval(z, order)
+            assert prob.oracle_counter == before
 
 
 @pytest.mark.parametrize("cfg", [
@@ -112,6 +130,73 @@ def test_from_config_rejects_bad_values(cfg, key):
         from_config(cfg)
 
 
+def reference_power_term(w, c, p):
+    """[value, gradient] and at p = 2 the Hessian of (c/(p+1))||w||^{p+1},
+    each from its own np.linalg.norm, as the library once wrote them."""
+    value = c / (p + 1) * np.linalg.norm(w) ** (p + 1)
+    grad = c * np.linalg.norm(w) ** (p - 1) * w
+    if p == 1:
+        return [value, grad]
+    n = np.linalg.norm(w)
+    d = len(w)
+    if n == 0.0:
+        return [value, grad, np.zeros((d, d))]
+    return [value, grad, c * (n ** (p - 1) * np.eye(d)
+                              + (p - 1) * n ** (p - 3) * np.outer(w, w))]
+
+
+def reference_extend(prob, z, base):
+    """prob.extend(z, base) with the reference terms, summed in the same
+    order: the value adds the x terms' sum and subtracts the y terms'."""
+    order = len(base) - 1
+    x, y = split(z, prob.dx)
+    xs = [reference_power_term(x - w, c, prob.p) for c, w in prob.x_terms]
+    ys = [reference_power_term(y - w, c, prob.p) for c, w in prob.y_terms]
+    v = base[0]
+    v += sum(t[0] for t in xs)
+    v -= sum(t[0] for t in ys)
+    out = [v]
+    if order >= 1:
+        g = np.array(base[1], float)
+        for t in xs:
+            g[:prob.dx] += t[1]
+        for t in ys:
+            g[prob.dx:] -= t[1]
+        out.append(g)
+    if order >= 2:
+        H = np.array(base[2], float)
+        for t in xs:
+            H[:prob.dx, :prob.dx] += t[2]
+        for t in ys:
+            H[prob.dx:, prob.dx:] -= t[2]
+        out.append(H)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_extend_matches_the_reference_at_every_order(p):
+    # two terms per side: one x term centred at the query point itself,
+    # where ||x - c|| = 0 and, at p = 2, the Hessian term is the zero
+    # matrix, and one y term 1e-160 away, where ||y - c||^{-1} is huge
+    rng = np.random.default_rng(40 + p)
+    base = make_power(3, p=p, seed=p)
+    for _ in range(5):
+        z = base.domain.sample(rng)
+        z[base.dx] = 0.0
+        x, y = split(z, base.dx)
+        near = y.copy()
+        near[0] = 1e-160
+        prob = PowerRegularized(
+            base, [(0.3, x.copy()), (0.5, base.x_domain.sample(rng))],
+            [(0.2, near), (0.7, base.y_domain.sample(rng))])
+        for order in range(p + 1):
+            out = prob.oracle_eval(z, order)
+            ref = reference_extend(prob, z, base.oracle_eval(z, order))
+            assert len(out) == len(ref) == order + 1
+            assert out[0] == ref[0]
+            assert all(np.array_equal(a, b) for a, b in zip(out[1:], ref[1:]))
+
+
 def single_queries(prob, z):
     """One zero-argument call per oracle query that prob's views offer."""
     x, y = split(z, prob.dx)
@@ -146,12 +231,11 @@ def test_one_query_counts_one_oracle_call_on_every_view(kind, p, seed):
     x, y = split(z, base.dx)
     for prob in (f_eps, g_eps, h_eps):
         rv, rg = prob.oracle_eval(z, 1)
-        ev = (v + sum(_reg_value(x - w, c, p) for c, w in prob.x_terms)
-              - sum(_reg_value(y - w, c, p) for c, w in prob.y_terms))
-        eg = np.concatenate([
-            g[:base.dx] + sum(_reg_grad(x - w, c, p) for c, w in prob.x_terms),
-            g[base.dx:] - sum(_reg_grad(y - w, c, p) for c, w in prob.y_terms),
-        ])
+        xs = [reference_power_term(x - w, c, p) for c, w in prob.x_terms]
+        ys = [reference_power_term(y - w, c, p) for c, w in prob.y_terms]
+        ev = v + sum(t[0] for t in xs) - sum(t[0] for t in ys)
+        eg = np.concatenate([g[:base.dx] + sum(t[1] for t in xs),
+                             g[base.dx:] - sum(t[1] for t in ys)])
         assert abs(rv - ev) <= 1e-12
         assert np.max(np.abs(rg - eg)) <= 1e-12
 
