@@ -3,8 +3,11 @@
 Monteiro-Svaiter-type acceleration driven by three inexact oracles
 (function value, gradient, proximal step), with an adaptive bracketing of
 the proximal stepsize lambda': each iteration either accepts the step and
-halves the bracket or damps the step and doubles it.  A restart wrapper
-halves the optimality gap per epoch on uniformly convex objectives.
+halves the bracket or damps the step and doubles it.  An epoch ends early
+for one of three recorded reasons (a proximal fixed point, the caller's
+probe, a stall of the best value) or runs all its T iterations.  A
+restart wrapper halves the optimality gap per epoch on uniformly convex
+objectives.
 """
 
 from __future__ import annotations
@@ -22,29 +25,17 @@ STALL_PATIENCE = 5
 
 @dataclass
 class OracleBundle:
-    """ifunc(z, d) -> value, igrad(z, d) -> (value, gradient),
-    iprox(z_bar, gamma, d) -> (z, u) or (z, u, certificate); each promised
-    accurate to its d.  igrad hands up the value its one solve measured
-    along with the gradient, so the epoch never asks ifunc at a point it
-    just passed to igrad."""
+    """ifunc(z, d) -> value, igrad(z, d) -> (value, gradient) and
+    iprox(z_bar, gamma, d) -> (z, u), each promised accurate to its d, with
+    values as floats and points as float arrays.  igrad hands up the value
+    its one solve measured along with the gradient, so the epoch never asks
+    ifunc at a point it just passed to igrad.  An iprox that can check its
+    answer flags a failed check itself; the epoch never stops on one."""
 
     ifunc: callable
     igrad: callable
     iprox: callable
     order: int = 1                    # q, the prox-step order
-
-    def func(self, z, delta):
-        return float(self.ifunc(z, delta))
-
-    def grad(self, z, delta):
-        value, g = self.igrad(z, delta)
-        return float(value), np.asarray(g, float)
-
-    def prox(self, z_bar, gamma, delta):
-        out = self.iprox(z_bar, gamma, delta)
-        if len(out) == 2:
-            return np.asarray(out[0], float), np.asarray(out[1], float), None
-        return np.asarray(out[0], float), np.asarray(out[1], float), out[2]
 
 
 @dataclass
@@ -58,10 +49,10 @@ class AipeState:
     gamma_t: list = field(default_factory=list)
     h_hat: list = field(default_factory=list)     # values at z_t
     h_tilde: list = field(default_factory=list)   # values at z~_t
-    aborted: bool = False
+    # why the epoch ended early; none is set when it ran all T iterations
     fixed_point: bool = False
     stopped_by_probe: bool = False
-    note: str = ""
+    stalled: bool = False
 
 
 def solve_a(A: float, lambda_prime: float):
@@ -74,8 +65,7 @@ def solve_a(A: float, lambda_prime: float):
 
 
 def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
-               delta: float, T: int,
-               stall_patience: int = STALL_PATIENCE, probe=None):
+               delta: float, T: int, probe=None):
     """One acceleration epoch of prox steps of order q = oracles.order;
     returns (best recorded point, state trace).
 
@@ -87,6 +77,8 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
     probe(best_point) -> bool, if given, is consulted after every
     iteration's recording; returning True ends the epoch (used by callers
     that can certify global optimality from the current best point).
+    STALL_PATIENCE iterations in a row that improve the best value by no
+    more than delta also end it.
     """
     q = oracles.order
     z = domain.project(np.asarray(z_start, float))
@@ -103,7 +95,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
     def record(zc, zt, h_til):
         nonlocal best_val, best_pt, stall
         h_hat = h_til if zc.tobytes() == zt.tobytes() \
-            else oracles.func(zc, delta)
+            else oracles.ifunc(zc, delta)
         st.h_hat.append(h_hat)
         st.h_tilde.append(h_til)
         # strict ordering favors the z_t family on ties
@@ -115,18 +107,12 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
             if val < best_val:
                 best_val, best_pt = val, pt
 
-    record(z, z_tilde, oracles.func(z_tilde, delta))
+    record(z, z_tilde, oracles.ifunc(z_tilde, delta))
     for t in range(T):
         a_p, A_p = solve_a(A, lam_p)
         z_bar = (A * z + a_p * v) / A_p
         z_bar = domain.project(z_bar)  # convex combination; guards roundoff
-        z_tilde, u, cert = oracles.prox(z_bar, gamma, delta)
-        if cert is not None and not cert.ok:
-            st.aborted = True
-            st.note = (f"prox certificate failed at t={t}: "
-                       f"residual {cert.residual:.3e} > bound "
-                       f"{cert.bound:.3e}")
-            break
+        z_tilde, u = oracles.iprox(z_bar, gamma, delta)
         s = norm(z_tilde - z_bar)
         if s <= 1e-15 * (1.0 + norm(z_bar)):
             # proximal fixed point: the prox condition collapses to
@@ -150,7 +136,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
             A_new = A + a
             lam_p_next = 2.0 * lam_p
         z = ((1.0 - gam) * A / A_new) * z + (gam * A_p / A_new) * z_tilde
-        h_til, g = oracles.grad(z_tilde, delta)
+        h_til, g = oracles.igrad(z_tilde, delta)
         v = domain.project(v - a * (g + u))
 
         st.A.append(A_new)
@@ -163,41 +149,35 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
         record(z, z_tilde, h_til)
         if probe is not None and probe(best_pt):
             st.stopped_by_probe = True
-            st.note = "stopped by probe"
             break
-        if stall_patience and stall >= stall_patience:
-            st.note = f"early exit after {stall} stalled iterations"
+        if stall >= STALL_PATIENCE:
+            st.stalled = True
             break
     return best_pt, st
 
 
 def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
-                 delta: float, T: int, S: int,
-                 stall_patience: int = STALL_PATIENCE, probe=None):
+                 delta: float, T: int, S: int, probe=None):
     """The restart scheme: up to S epochs of order oracles.order, each
     seeded from the previous epoch's best point (each epoch projects its
     start point).  Returns (z, traces), one AipeState per epoch run; an
     epoch's h_hat[0] is the value at its start point.
 
-    stall_patience and probe(best_point) -> bool are passed to every epoch.
-    The loop ends after an epoch that hits a proximal fixed point, aborts
-    on a failed prox certificate (only an iprox that returns certificates
-    can abort) or is stopped by probe.  A truthy stall_patience also ends
-    it once an epoch's best recorded value improves on the previous best by
-    no more than delta: the oracles can no longer resolve progress.  A
-    falsy one turns off this break along with the in-epoch stall exit.
+    probe(best_point) -> bool is passed to every epoch.  The loop ends
+    after an epoch that hits a proximal fixed point or is stopped by probe,
+    and once an epoch's best recorded value improves on the previous best
+    by no more than delta: the oracles can no longer resolve progress.
     """
     z = np.asarray(z0, float)
     traces = []
     prev_best = math.inf
     for _ in range(S):
-        z, st = aipe_epoch(oracles, domain, z, gamma, delta, T,
-                           stall_patience, probe)
+        z, st = aipe_epoch(oracles, domain, z, gamma, delta, T, probe)
         traces.append(st)
-        if st.fixed_point or st.aborted or st.stopped_by_probe:
+        if st.fixed_point or st.stopped_by_probe:
             break
         cur_best = min(st.h_hat + st.h_tilde)
-        if stall_patience and cur_best > prev_best - delta:
+        if cur_best > prev_best - delta:
             break
         prev_best = min(prev_best, cur_best)
     return z, traces

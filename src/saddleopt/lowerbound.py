@@ -71,7 +71,7 @@ class AlgClassRun:
         return [join(x, y) for x, y in zip(self.xs, self.ys)]
 
 
-def anchored_eg_schedule(T: int, Lp: float = 1.0, c: float = 2.6) -> list:
+def anchored_eg_schedule(T: int) -> list:
     """Extragradient with Halpern anchoring toward z0, written as joint
     first-order steps with explicit span coefficients.
 
@@ -81,10 +81,11 @@ def anchored_eg_schedule(T: int, Lp: float = 1.0, c: float = 2.6) -> list:
     The next base b_{k+1} = (1 - 1/(k+3)) (b_k + u_k - w_k) is then a
     fixed linear combination of recorded iterates, so the coefficients
     are computed in advance -- no value-dependent bookkeeping.  The
-    stepsize constant M = c Lp / sqrt(T) spends the known budget T; the
-    anchoring is what makes the best residual track the analytic floor.
+    stepsize constant M = 2.6 / sqrt(T), on the chain's Lp = 1, spends the
+    known budget T; the anchoring is what makes the best residual track
+    the analytic floor.
     """
-    M = c * Lp / math.sqrt(T)
+    M = 2.6 / math.sqrt(T)
     schedule = []
     # coefficients of the current base over history indices 0..len-1
     bcoef = [0.0]                      # b_0 = 0 = z_0
@@ -227,7 +228,7 @@ def best_residual(problem: SaddleProblem, run: AlgClassRun,
                   for z in run.bases if z.tobytes() not in seen])
 
 
-def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None) -> dict:
+def experiment_row(p: int, T: int, schedule=None) -> dict:
     """One row of the floor experiment on the unscaled chain instance.
 
     The slope of the analytic floor in T depends on the normalization:
@@ -238,9 +239,9 @@ def experiment_row(p: int, T: int, Lp: float = 1.0, schedule=None) -> dict:
     of an optimal-rate schedule decay like T^{-(3p-1)/2} in that
     normalization.
     """
-    problem = hard_instance(p, T, Lp)
+    problem = hard_instance(p, T)
     if schedule is None:
-        schedule = anchored_eg_schedule(T, Lp)
+        schedule = anchored_eg_schedule(T)
     run = run_alg_class(problem, schedule)
     rows = check_run(problem, run)
     measured = best_residual(problem, run, rows)

@@ -81,10 +81,6 @@ class CountTracker:
             if self._stack:
                 self._stack[-1][1] += total
 
-    @property
-    def total(self):
-        return sum(self.counts.values())
-
 
 @dataclass
 class MinimaxConfig:
@@ -462,7 +458,8 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     eps must be a finite number > 0 (ValueError otherwise).
 
     z0 (default: the domain center) is both the starting point and the
-    center of the power regularizers.
+    center of the power regularizers.  A failed primal prox certificate is
+    appended to the report's flags; the outer loop keeps going past it.
     """
     t_start = time.perf_counter()
     _positive(eps, "eps")

@@ -279,8 +279,9 @@ class SaddleProblem:
 @dataclass
 class OracleView:
     """A problem seen as a function (or, for operator(), a field) on a
-    compact domain: calling it gives the field (the gradient), value the
-    value and derivatives the field and its Jacobian (the Hessian).
+    compact domain: calling it gives the field (the gradient), an order-0
+    query the value and derivatives the field and its Jacobian (the
+    Hessian).
 
     joint(v, order) is the one counted query, the base problem's
     oracle_eval at v's joint point, and returns the base tuple there;
@@ -304,14 +305,9 @@ class OracleView:
         base = self.joint(v, order)
         return base, self.read(v, base)
 
-    def value(self, v):
-        return self.query(v, 0)[1][0]
-
     def __call__(self, v):
         """The field (gradient) at v."""
         return self.query(v, 1)[1][1]
-
-    grad = __call__
 
     def derivatives(self, v):
         """(field, Jacobian) at v from one order-2 query."""

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from test_problems import view_value
+
 from saddleopt.aipe import (
     OracleBundle, aipe_epoch, aipe_restart, gap_from_residual, solve_a,
 )
@@ -69,10 +71,10 @@ def exact_bundle(h: OracleView, domain, M, order, calls=None):
         if calls is not None:
             calls.append(zb)
         c = iprox_via_tensor(h, domain, zb, g, cfg)
-        return c.z, c.u, c
+        return c.z, c.u
 
-    return OracleBundle(ifunc=lambda z, d: h.value(z),
-                        igrad=lambda z, d: (h.value(z), h.grad(z)),
+    return OracleBundle(ifunc=lambda z, d: view_value(h, z),
+                        igrad=lambda z, d: (view_value(h, z), h(z)),
                         iprox=iprox, order=order)
 
 
@@ -115,8 +117,8 @@ def reference_min(h: OracleView):
     best = None
     for s in range(5):
         z0 = box.sample(np.random.default_rng(s))
-        res = minimize(h.value, z0, jac=h.grad, method="L-BFGS-B",
-                       bounds=list(zip(box.lo, box.hi)),
+        res = minimize(lambda z: view_value(h, z), z0, jac=h,
+                       method="L-BFGS-B", bounds=list(zip(box.lo, box.hi)),
                        options={"ftol": 1e-16, "gtol": 1e-12})
         if best is None or res.fun < best.fun:
             best = res
@@ -156,14 +158,14 @@ def test_epoch_hand_trace_scalar():
     z, st = aipe_epoch(bundle, h.domain, [1.0], gamma=1.0, delta=0.0, T=1)
     # one prox step from z_bar = z0 = 1 lands at 0.5; h(0.5) = 0.125
     assert st.h_tilde[-1] == pytest.approx(0.125)
-    assert h.value(z) == pytest.approx(0.125)
+    assert view_value(h, z) == pytest.approx(0.125)
 
 
 def test_epoch_records_exact_values_and_invariants():
     h = quad_oracle([0.3, -0.2, 0.1], lo=-2.0, hi=2.0)
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
     z, st = aipe_epoch(bundle, h.domain, [1.5, -1.5, 0.0], gamma=2.0,
-                       delta=0.0, T=12, stall_patience=None)
+                       delta=0.0, T=12)
     # A monotone increasing, lambda' halves or doubles each iteration
     assert all(b >= a for a, b in zip(st.A, st.A[1:]))
     for lp_prev, lp_next in zip(st.lam_prime, st.lam_prime[1:]):
@@ -184,11 +186,11 @@ def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
 
     def ifunc(z, d):
         log.append(("f", np.asarray(z, float).tobytes()))
-        return h.value(z)
+        return view_value(h, z)
 
     def igrad(z, d):
         log.append(("g", np.asarray(z, float).tobytes()))
-        return h.value(z), h.grad(z)
+        return view_value(h, z), h(z)
 
     def iprox(zb, g, d):
         log.append(("p", None))
@@ -196,7 +198,7 @@ def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
 
     bundle = OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox)
     _, st = aipe_epoch(bundle, h.domain, [1.8, -1.5], gamma=1.0, delta=0.0,
-                       T=12, stall_patience=None)
+                       T=12)
     assert 1.0 in st.gamma_t and min(st.gamma_t) < 1.0
     # split the log by prox call: the start, then one chunk per iteration
     chunks = [[]]
@@ -212,7 +214,7 @@ def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
         assert kinds == (["g"] if gam == 1.0 else ["g", "f"])
         if gam < 1.0:
             assert chunk[1][1] != chunk[0][1]
-    assert st.h_tilde[1:] == [h.value(np.frombuffer(c[0][1]))
+    assert st.h_tilde[1:] == [view_value(h, np.frombuffer(c[0][1]))
                               for c in chunks[1:]]
 
 
@@ -232,32 +234,32 @@ def test_epoch_counts_iprox_calls():
     h = quad_oracle([0.0, 0.0], lo=-3.0, hi=3.0)
     calls = []
     bundle = exact_bundle(h, h.domain, M=2.0, order=1, calls=calls)
-    aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0, T=7,
-               stall_patience=None)
+    aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0, T=7)
     assert len(calls) == 7
 
 
-def test_failed_prox_certificate_aborts_the_epoch_and_the_restarts():
-    h = quad_oracle([0.0, 0.0], lo=-3.0, hi=3.0)
-
-    def iprox(zb, g, d):
-        cert = ProxCertificate(z=zb, u=np.zeros(2), lam=g, residual=1.0,
-                               bound=0.5, ok=False)
-        return cert.z, cert.u, cert
-
-    bundle = OracleBundle(ifunc=lambda z, d: h.value(z),
-                          igrad=lambda z, d: (h.value(z), h.grad(z)),
-                          iprox=iprox)
-    z, st = aipe_epoch(bundle, h.domain, [2.0, -1.0], gamma=1.0, delta=0.0,
-                       T=5)
-    assert st.aborted
-    assert st.note.startswith("prox certificate failed at t=0")
-    assert st.lam == []
-    assert np.array_equal(z, [2.0, -1.0])
-    _, traces = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
-                             S=3)
-    (st,) = traces
-    assert st.aborted
+@pytest.mark.parametrize("c, hi, z0, delta, T, S, probe, reasons", [
+    ([0.25, -0.5], 1.0, [0.25, -0.5], 0.0, 10, 1, None, ["fixed_point"]),
+    ([0.0, 0.0], 3.0, [2.0, -1.0], 0.0, 5, 4, lambda z: True,
+     ["stopped_by_probe"]),
+    ([0.5], 1.0, [-1.0], 1e-3, 8, 3, None, [None, "stalled"]),
+    ([0.0, 0.0], 3.0, [2.0, -1.0], 0.0, 7, 1, None, [None]),
+], ids=["fixed_point", "probe", "stall", "full_T"])
+def test_epoch_records_one_stop_reason(c, hi, z0, delta, T, S, probe,
+                                       reasons):
+    # each epoch records at most one reason for ending early, and records
+    # none only when it ran all T iterations
+    h = quad_oracle(c, lo=-hi, hi=hi)
+    bundle = exact_bundle(h, h.domain, M=2.0, order=1)
+    _, traces = aipe_restart(bundle, h.domain, z0, 1.0, delta, T, S,
+                             probe=probe)
+    seen = []
+    for st in traces:
+        set_ = [r for r in ("fixed_point", "stopped_by_probe", "stalled")
+                if getattr(st, r)]
+        assert len(set_) <= 1 and (set_ or len(st.lam) == T)
+        seen += set_ or [None]
+    assert seen == reasons
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +300,19 @@ def test_restart_probe_stops_after_first_epoch():
     z, traces = aipe_restart(bundle, h.domain, [2.0, -1.0], 1.0, 0.0, T=5,
                              S=4, probe=probe)
     (st,) = traces
-    assert st.stopped_by_probe and not st.aborted and not st.fixed_point
+    assert st.stopped_by_probe and not st.stalled and not st.fixed_point
     assert len(st.lam) == 1 and len(seen) == 1
     assert np.array_equal(z, seen[0])
 
 
-def test_restart_without_patience_runs_past_a_stalled_epoch():
+def test_restart_stops_after_a_stalled_epoch():
     # the minimizer is reached in the first epoch, so the second one cannot
-    # improve the best value; a stall break would end the loop there
+    # improve the best value, and the stall break ends the loop there
     h = quad_oracle([0.5], lo=-1.0, hi=1.0)
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
-    kw = dict(gamma=1.0, delta=1e-3, T=8, S=3)
-    _, traces = aipe_restart(bundle, h.domain, [-1.0], **kw)
+    _, traces = aipe_restart(bundle, h.domain, [-1.0], gamma=1.0, delta=1e-3,
+                             T=8, S=3)
     assert len(traces) == 2
-    _, traces = aipe_restart(bundle, h.domain, [-1.0], stall_patience=None,
-                             **kw)
-    assert len(traces) == 3
     assert min(traces[1].h_hat + traces[1].h_tilde) \
         > min(traces[0].h_hat + traces[0].h_tilde) - 1e-3
 

@@ -323,7 +323,10 @@ def test_every_public_name_resolves():
 def test_library_holds_no_test_only_code():
     """Every top-level function and class of the package is referenced by
     another package module or the benchmark, used elsewhere in its own
-    module, or exported in __all__; anything else only the tests reach."""
+    module, or exported in __all__.  Every public method or class-level
+    alias of a package class is reached as an attribute by package or
+    benchmark code, or is a name the benchmark patches by string.
+    Anything else only the tests reach."""
     lib = pathlib.Path(saddleopt.__file__).parent
     bench = lib.parents[1] / "perfbench"
     trees = {p: ast.parse(p.read_text())
@@ -341,6 +344,25 @@ def test_library_holds_no_test_only_code():
                     out.add(n.name)
         return out
 
+    reached = {n.attr for t in trees.values() for n in ast.walk(t)
+               if isinstance(n, ast.Attribute)}
+    # the tracer patches (owner, "attribute", "metric") triples
+    reached |= {n.elts[1].value for p, t in trees.items()
+                if p.parent == bench for n in ast.walk(t)
+                if isinstance(n, ast.Tuple) and len(n.elts) == 3
+                and isinstance(n.elts[0], (ast.Name, ast.Attribute))
+                and isinstance(n.elts[1], ast.Constant)}
+
+    def members(cls):
+        """The class's public methods and name = other_name aliases."""
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                yield item.name
+            elif isinstance(item, ast.Assign) \
+                    and isinstance(item.value, ast.Name):
+                yield from (t.id for t in item.targets
+                            if isinstance(t, ast.Name))
+
     unused = []
     for path in lib.glob("*.py"):
         body = trees[path].body
@@ -350,6 +372,10 @@ def test_library_holds_no_test_only_code():
                 own = names(n for n in body if n is not node)
                 if node.name not in others | own | set(saddleopt.__all__):
                     unused.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{path.name}:{node.name}.{m}"
+                           for m in members(node)
+                           if not m.startswith("_") and m not in reached]
     assert unused == []
 
 
