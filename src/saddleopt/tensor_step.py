@@ -4,8 +4,9 @@ The basic move: given an anchor z_bar, build the (q-1)st Taylor model of
 the operator F, add the regularizer (M/q!)||z - z_bar||^{q-1} (z - z_bar),
 and solve the resulting variational inequality over the feasible set.  For
 q = 1 this is a plain projected step; for q = 2 an implicit step through
-the Jacobian, solved by a scalar bisection in the interior case and by
-projected extragradient on the (strongly monotone) model otherwise.
+the Jacobian, solved by a scalar bisection in the interior case and
+otherwise by the package's one extragradient loop, eg.eg_steps, run on the
+(strongly monotone) model with steps sized at its measured curvature.
 
 Applied to a gradient field, the same step is an inexact proximal-point
 oracle: the returned point z and the leftover model force u in the normal
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from .geometry import Domain, norm
 # running the constrained VI subsolver
 _INTERIOR_MARGIN = 1e-6
 _LAMBDA_FLOOR = 1e-12
-# bisection tolerance on the q=2 step size, and the iteration cap of both
-# the bisection and the constrained model-VI subsolver
+# bisection tolerance on the q=2 step size; the iteration cap of the
+# bisection, and the step cap of the constrained model-VI subsolver
 _BISECTION_TOL = 1e-12
 _MAX_INNER_ITERS = 10_000
 
@@ -154,35 +156,25 @@ def _bisection_q2(F0, J, M):
     return s_of(lam), lam
 
 
-def _model_vi_subsolve(G, domain: Domain, z_start, lipschitz_est, tol):
-    """Projected extragradient on the model VI, warm-started at z_start.
-
-    The model is strongly monotone (M > Lp), so plain EG with a constant
-    step converges linearly; the tangent residual is only measured every
-    16 iterations since it costs an extra oracle-free projection.
+def _model_vi_subsolve(G, domain: Domain, z_start, M, tol):
+    """The model VI by first-order extragradient steps (eg.eg_steps) on G,
+    from the projection of z_start and starting at regularization M; each
+    step measures the model's local Lipschitz constant and resizes the
+    next one.  Keeps the half point of least residual and stops once that
+    residual is <= tol, on a zero step (its point solves the VI), or after
+    _MAX_INNER_ITERS steps; returns (z, r, iters, r <= tol).
     """
-    eta = 1.0 / max(lipschitz_est, 1e-12)
-    z = domain.project(np.asarray(z_start, float))
-    best = z
-    best_r = last_r = math.inf
-    iters = 0
-    for it in range(_MAX_INNER_ITERS):
-        w = domain.project(z - eta * G(z))
-        z = domain.project(z - eta * G(w))
-        iters = it + 1
-        if iters % 16 == 0 or iters == _MAX_INNER_ITERS:
-            r = domain.tangent_residual(z, G(z))
-            if r < best_r:
-                best_r, best = r, z
-            if r <= tol:
-                return z, r, iters, True
-            if r > 4.0 * last_r:  # diverging: step was too optimistic
-                eta *= 0.5
-                z = best
-            last_r = r
-    r = domain.tangent_residual(z, G(z))
-    if r < best_r:
-        best_r, best = r, z
+    # eg imports this module, so eg_steps is imported at call time
+    from .eg import eg_steps
+    z0 = domain.project(np.asarray(z_start, float))
+    steps = eg_steps(G, domain, z0, TensorStepConfig(1, M))
+    best, best_r = z0, math.inf
+    for iters, (zh, _, r, _, eta) in enumerate(
+            islice(steps, _MAX_INNER_ITERS), 1):
+        if r < best_r:
+            best, best_r = zh, r
+        if r <= tol or eta is None:
+            break
     return best, best_r, iters, best_r <= tol
 
 
@@ -202,14 +194,9 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
         slack = norm(G(cand))
         if slack <= tol:
             return cand, slack, 0, True
-    # constrained (or the bisection left too much slack): solve the VI.
-    # iterates stay feasible, so the model is Lipschitz with the domain-wide
-    # bound below (the ||s||^{q-1} s regularizer has local constant 1.5 M r)
-    reach = min(domain.diameter(), 10.0 * (norm(s) + 1.0))
-    lip = float(np.linalg.norm(J, 2)) + 1.5 * cfg.M * reach
-    start = domain.project(cand)
-    z, r, iters, ok = _model_vi_subsolve(G, domain, start, lip, tol)
-    return z, r, iters, ok
+    # constrained (or the bisection left too much slack): solve the VI,
+    # from the projected candidate, by steps that start at the step's M
+    return _model_vi_subsolve(G, domain, cand, cfg.M, tol)
 
 
 def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):

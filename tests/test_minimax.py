@@ -564,6 +564,18 @@ def test_baseline_stays_within_its_call_budget(problem, eps, budget):
     assert sum(rep.counts.values()) <= budget
 
 
+@pytest.mark.parametrize("T, eps, calls", [
+    (16, 1e-2, 6), (16, 5e-3, 12), (32, 1e-2, 6), (32, 5e-3, 12),
+])
+def test_baseline_p2_chain_call_counts(T, eps, calls):
+    # the benchmark's hard_new p=2 EG rows: their q=2 steps solve model
+    # VIs on the ordered box, so a change to that subsolver shows here
+    prob = hard_instance(2, T)
+    _, rep = baseline_eg_solve(prob, eps)
+    assert rep.ok and rep.residual <= eps
+    assert prob.oracle_counter == sum(rep.counts.values()) == calls
+
+
 @pytest.mark.parametrize("budget, calls", [
     (0, 0), (1, 2), (200, 200), (201, 202),
 ])

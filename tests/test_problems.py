@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 
 from test_geometry import brute_tangent
 
-from saddleopt.geometry import Box
+from saddleopt.geometry import Box, Domain
 from saddleopt.problems import (
     OrderedBox, OrderError, PowerRegularized, SaddleProblem,
     check_derivatives, from_config, hard_instance, join, make_bilinear,
@@ -65,6 +65,22 @@ def test_oracle_order_and_domain_errors():
         prob.oracle_eval([0.0, 0.0], 2)
     with pytest.raises(ValueError):
         prob.oracle_eval([5.0, 0.0], 0)
+
+
+def test_oracle_eval_checks_the_point_once(monkeypatch):
+    # oracle_eval checks z's shape, then reads its distance to the domain
+    # without a second check
+    prob = make_bilinear(2, 1, 0)
+    checks = []
+    check = Domain._check_dim
+
+    def counted(self, z):
+        checks.append(1)
+        return check(self, z)
+
+    monkeypatch.setattr(Domain, "_check_dim", counted)
+    prob.oracle_eval(prob.domain.center(), 1)
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize("make", [lambda: make_bilinear(2, p=1, seed=0),
@@ -730,7 +746,7 @@ def test_check_derivatives():
 def test_check_derivatives_hard_instances():
     prob = hard_instance(2, 3)
     z = join(np.array([0.8, 0.6, 0.4, 0.2]), 0.5 * np.ones(4))
-    assert check_derivatives(prob, z, h=1e-6).ok
+    assert check_derivatives(prob, z).ok
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ from test_aipe import certified_gamma, function_oracle, iprox_via_tensor
 
 from saddleopt.geometry import Box
 from saddleopt import tensor_step as tensor_step_module
-from saddleopt.problems import SaddleProblem, make_power
+from saddleopt.problems import (
+    SaddleProblem, hard_instance, join, make_power, regularize_f_eps,
+    surrogate_g, surrogate_h,
+)
 from saddleopt.tensor_step import (
     TensorStepConfig, model_operator, prox_certificate, tensor_step,
 )
@@ -156,16 +159,24 @@ def test_step_q2_constrained_hits_boundary():
 
 
 def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
-    # F = z - 5 on [-1,1]^2 as a counted saddle problem, and its restricted
-    # view x - 5 on [-1,1]: the bisection candidate leaves the box, so the
-    # model VI subsolver runs; the model keeps F and its Jacobian at the
-    # anchor, so the step costs one order-2 query however often the
-    # subsolver evaluates it, and returns that query's F
+    # f = (x-a)'A(x-a)/2 - (y-a)'A(y-a)/2 on [-1,1]^2 x [-1,1]^2 with
+    # a = (3, -1) as a counted saddle problem, and its restricted view in x:
+    # the bisection candidate leaves the box and its projection is not the
+    # solution (1, 0), so the model VI subsolver takes several steps; the
+    # model keeps F and its Jacobian at the anchor, so the step costs one
+    # order-2 query however often the subsolver evaluates it, and returns
+    # that query's F
+    A = np.array([[1.0, 0.5], [0.5, 1.0]])
+    a = np.array([3.0, -1.0])
+    H = np.zeros((4, 4))
+    H[:2, :2], H[2:, 2:] = A, -A
+    box = Box([-1.0, -1.0], [1.0, 1.0])
     prob = SaddleProblem(
-        Box([-1.0], [1.0]), Box([-1.0], [1.0]), 2,
-        value=lambda z: 0.5 * (z[0] - 5) ** 2 - 0.5 * (z[1] - 5) ** 2,
-        grad=lambda z: np.array([z[0] - 5, 5 - z[1]]),
-        hess=lambda z: np.diag([1.0, -1.0]), L1=1.0, Lp=1.0)
+        box, box, 2,
+        value=lambda z: 0.5 * (z[:2] - a) @ A @ (z[:2] - a)
+        - 0.5 * (z[2:] - a) @ A @ (z[2:] - a),
+        grad=lambda z: np.concatenate([A @ (z[:2] - a), -A @ (z[2:] - a)]),
+        hess=lambda z: H, L1=1.5, Lp=1.0)
     evals = []
     subsolve = tensor_step_module._model_vi_subsolve
 
@@ -174,7 +185,7 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
 
     monkeypatch.setattr(tensor_step_module, "_model_vi_subsolve", spied)
     cfg = TensorStepConfig(order=2, M=2.0)
-    for op in (prob.operator(), prob.restricted(np.zeros(1), True)):
+    for op in (prob.operator(), prob.restricted(np.zeros(2), True)):
         evals.clear()
         before = prob.oracle_counter
         z, F = tensor_step(op, op.domain, np.zeros(op.domain.dim), cfg)
@@ -183,6 +194,34 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
         assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
         assert F.tobytes() == op.derivatives(np.zeros(op.domain.dim))[0] \
             .tobytes()
+
+
+def test_q2_model_on_the_hard_chain_is_solved_within_the_cap():
+    # a constrained q=2 model of solve(hard_instance(2, 4), 1e-2): h_eps at
+    # mu = 5e-4 around the center, gamma = 1 at x_bar = center and at y_bar
+    # below, anchored at z_bar with M = 12.004.  A constant-step subsolver
+    # ran all _MAX_INNER_ITERS steps on it and ended at slack 3.1e-10 > tol
+    center = np.full(5, 0.5)
+    y_bar = np.array([0.9376456023664074, 0.5531559618921781,
+                      0.503141094213993, 0.5001655543007862,
+                      0.5000079008455507])
+    z_bar = np.array([0.6742337706625396, 0.5413615134779699,
+                      0.5089451839551532, 0.5019400072748222,
+                      0.5005012050319079, 1.0, 0.5697581537970403,
+                      0.5041284223901772, 0.5002115764126037,
+                      0.5000098390232349])
+    mu = 0.0004999999999999999
+    f_eps = regularize_f_eps(hard_instance(2, 4), join(center, center),
+                             mu, mu)
+    h_eps = surrogate_h(surrogate_g(f_eps, center, 1.0), y_bar, 1.0)
+    op = h_eps.operator()
+    cfg = TensorStepConfig(order=2, M=12.004)
+    G = model_operator(op, z_bar, cfg)
+    assert h_eps.domain.interior_margin(z_bar) <= 0.0
+    z, slack, iters, ok = tensor_step_module._solve_model(G, op.domain, cfg)
+    tol = cfg.vi_tol * (1 + np.linalg.norm(G.F0))
+    assert ok and 0 < iters < tensor_step_module._MAX_INNER_ITERS
+    assert slack == op.domain.tangent_residual(z, G(z)) <= tol
 
 
 def test_q1_step_returns_the_handed_in_anchor_value():
