@@ -15,6 +15,12 @@ what np.linalg.norm gives for a 1-d float vector without its per-call
 overhead; only matrix 2-norms call np.linalg.norm, with an ord.  A
 domain's dim is stored once when it is built, so the shape check that
 opens each entry point reads an attribute.
+
+A product of two boxes is itself a box, and it is handled as one: the
+joint bounds are built once with the product, and project, _feasible,
+project_tangent and interior_margin make one shape check and one pass over
+the joint vector.  A product with another block (the ordered box of the
+hard instances) splits the point between its blocks.
 """
 
 from __future__ import annotations
@@ -87,7 +93,9 @@ class Domain:
 
     def _feasible(self, z) -> bool:
         """True only if z certainly lies in the domain (project(z) is z);
-        False means "not known" and leaves the decision to a projection."""
+        False means "not known" and leaves the decision to a projection.
+        Every domain is bounded, so True implies that every coordinate of
+        z is finite: a NaN or infinite coordinate fails the comparisons."""
         return False
 
     def _distance(self, z) -> float:
@@ -120,6 +128,8 @@ class Box(Domain):
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch("box bounds must be 1-d and equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("box requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
@@ -138,13 +148,9 @@ class Box(Domain):
 
     def project_tangent(self, z, v):
         z = self._check_dim(z)
-        v = np.array(v, dtype=float)
-        at_lo = z - self.lo <= self._active_tol
-        at_hi = self.hi - z <= self._active_tol
-        out = v.copy()
-        out[at_lo] = np.maximum(out[at_lo], 0.0)
-        out[at_hi] = np.minimum(out[at_hi], 0.0)
-        return out
+        v = np.asarray(v, dtype=float)
+        v = np.where(z - self.lo <= self._active_tol, np.maximum(v, 0.0), v)
+        return np.where(self.hi - z <= self._active_tol, np.minimum(v, 0.0), v)
 
     def diameter(self):
         return norm(self.hi - self.lo)
@@ -166,25 +172,41 @@ class Box(Domain):
 
 @dataclass(frozen=True)
 class Product(Domain):
+    """left x right.  When both blocks are boxes, the product is the box
+    of the joint bounds, built once here, and its one-pass operations run
+    on that box; diameter, center and sample keep the block formulas."""
+
     left: Domain
     right: Domain
 
     def __post_init__(self):
         object.__setattr__(self, "dim", self.left.dim + self.right.dim)
+        a, b = self.left, self.right
+        box = None
+        if isinstance(a, Box) and isinstance(b, Box):
+            box = Box(np.concatenate([a.lo, b.lo]),
+                      np.concatenate([a.hi, b.hi]))
+        object.__setattr__(self, "_box", box)
 
     def _split(self, z):
         return z[: self.left.dim], z[self.left.dim:]
 
     def project(self, z):
+        if self._box is not None:
+            return self._box.project(z)
         z = self._check_dim(z)
         a, b = self._split(z)
         return np.concatenate([self.left.project(a), self.right.project(b)])
 
     def _feasible(self, z):
+        if self._box is not None:
+            return self._box._feasible(z)
         a, b = self._split(z)
         return self.left._feasible(a) and self.right._feasible(b)
 
     def project_tangent(self, z, v):
+        if self._box is not None:
+            return self._box.project_tangent(z, v)
         z = self._check_dim(z)
         v = np.asarray(v, dtype=float)
         a, b = self._split(z)
@@ -196,6 +218,8 @@ class Product(Domain):
         return float(np.hypot(self.left.diameter(), self.right.diameter()))
 
     def interior_margin(self, z):
+        if self._box is not None:
+            return self._box.interior_margin(z)
         z = self._check_dim(z)
         a, b = self._split(z)
         return min(self.left.interior_margin(a), self.right.interior_margin(b))

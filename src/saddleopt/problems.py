@@ -46,7 +46,10 @@ def join(x, y):
 
 def _pav_nonincreasing(v):
     """Isotonic regression onto nonincreasing sequences (pool adjacent
-    violators, O(n))."""
+    violators, O(n)).  Input that is already nonincreasing pools nothing,
+    so it comes back as a copy without the loop."""
+    if (v[:-1] >= v[1:]).all():
+        return np.array(v, dtype=float)
     n = len(v)
     # fit nondecreasing to the reversed sequence
     w = v[::-1]
@@ -89,6 +92,8 @@ class OrderedBox(Domain):
         u = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if np.any(u < 0) or np.any(u != u[:1]):
             raise ValueError("upper bounds must be equal and nonnegative")
+        if not np.isfinite(u).all():
+            raise ValueError("upper bounds must be finite")
         object.__setattr__(self, "upper", u)
         object.__setattr__(self, "dim", u.shape[0])
 
@@ -204,13 +209,15 @@ class SaddleProblem:
             raise OrderError(f"order {order} oracle on a p={self.p} problem")
         z = self.domain._check_dim(z)
         # coarse sanity guard only: finite-difference probes may sit a few
-        # steps outside a face, which is fine for the analytic formulas; a
-        # point of infinite norm would make the tolerance infinite.  z is
-        # checked above, so the distance is read without contains' check
-        nz = norm(z)
-        if not (math.isfinite(nz)
-                and self.domain._distance(z) <= 1e-4 * max(1.0, nz)):
-            raise ValueError("oracle query outside the domain")
+        # steps outside a face, which is fine for the analytic formulas.  A
+        # point known feasible (hence finite) passes at once; any other
+        # pays for its norm and its distance, and a point of infinite norm,
+        # which would make the tolerance infinite, is refused
+        if not self.domain._feasible(z):
+            nz = norm(z)
+            if not (math.isfinite(nz) and norm(self.domain.project(z) - z)
+                    <= 1e-4 * max(1.0, nz)):
+                raise ValueError("oracle query outside the domain")
         self._count()
         out = [self._value(z)]
         if order >= 1:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls
 
 from saddleopt.geometry import (
-    Box, DimensionMismatch, NotInDomain, Product, norm,
+    ACTIVE_TOL, Box, DimensionMismatch, NotInDomain, Product, norm,
 )
 from saddleopt.problems import OrderedBox
 
@@ -143,6 +143,94 @@ def test_contains_matches_projection_distance(dom, points):
             assert dom.contains(z, tol) is expected, (z, tol)
 
 
+def box_tangent_by_masks(box, z, v):
+    """Box.project_tangent as a copy and two boolean-index updates, the
+    form its two np.where passes replace."""
+    at_lo = z - box.lo <= box._active_tol
+    at_hi = box.hi - z <= box._active_tol
+    out = np.array(v, dtype=float)
+    out[at_lo] = np.maximum(out[at_lo], 0.0)
+    out[at_hi] = np.minimum(out[at_hi], 0.0)
+    return out
+
+
+def blockwise(dom, op, z, *v):
+    """op of a product of two boxes at z computed block by block: the
+    composition the joint box replaces with one pass."""
+    k = dom.left.dim
+    parts = []
+    for box, blk in ((dom.left, slice(None, k)), (dom.right, slice(k, None))):
+        args = (box, z[blk], *(w[blk] for w in v))
+        parts.append(box_tangent_by_masks(*args) if op == "project_tangent"
+                     else getattr(Box, op)(*args))
+    a, b = parts
+    if op == "_feasible":
+        return a and b
+    if op == "interior_margin":
+        return min(a, b)
+    return np.concatenate([a, b])
+
+
+def box_points(dom, rng):
+    """Points of a product of two boxes: inside, on faces, within ACTIVE_TOL
+    of a face on either side, just beyond it, outside, and with a NaN or
+    an infinite coordinate."""
+    lo, hi = dom._box.lo, dom._box.hi
+    tol = ACTIVE_TOL * np.maximum(1.0, hi - lo)
+    # lo + tol and hi - tol are exactly tol from a face at 0, the edge
+    # of the active test
+    out = [dom.center(), lo.copy(), hi.copy(), lo + tol, hi - tol]
+    for _ in range(20):
+        z = dom.sample(rng)
+        face = rng.uniform(size=dom.dim) < 0.5
+        offset = tol * rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0],
+                                  size=dom.dim)
+        z[face] = np.where(rng.uniform(size=dom.dim) < 0.5, lo + offset,
+                           hi - offset)[face]
+        out.append(z)
+        out.append(z + rng.normal(scale=2.0, size=dom.dim))
+        out.append(z + 1e-12)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(dom.dim):
+            z = dom.center()
+            z[i] = bad
+            out.append(z)
+    return out
+
+
+def _same(a, b):
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+def test_product_of_boxes_is_one_box_bit_for_bit():
+    # the joint box gives what the blocks give, at every point kind; only
+    # interior_margin at a NaN point differs: the joint pass says NaN on
+    # either block, where the block-wise min said NaN only on the left
+    rng = np.random.default_rng(11)
+    doms = [Product(Box([-1.0, 0.0], [0.0, 2.0]), Box([0.0], [1e3])),
+            Product(Box([0.0], [0.0]), Box([-2.0, -2.0], [-1.0, 5.0]))]
+    for _ in range(40):
+        k, m = rng.integers(1, 4, size=2)
+        doms.append(Product(random_domain(rng, k, depth=2),
+                            random_domain(rng, m, depth=2)))
+    for dom in doms:
+        assert dom.diameter() == float(np.hypot(dom.left.diameter(),
+                                                dom.right.diameter()))
+        for z in box_points(dom, rng):
+            v = rng.normal(size=dom.dim)
+            v[rng.uniform(size=dom.dim) < 0.2] = 0.0
+            assert dom._feasible(z) is blockwise(dom, "_feasible", z), z
+            assert _same(dom.project(z), blockwise(dom, "project", z)), z
+            for w in (v, -v):
+                assert _same(dom.project_tangent(z, w),
+                             blockwise(dom, "project_tangent", z, w)), z
+            m = dom.interior_margin(z)
+            if np.isnan(z).any():
+                assert np.isnan(m)
+            else:
+                assert _same(m, blockwise(dom, "interior_margin", z)), z
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 64), scale=st.floats(-150, 150),
        dx=st.integers(0, 64), zero=st.booleans(), seed=st.integers(0, 2 ** 16))
@@ -160,6 +248,35 @@ def test_norm_is_np_linalg_norm_bit_for_bit(n, scale, dx, zero, seed):
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Box([0, 0], [1, 1]).project([1.0])
+    dom = Product(Box([0.0], [1.0]), Box([0.0], [1.0]))
+    for op in ("project", "interior_margin"):
+        with pytest.raises(DimensionMismatch):
+            getattr(dom, op)([0.5])
+    with pytest.raises(DimensionMismatch):
+        dom.project_tangent([0.5], [1.0])
+
+
+@pytest.mark.parametrize("dom", [
+    Box([-1.0, 0.0], [1.0, 2.0]), OrderedBox(np.full(3, 2.0)),
+    Product(Box([0.0], [1.0]), Box([-1.0, -1.0], [1.0, 1.0])),
+    Product(OrderedBox(np.ones(2)), Box([0.0, 0.0], [1.0, 1.0]))])
+def test_feasible_implies_finite(dom):
+    # the oracle guard accepts a feasible point without reading its norm
+    z0 = dom.center()
+    assert dom._feasible(z0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(dom.dim):
+            z = z0.copy()
+            z[i] = bad
+            assert not dom._feasible(z), z
+
+
+@pytest.mark.parametrize("make", [lambda: Box([0.0], [np.inf]),
+                                  lambda: Box([-np.inf], [0.0]),
+                                  lambda: OrderedBox(np.full(2, np.inf))])
+def test_unbounded_domains_are_refused(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 # ---------------------------------------------------------------------------

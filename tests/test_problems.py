@@ -8,6 +8,7 @@ from test_geometry import brute_tangent
 from saddleopt.geometry import Box, Domain
 from saddleopt.problems import (
     OrderedBox, OrderError, PowerRegularized, SaddleProblem,
+    _pav_nonincreasing,
     check_derivatives, from_config, hard_instance, join, make_bilinear,
     make_power, make_quadratic, regularize_f_eps, split, surrogate_g,
     surrogate_h,
@@ -99,6 +100,40 @@ def test_oracle_eval_refuses_nonfinite_points(make, bad):
             with pytest.raises(ValueError, match="outside the domain"):
                 prob.oracle_eval(z, order)
             assert prob.oracle_counter == before
+
+
+@pytest.mark.parametrize("make", [lambda: make_bilinear(2, p=1, seed=0),
+                                  lambda: hard_instance(1, 4)])
+def test_oracle_eval_projects_only_points_not_known_feasible(make,
+                                                             monkeypatch):
+    # a feasible query projects nothing; a point 1e-6 outside a face is
+    # projected, answered and counted; one beyond 1e-4 max(1, ||z||) is
+    # projected and refused without counting
+    prob = make()
+    rng = np.random.default_rng(0)
+    dom = prob.domain
+    feasible = [dom.center(), dom.sample(rng),
+                dom.project(rng.normal(scale=3.0, size=dom.dim))]
+    z_out = dom.center()
+    z_out[prob.dx] = prob.y_domain.project(np.full(prob.dy, 1e9))[0] + 1e-6
+    projected = []
+    for cls in (Box, OrderedBox):
+        def counted(self, z, _project=cls.project):
+            projected.append(1)
+            return _project(self, z)
+        monkeypatch.setattr(cls, "project", counted)
+    for z in feasible:
+        before = prob.oracle_counter
+        prob.oracle_eval(z, 1)
+        assert prob.oracle_counter == before + 1
+    assert projected == []
+    before = prob.oracle_counter
+    prob.oracle_eval(z_out, 1)
+    assert prob.oracle_counter == before + 1 and projected
+    z_out[prob.dx] += 2e-4 * max(1.0, np.linalg.norm(z_out))
+    with pytest.raises(ValueError, match="outside the domain"):
+        prob.oracle_eval(z_out, 1)
+    assert prob.oracle_counter == before + 1
 
 
 @pytest.mark.parametrize("cfg", [
@@ -549,6 +584,54 @@ def test_ordered_box_projection_is_valid(seed, n):
 def test_ordered_box_rejects_unequal_or_negative_bounds(upper):
     with pytest.raises(ValueError, match="equal and nonnegative"):
         OrderedBox(np.array(upper))
+
+
+def _pav_stack_loop(v):
+    """The pool-adjacent-violators stack loop as it was before ordered
+    input got its shortcut: the reference the shortcut must match."""
+    n = len(v)
+    w = v[::-1]
+    vals, cnts = [], []
+    for i in range(n):
+        vals.append(w[i])
+        cnts.append(1)
+        while len(vals) > 1 and vals[-2] > vals[-1]:
+            tot = vals[-1] * cnts[-1] + vals[-2] * cnts[-2]
+            cnt = cnts[-1] + cnts[-2]
+            vals.pop(); cnts.pop()
+            vals[-1] = tot / cnt
+            cnts[-1] = cnt
+    out = np.empty(n)
+    pos = 0
+    for val, cnt in zip(vals, cnts):
+        out[pos:pos + cnt] = val
+        pos += cnt
+    return out[::-1]
+
+
+def _pav_inputs():
+    rng = np.random.default_rng(23)
+    out = [np.zeros(0), np.array([1.5]), np.array([-0.0]),
+           np.array([0.0, -0.0]), np.array([-0.0, 0.0]),
+           np.array([1.0, 1.0, 1.0]), np.array([2.0, 1.0, 1.0, 0.0]),
+           np.array([0.0, 1.0]), np.array([1.0, np.nan, 0.5]),
+           np.array([np.nan]), np.array([np.inf, 1.0, -np.inf])]
+    for n in (2, 3, 7, 40):
+        v = rng.normal(size=n)
+        out += [v, np.sort(v)[::-1], np.sort(v),
+                np.round(np.sort(v)[::-1], 1), np.round(v, 1)]
+        v = v.copy()
+        v[rng.integers(n)] = np.nan
+        out.append(v)
+    return out
+
+
+def test_pav_matches_the_stack_loop_bit_for_bit():
+    for v in _pav_inputs():
+        out = _pav_nonincreasing(v)
+        assert out.tobytes() == _pav_stack_loop(v).tobytes(), v
+        # ordered input comes back as a new array, not the caller's
+        assert not np.shares_memory(out, v)
 
 
 def _tied_point(rng, n, u):
