@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .geometry import Domain, norm
-from .problems import PowerRegularized, SaddleProblem, join, surrogate_h
+from .problems import PowerRegularized, SaddleProblem, surrogate_h
 from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
 
 
@@ -242,8 +242,8 @@ def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
     return z_hat, c_hat
 
 
-def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
-              delta: float, M: float, zeta3: float, z0=None, base0=None):
+def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
+              delta: float, M: float, zeta3: float, z0, base0=None):
     """Inexact proximal oracle for the middle loop's dual function.
 
     Psi(y) = min_x g_eps(x, y); its proximal subproblem at y_bar is the
@@ -252,10 +252,9 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     The certificate's residual can't query grad Psi exactly, so it is the
     measured y-block residual plus a Lipschitz bound on the Danskin-gradient
     error, obtained from the certified distance of the x block to its own
-    minimizer.  A failed certificate gets one retry at the tenfold tighter
-    target zeta3/10, warm-started from the first attempt.  base0, the base
-    tuple of one query at z0 (default (x_bar, y_bar)), seeds the first
-    step with h_eps's operator read from it.
+    minimizer.  The run starts at z0 = (x, y); base0, the base tuple of
+    one query at z0, seeds its first step with h_eps's operator read from
+    it.  A failed certificate is returned as it is.
 
     Returns (y_hat, v_hat, certificate, (z_hat, base_out)): the polished
     point z_hat = (x_hat, y_hat) is measured by one order-p query of the
@@ -265,33 +264,25 @@ def iprox_psi(problem_g_eps: PowerRegularized, x_bar, y_bar, gamma: float,
     does not depend on x, so the caller can start its next solve on
     g_eps(., y_hat) there.
     """
-    x_bar = np.asarray(x_bar, float)
     y_bar = np.asarray(y_bar, float)
     p = problem_g_eps.p
     h_eps = surrogate_h(problem_g_eps, y_bar, gamma)
     dx = h_eps.dx
     op = h_eps.operator()
     domain = h_eps.domain
-    if z0 is None:
-        z0 = join(x_bar, y_bar)
     F0 = None if base0 is None else op.read(z0, base0)[1]
-    for target in (zeta3, zeta3 / 10.0):
-        zS, tr = restarted_eg(h_eps, M, target, z0, F0)
-        z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1, Fz=tr.F)
-        base_out, out = op.query(z_hat, p)
-        resid_vec = out[1] + c_hat
-        rx = norm(resid_vec[:dx])
-        ry = norm(resid_vec[dx:])
-        y_hat = z_hat[dx:]
-        v_hat = c_hat[dx:]
-        # x block: g_eps(., y_hat) is (mu_x)-power-regularized, so the
-        # residual certifies the distance to argmin_x, and the Danskin
-        # gradient of Psi differs from the measured one by at most L1*dist
-        dist_x = certified_distance(rx, h_eps.uc(True), p, mu2=h_eps.mu2_x)
-        cert = prox_certificate(y_bar, y_hat, v_hat,
-                                ry + problem_g_eps.L1 * dist_x, gamma, p,
-                                delta)
-        if cert.ok:
-            break
-        z0, F0 = zS, tr.F
+    zS, tr = restarted_eg(h_eps, M, zeta3, z0, F0)
+    z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1, Fz=tr.F)
+    base_out, out = op.query(z_hat, p)
+    resid_vec = out[1] + c_hat
+    rx = norm(resid_vec[:dx])
+    ry = norm(resid_vec[dx:])
+    y_hat = z_hat[dx:]
+    v_hat = c_hat[dx:]
+    # x block: g_eps(., y_hat) is (mu_x)-power-regularized, so the
+    # residual certifies the distance to argmin_x, and the Danskin
+    # gradient of Psi differs from the measured one by at most L1*dist
+    dist_x = certified_distance(rx, h_eps.uc(True), p, mu2=h_eps.mu2_x)
+    cert = prox_certificate(y_bar, y_hat, v_hat,
+                            ry + problem_g_eps.L1 * dist_x, gamma, p, delta)
     return y_hat, v_hat, cert, (z_hat, base_out)

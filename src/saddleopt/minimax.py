@@ -367,8 +367,7 @@ def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
 
 
 def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
-              cfg: MinimaxConfig, start=None,
-              tracker: CountTracker = None, flags: list = None):
+              cfg: MinimaxConfig, start, tracker: CountTracker, flags: list):
     """Inexact proximal oracle for the primal envelope at x_bar.
 
     Runs the middle-loop acceleration on the dual envelope of g_eps =
@@ -383,9 +382,11 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     also the caller's start for maximizing f_eps(x_tilde, .).  Failed dual
     prox certificates are appended to flags; the middle loop keeps going
     past them.  A failed certificate gets one retry with zeta2 and zeta3
-    ten times tighter.
+    ten times tighter.  This is the package's only certificate retry: the
+    retry's zeta3 is the target each of its iprox_psi calls receives, and
+    iprox_psi itself runs once and returns its certificate as it is.
 
-    start = (x, y) (default: the domain center) is where the envelope's
+    start = (x, y) (None: the domain center) is where the envelope's
     first solve and the middle loop start; next_start, the recovered
     minimizer joined with the returned dual point, is the next call's.
     Each middle-loop oracle starts where the level below left off: the
@@ -394,12 +395,10 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     """
     x_bar = np.asarray(x_bar, float)
     p = problem_f_eps.p
-    tracker = tracker or CountTracker(problem_f_eps.base)
     g_eps = surrogate_g(problem_f_eps, x_bar, gamma)
     op = g_eps.operator()
     dx = g_eps.dx
     y_dom = g_eps.y_domain
-    flags = flags if flags is not None else []
     start = g_eps.domain.center() if start is None else start
     env = Envelope(g_eps, True, start[:dx])
     y = start[dx:]
@@ -410,7 +409,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
             with tracker.level("inner"):
                 yb = np.asarray(yb, float)
                 y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
-                    g_eps, x_bar, yb, g, cfg.delta, cfg.M_inner, zeta3,
+                    g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
                     z0=join(env.pt, yb), base0=env.base_at(yb))
             env.keep(z_hat[:dx], y_t, base_out)
             if not cert.ok:

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
 
+from saddleopt import eg
 from saddleopt.eg import (
     certified_distance, default_epoch_length, eg_epoch, eg_steps, iprox_psi,
     polish_step, restarted_eg,
@@ -268,11 +270,39 @@ def test_iprox_psi_pure_regularizer():
     x0, y0 = split(z0, base.dx)
     g_eps = surrogate_g(f_eps, x0, gamma=0.5)
     M = 32.0 * surrogate_h(g_eps, y0, 0.5).Lp
-    y_t, v_t, cert, _ = iprox_psi(g_eps, x0, y0, gamma=0.5, delta=1e-6,
-                                  M=M, zeta3=1e-9)
+    y_t, v_t, cert, _ = iprox_psi(g_eps, y0, gamma=0.5, delta=1e-6, M=M,
+                                  zeta3=1e-9, z0=z0)
     assert np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.lam * np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.ok
+
+
+def test_iprox_psi_returns_a_failed_certificate_after_one_run(monkeypatch):
+    # the only certificate retry is iprox_phi's; iprox_psi makes one
+    # restarted EG run and hands its certificate up as it is
+    runs, certs = [], []
+    real_run, real_cert = eg.restarted_eg, eg.prox_certificate
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    def failing_cert(*args, **kwargs):
+        certs.append(replace(real_cert(*args, **kwargs), ok=False))
+        return certs[-1]
+
+    monkeypatch.setattr(eg, "restarted_eg", counted_run)
+    monkeypatch.setattr(eg, "prox_certificate", failing_cert)
+    prob = make_quadratic(2, seed=0)
+    z0 = prob.domain.center()
+    f_eps = regularize_f_eps(prob, z0, 0.2, 0.2)
+    x0, y0 = split(z0, prob.dx)
+    g_eps = surrogate_g(f_eps, x0, prob.L1)
+    _, _, cert, _ = iprox_psi(
+        g_eps, y0, prob.L1, delta=1e-2,
+        M=32.0 * surrogate_h(g_eps, y0, prob.L1).Lp, zeta3=1e-9, z0=z0)
+    assert len(runs) == 1
+    assert len(certs) == 1 and cert is certs[0] and not cert.ok
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -290,9 +320,9 @@ def test_iprox_psi_certificate_battery(p):
         gamma = prob.Lp if p == 2 else prob.L1
         g_eps = surrogate_g(f_eps, x_bar, gamma)
         y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
-            g_eps, x_bar, y_bar, gamma, delta=1e-2,
+            g_eps, y_bar, gamma, delta=1e-2,
             M=32.0 * surrogate_h(g_eps, y_bar, gamma).Lp,
-            zeta3=1e-9 if p == 1 else 1e-10)
+            zeta3=1e-9 if p == 1 else 1e-10, z0=join(x_bar, y_bar))
         assert cert.ok, (p, seed, cert.residual, cert.bound)
         assert prob.y_domain.contains(y_t)
         # the handed-up base tuple is the order-p oracle at (x_hat, y_t)

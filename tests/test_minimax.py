@@ -248,7 +248,8 @@ def test_iprox_phi_tracks_surrogate_saddle():
     x_bar = np.array([0.3, -0.2, 0.5])
     g_eps = surrogate_g(f_eps, x_bar, cfg.gamma)
     x_star, _ = split(reference_saddle_g(g_eps), prob.dx)
-    x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
+    x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg, None,
+                                   CountTracker(prob), [])
     assert np.linalg.norm(x_t - x_star) <= 1e-3
     assert prob.x_domain.contains(x_t)
     # u lies in the normal cone: nonpositive against feasible directions
@@ -266,9 +267,45 @@ def test_iprox_phi_certificate_battery():
                                  cfg.mu_x, cfg.mu_y)
         rng = np.random.default_rng(100 + seed)
         x_bar = prob.x_domain.sample(rng)
-        x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg)
+        x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg, None,
+                                       CountTracker(prob), [])
         assert cert.ok, (seed, cert.residual, cert.bound)
         assert cert.residual <= cert.bound
+
+
+def test_iprox_phi_retries_a_failed_certificate_with_tighter_zeta3(
+        monkeypatch):
+    # the package's one certificate retry: a failed primal certificate
+    # reruns the middle loop, and each inner prox of the rerun gets
+    # zeta3 ten times tighter
+    restarts, zetas = [], []
+    real_restart, real_psi = minimax.aipe_restart, minimax.iprox_psi
+    real_cert = minimax.prox_certificate
+
+    def restart(*args, **kwargs):
+        restarts.append(args)
+        return real_restart(*args, **kwargs)
+
+    def psi(g_eps, y_bar, gamma, delta, M, zeta3, **kwargs):
+        zetas.append((len(restarts), zeta3))
+        return real_psi(g_eps, y_bar, gamma, delta, M, zeta3, **kwargs)
+
+    def first_fails(*args, **kwargs):
+        cert = real_cert(*args, **kwargs)
+        return replace(cert, ok=False) if len(restarts) == 1 else cert
+
+    monkeypatch.setattr(minimax, "aipe_restart", restart)
+    monkeypatch.setattr(minimax, "iprox_psi", psi)
+    monkeypatch.setattr(minimax, "prox_certificate", first_fails)
+    prob = make_quadratic(2, seed=0)
+    cfg = derive_parameters(prob, 0.05)
+    f_eps = regularize_f_eps(prob, prob.domain.center(), cfg.mu_x, cfg.mu_y)
+    x_bar = prob.x_domain.sample(np.random.default_rng(100))
+    iprox_phi(f_eps, x_bar, cfg.gamma, cfg, None, CountTracker(prob), [])
+    assert len(restarts) == 2
+    assert {run for run, _ in zetas} == {1, 2}
+    assert all(z == (cfg.zeta3 if run == 1 else cfg.zeta3 / 10.0)
+               for run, z in zetas)
 
 
 # ---------------------------------------------------------------------------
