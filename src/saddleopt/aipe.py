@@ -25,12 +25,13 @@ STALL_PATIENCE = 5
 
 @dataclass
 class OracleBundle:
-    """ifunc(z, d) -> value, igrad(z, d) -> (value, gradient) and
-    iprox(z_bar, gamma, d) -> (z, u), each promised accurate to its d, with
-    values as floats and points as float arrays.  igrad hands up the value
-    its one solve measured along with the gradient, so the epoch never asks
-    ifunc at a point it just passed to igrad.  An iprox that can check its
-    answer flags a failed check itself; the epoch never stops on one."""
+    """ifunc(z, d) -> value and igrad(z, d) -> (value, gradient), each
+    promised accurate to its d, and iprox(z_bar, gamma) -> (z, u), which
+    holds its own tolerance, with values as floats and points as float
+    arrays.  igrad hands up the value its one solve measured along with
+    the gradient, so the epoch never asks ifunc at a point it just passed
+    to igrad.  An iprox that can check its answer flags a failed check
+    itself; the epoch never stops on one."""
 
     ifunc: callable
     igrad: callable
@@ -112,11 +113,11 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
         a_p, A_p = solve_a(A, lam_p)
         z_bar = (A * z + a_p * v) / A_p
         z_bar = domain.project(z_bar)  # convex combination; guards roundoff
-        z_tilde, u = oracles.iprox(z_bar, gamma, delta)
+        z_tilde, u = oracles.iprox(z_bar, gamma)
         s = norm(z_tilde - z_bar)
         if s <= 1e-15 * (1.0 + norm(z_bar)):
             # proximal fixed point: the prox condition collapses to
-            # ||grad h + u|| <= delta, so z~ is already a solution
+            # ||grad h + u|| <= iprox's tolerance: z~ is already a solution
             st.fixed_point = True
             return z_tilde, st
         lam = gamma * s ** (q - 1)

@@ -93,7 +93,6 @@ class MinimaxConfig:
     delta: float           # outer and middle prox-certificate tolerance
     stall1: float          # outer value-improvement resolution
     stall2: float          # middle value-improvement resolution
-    zeta1: float
     zeta2: float
     zeta3: float
     M_inner: float         # first inner EG step's regularization (4 Lp of
@@ -101,7 +100,7 @@ class MinimaxConfig:
 
     def __post_init__(self):
         for name in ("gamma", "mu_x", "mu_y", "delta", "stall1", "stall2",
-                     "zeta1", "zeta2", "zeta3", "M_inner"):
+                     "zeta2", "zeta3", "M_inner"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("T1", "T2", "S"):
@@ -138,9 +137,10 @@ class SolveReport:
 def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     """The solver's schedule from the problem's smoothness and geometry.
 
-    zeta1 is the primal-dual distance making the final polish residual
-    <= eps/2 (the regularizer gradients account for the other eps/2),
-    zeta2 = zeta1/4 and zeta3 = zeta2/20.  The measured residual at the
+    zeta1 = eps/(24 L1t), a local, is the primal-dual distance making a
+    polish residual <= eps/2 (the regularizer gradients account for the
+    other eps/2); it sets zeta2 = zeta1/4, zeta3 = zeta2/20 and the outer
+    stall resolution stall1.  The measured residual at the
     recovered pair is the arbiter, so there is no worst-case delta chain:
     delta = eps/100 at both the outer and the middle level.  T1, T2 and S
     are the analysis's loop counts, used as caps on loops that stop on
@@ -185,7 +185,7 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     return MinimaxConfig(
         gamma=gamma, mu_x=mu_x, mu_y=mu_y, T1=T1, T2=T2, S=S,
         delta=eps / 100.0, stall1=stall1, stall2=stall2,
-        zeta1=zeta1, zeta2=zeta2, zeta3=zeta3,
+        zeta2=zeta2, zeta3=zeta3,
         # the contraction analysis wants 32 Lp; measured-stopping runs are
         # stable at the much smaller 4 Lp, which p=1 epochs then adapt
         M_inner=4.0 * Lpg)
@@ -405,7 +405,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
 
     for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
                          (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
-        def mid_iprox(yb, g, d):
+        def mid_iprox(yb, g):
             with tracker.level("inner"):
                 yb = np.asarray(yb, float)
                 y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
@@ -463,7 +463,6 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     t_start = time.perf_counter()
     _positive(eps, "eps")
     cfg = cfg or derive_parameters(problem, eps)
-    p = problem.p
     domain = problem.domain
     tracker = CountTracker(problem)
     trace = []
@@ -477,38 +476,24 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     op_feps = f_eps.operator()
     gap_fn = getattr(problem, "_exact_gap", None)
 
-    # the outer loop's envelope, the recovery's own one on the same view,
-    # and where the next iprox_phi starts (its last handed-back point)
+    # the outer loop's envelope and where the next iprox_phi starts (its
+    # last handed-back point)
     outer = Envelope(f_eps, False)
-    rec = Envelope(f_eps, False)
     mid = None
     best = {"z": None, "r": math.inf}
 
     def recover(x):
         """Dual recovery + joint polish + residual of the original f.
 
-        Two dual candidates are polished and measured: the maximizer of
-        f_eps(x, .) (the textbook recovery, unstable where the coupling
-        is flat and only the tiny regularizer decides y), and the middle
-        loop's last dual point, which tracked the saddle through the
-        gamma-strengthened surrogate.  The measured residual arbitrates.
+        The dual point is the middle loop's last one, which tracked the
+        saddle through the gamma-strengthened surrogate; every recovery
+        follows at least one iprox_phi, which sets mid.  The pair is
+        polished on f_eps and measured on f.
         """
-        x = np.asarray(x, float)
-        with tracker.level("outer"):
-            y_hat, base, _ = rec.solve(
-                x, _dist_to_gap(rec.mu, p, cfg.zeta1))
-        # the first candidate's F comes with the recovery's last query;
-        # every recovery follows at least one iprox_phi, which sets mid
-        candidates = [(y_hat, op_feps.read(join(x, y_hat), base)[1]),
-                      (mid[problem.dx:], None)]
-        z_t, r = None, math.inf
         with tracker.level("polish"):
-            for y_c, F_c in candidates:
-                z_c, _ = polish_step(op_feps, domain, join(x, y_c),
-                                     f_eps.L1, Fz=F_c)
-                r_c = domain.tangent_residual(z_c, op_f(z_c))
-                if r_c < r:
-                    z_t, r = z_c, r_c
+            z_t, _ = polish_step(op_feps, domain, join(x, mid[problem.dx:]),
+                                 f_eps.L1)
+            r = domain.tangent_residual(z_t, op_f(z_t))
         gap = float(gap_fn(z_t)) if gap_fn is not None else None
         trace.append((problem.oracle_counter - start_count, r, gap, "outer"))
         if r < best["r"]:
@@ -519,7 +504,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
         _, r = recover(x_best)
         return r <= eps
 
-    def out_iprox(xb, g, d):
+    def out_iprox(xb, g):
         nonlocal mid
         x_t, u_t, cert, (z_m, base_out), mid = iprox_phi(
             f_eps, xb, g, cfg, mid, tracker=tracker, flags=flags)

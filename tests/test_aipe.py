@@ -67,7 +67,7 @@ def exact_bundle(h: OracleView, domain, M, order, calls=None):
     """Tensor-step prox oracle on h; appends each prox center to calls."""
     cfg = TensorStepConfig(order=order, M=M)
 
-    def iprox(zb, g, d):
+    def iprox(zb, g):
         if calls is not None:
             calls.append(zb)
         c = iprox_via_tensor(h, domain, zb, g, cfg)
@@ -192,9 +192,9 @@ def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
         log.append(("g", np.asarray(z, float).tobytes()))
         return view_value(h, z), h(z)
 
-    def iprox(zb, g, d):
+    def iprox(zb, g):
         log.append(("p", None))
-        return inner.iprox(zb, g, d)
+        return inner.iprox(zb, g)
 
     bundle = OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox)
     _, st = aipe_epoch(bundle, h.domain, [1.8, -1.5], gamma=1.0, delta=0.0,
