@@ -1,13 +1,16 @@
 """Accelerated inexact proximal-point method with restarts.
 
 Monteiro-Svaiter-type acceleration driven by three inexact oracles
-(function value, gradient, proximal step), with an adaptive bracketing of
-the proximal stepsize lambda': each iteration either accepts the step and
-halves the bracket or damps the step and doubles it.  An epoch ends early
-for one of three recorded reasons (a proximal fixed point, the caller's
-probe, a stall of the best value) or runs all its T iterations.  A
-restart wrapper halves the optimality gap per epoch on uniformly convex
-objectives.
+(function value, gradient, proximal step).  A step whose stepsize
+lambda = gamma s^{q-1} (s the prox step's length) exceeds the bracket
+lambda' is damped by lambda'/lambda.  The bracket then moves as if s were
+halved after an accepted step and doubled after a damped one, by the
+factor 2^{-(q-1)} or 2^{q-1}.  At q = 1 lambda = gamma is known, lambda'
+stays at gamma and no step is damped: the epoch is Guler's accelerated
+proximal point method.  An epoch ends early for one of three recorded
+reasons (a proximal fixed point, the caller's probe, a stall of the best
+value) or runs all its T iterations.  A restart wrapper halves the
+optimality gap per epoch on uniformly convex objectives.
 """
 
 from __future__ import annotations
@@ -126,16 +129,10 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
             # z_bar unchanged, so re-solving a' is consistent
             lam_p = lam
             a_p, A_p = solve_a(A, lam_p)
-        if lam <= lam_p:
-            gam = 1.0
-            a = a_p
-            A_new = A_p
-            lam_p_next = 0.5 * lam_p
-        else:
-            gam = lam_p / lam
-            a = gam * a_p
-            A_new = A + a
-            lam_p_next = 2.0 * lam_p
+        # an accepted step (gam = 1) has A + a = A_p, as solve_a forms it
+        gam = min(1.0, lam_p / lam)
+        a = gam * a_p
+        A_new = A + a
         z = ((1.0 - gam) * A / A_new) * z + (gam * A_p / A_new) * z_tilde
         h_til, g = oracles.igrad(z_tilde, delta)
         v = domain.project(v - a * (g + u))
@@ -145,7 +142,8 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
         st.lam.append(lam)
         st.lam_prime.append(lam_p)
         st.gamma_t.append(gam)
-        A, lam_p = A_new, lam_p_next
+        A = A_new
+        lam_p *= (2.0 if lam > lam_p else 0.5) ** (q - 1)
 
         record(z, z_tilde, h_til)
         if probe is not None and probe(best_pt):

@@ -67,10 +67,6 @@ class Domain:
     def diameter(self) -> float:
         raise NotImplementedError
 
-    def scale(self, beta: float) -> "Domain":
-        """The set {z : beta*z in domain}; diameters divide by beta."""
-        raise NotImplementedError
-
     def interior_margin(self, z) -> float:
         """Smallest constraint slack at z (<= 0 on the boundary/outside)."""
         raise NotImplementedError
@@ -155,10 +151,6 @@ class Box(Domain):
     def diameter(self):
         return norm(self.hi - self.lo)
 
-    def scale(self, beta):
-        _check_beta(beta)
-        return Box(self.lo / beta, self.hi / beta)
-
     def interior_margin(self, z):
         z = self._check_dim(z)
         return float(min(np.min(z - self.lo), np.min(self.hi - z)))
@@ -229,9 +221,4 @@ class Product(Domain):
 
     def center(self):
         return np.concatenate([self.left.center(), self.right.center()])
-
-
-def _check_beta(beta):
-    if not beta > 0:
-        raise ValueError(f"scale factor must be positive, got {beta}")
 

@@ -134,13 +134,9 @@ def _bisection_q2(F0, J, M):
     if t_lo <= lo:
         lam = max(t_lo, _LAMBDA_FLOOR)
         return s_of(lam), lam
+    # target is nonincreasing, so target(hi) <= target(lo) = t_lo <= hi:
+    # [lo, hi] brackets the fixed point
     hi = max(t_lo, 2 * lo)
-    for _ in range(200):
-        if target(hi) <= hi:
-            break
-        hi *= 4.0
-    else:  # pragma: no cover - target(hi) <= (M/2)||F0||/hi always crosses
-        raise RuntimeError("failed to bracket the q=2 step size")
     for _ in range(_MAX_INNER_ITERS):
         mid = 0.5 * (lo + hi)
         if target(mid) > mid:

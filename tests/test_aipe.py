@@ -161,44 +161,63 @@ def test_epoch_hand_trace_scalar():
     assert view_value(h, z) == pytest.approx(0.125)
 
 
+def quartic_epoch(wrap=lambda bundle: bundle):
+    """A q=2 epoch on quartic_oracle(3, seed=2), where the lambda' bracket
+    damps some steps and accepts others; wrap(bundle) may log its calls.
+    Returns (h, z, state)."""
+    h = quartic_oracle(dim=3, seed=2)
+    bundle = wrap(exact_bundle(h, h.domain, M=2 * h.Lp, order=2))
+    z0 = h.domain.sample(np.random.default_rng(3))
+    return (h, *aipe_epoch(bundle, h.domain, z0, gamma=h.Lp, delta=0.0,
+                           T=12))
+
+
 def test_epoch_records_exact_values_and_invariants():
     h = quad_oracle([0.3, -0.2, 0.1], lo=-2.0, hi=2.0)
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
     z, st = aipe_epoch(bundle, h.domain, [1.5, -1.5, 0.0], gamma=2.0,
                        delta=0.0, T=12)
-    # A monotone increasing, lambda' halves or doubles each iteration
+    # at q=1 lambda = gamma is known: lambda' stays there, nothing damped
     assert all(b >= a for a, b in zip(st.A, st.A[1:]))
-    for lp_prev, lp_next in zip(st.lam_prime, st.lam_prime[1:]):
-        assert lp_next in (pytest.approx(0.5 * lp_prev),
-                           pytest.approx(2.0 * lp_prev))
-    assert all(0 < g <= 1 for g in st.gamma_t)
+    assert st.lam_prime == [2.0] * 12
+    assert st.gamma_t == [1.0] * 12
     # recorded values are the exact function values at replayed points
     assert len(st.h_hat) == len(st.h_tilde) == 13
     assert h.domain.contains(z)
+    # at q=2 lambda' halves after an accepted step, doubles after a damped
+    h, z, st = quartic_epoch()
+    assert all(b >= a for a, b in zip(st.A, st.A[1:]))
+    assert 1.0 in st.gamma_t and min(st.gamma_t) < 1.0
+    for gam, lp_prev, lp_next in zip(st.gamma_t, st.lam_prime,
+                                     st.lam_prime[1:]):
+        assert lp_next == (0.5 if gam == 1.0 else 2.0) * lp_prev
+    assert all(0 < g <= 1 for g in st.gamma_t)
+    assert h.domain.contains(z)
 
 
-def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
-    # igrad hands up the value at z~ with the gradient, so ifunc runs once
-    # at the start and then only at a z without z~'s bytes (gamma_t < 1)
-    h = quad_oracle([0.3, -0.2], lo=-2.0, hi=2.0)
-    inner = exact_bundle(h, h.domain, M=2.0, order=1)
-    log = []
-
+def logged_bundle(inner, log):
+    """inner with each ifunc, igrad and iprox call appended to log."""
     def ifunc(z, d):
         log.append(("f", np.asarray(z, float).tobytes()))
-        return view_value(h, z)
+        return inner.ifunc(z, d)
 
     def igrad(z, d):
         log.append(("g", np.asarray(z, float).tobytes()))
-        return view_value(h, z), h(z)
+        return inner.igrad(z, d)
 
     def iprox(zb, g):
         log.append(("p", None))
         return inner.iprox(zb, g)
 
-    bundle = OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox)
-    _, st = aipe_epoch(bundle, h.domain, [1.8, -1.5], gamma=1.0, delta=0.0,
-                       T=12)
+    return OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox,
+                        order=inner.order)
+
+
+def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
+    # igrad hands up the value at z~ with the gradient, so ifunc runs once
+    # at the start and then only at a z without z~'s bytes (gamma_t < 1)
+    log = []
+    h, _, st = quartic_epoch(lambda bundle: logged_bundle(bundle, log))
     assert 1.0 in st.gamma_t and min(st.gamma_t) < 1.0
     # split the log by prox call: the start, then one chunk per iteration
     chunks = [[]]
@@ -216,6 +235,14 @@ def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():
             assert chunk[1][1] != chunk[0][1]
     assert st.h_tilde[1:] == [view_value(h, np.frombuffer(c[0][1]))
                               for c in chunks[1:]]
+    # at q=1 no step is damped, so ifunc runs only at the start
+    log = []
+    q1 = quad_oracle([0.3, -0.2], lo=-2.0, hi=2.0)
+    bundle = logged_bundle(exact_bundle(q1, q1.domain, M=2.0, order=1), log)
+    _, st = aipe_epoch(bundle, q1.domain, [1.8, -1.5], gamma=1.0, delta=0.0,
+                       T=12)
+    assert len(st.gamma_t) == 12
+    assert [k for k, _ in log].count("f") == 1 and log[0][0] == "f"
 
 
 def test_epoch_fixed_point_event():

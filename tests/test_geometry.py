@@ -341,28 +341,11 @@ def test_residual_rejects_outside_point():
 
 
 # ---------------------------------------------------------------------------
-# diameter / scaling
+# diameter
 # ---------------------------------------------------------------------------
 
 def test_diameter_examples():
     assert Box([0] * 3, [1] * 3).diameter() == pytest.approx(np.sqrt(3))
     assert Product(Box([0, 0], [1, 1]),
                    Box([0, 0], [1, 1])).diameter() == pytest.approx(2.0)
-
-
-def test_scale_examples():
-    d = Box([0], [1]).scale(2.0)
-    assert np.allclose([d.lo, d.hi], [[0], [0.5]])
-    with pytest.raises(ValueError):
-        Box([0], [1]).scale(-1.0)
-
-
-@given(st.floats(0.01, 100), st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_scale_divides_diameter(beta, seed):
-    rng = np.random.default_rng(seed)
-    # depth 2 gives a box: the lower-bound chain scales its two factors
-    dom = random_domain(rng, int(rng.integers(1, 6)), depth=2)
-    assert dom.scale(beta).diameter() == pytest.approx(
-        dom.diameter() / beta, rel=1e-12)
 

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -729,6 +732,74 @@ def test_hard_instance_derivative_lipschitz():
                 d2 = prob.oracle_eval(z2, 2)[2]
             diff = np.linalg.norm(d1 - d2, ord=2)
             assert diff <= prob.Lp * np.linalg.norm(z1 - z2) + 1e-10
+
+
+def chain_matrix_form(p, T, Lp=1.0, DZ=None):
+    """The chain instance written with its dense difference matrix G,
+    d = G x + e1: ((value, grad, hess), L1), the three functions of z and
+    L1 from the SVD norm of G."""
+    n = T + 1
+    cst = Lp / (2 ** (p + 1) * math.factorial(p))
+    G = np.zeros((n, n))
+    G[0, 0] = -1.0
+    for i in range(1, n):
+        G[i, i - 1], G[i, i] = 1.0, -1.0
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    beta = 1.0 if DZ is None else math.sqrt(2.0 * n) / DZ
+
+    def at(z):
+        x, y = split(beta * np.asarray(z, float), n)
+        return G @ x + e1, y
+
+    def value(z):
+        d, y = at(z)
+        return cst * float(y @ d ** p) / beta ** (p + 1)
+
+    def grad(z):
+        d, y = at(z)
+        return join(cst * p * (G.T @ (y * d ** (p - 1))),
+                    cst * d ** p) / beta ** p
+
+    def hess(z):
+        d, y = at(z)
+        H = np.zeros((2 * n, 2 * n))
+        H[:n, :n] = cst * p * (p - 1) * (G.T @ np.diag(y * d ** (p - 2)) @ G)
+        H[:n, n:] = cst * p * (G.T @ np.diag(d ** (p - 1)))
+        H[n:, :n] = H[:n, n:].T
+        return H / beta ** (p - 1)
+
+    nG = np.linalg.norm(G, 2)
+    L1 = max(cst * p * ((p - 1) * nG ** 2 + nG) / beta ** (p - 1), 1e-8)
+    return (value, grad, hess), L1
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_chain_matches_its_matrix_form(p):
+    # the difference form gives the dense-matrix numbers at every order
+    rng = np.random.default_rng(p)
+    for T in (1, 4, 16, 64):
+        for DZ in (None, 3.0):
+            prob = hard_instance(p, T, DZ=DZ)
+            fns, L1 = chain_matrix_form(p, T, DZ=DZ)
+            assert prob.L1 == pytest.approx(L1, rel=1e-14, abs=0.0)
+            for _ in range(5):
+                z = prob.domain.sample(rng)
+                out = prob.oracle_eval(z, p)
+                for k in range(p + 1):
+                    assert np.array_equal(out[k], fns[k](z))
+
+
+def test_chain_holds_no_n_by_n_matrix():
+    # a dense 2049 x 2049 difference matrix alone would take 33.6 MB
+    tracemalloc.start()
+    try:
+        prob = hard_instance(1, 2048)
+        prob.oracle_eval(prob.domain.center(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ---------------------------------------------------------------------------
