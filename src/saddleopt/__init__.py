@@ -1,7 +1,7 @@
 """Solvers and benchmarks for smooth convex-concave saddle-point problems.
 
 Highlights: tangent-residual geometry on boxes and their products, first- and
-second-order tensor steps, restarted extragradient, accelerated inexact
+second-order tensor steps, certified extragradient, accelerated inexact
 proximal-point with restarts, the triple-loop minimax solver, hard-instance
 floor experiments, and a benchmark CLI (console script ``saddlebench``).
 """

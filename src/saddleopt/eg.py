@@ -1,18 +1,21 @@
-"""Restarted higher-order extragradient on regularized saddle problems.
+"""Certified higher-order extragradient on regularized saddle problems.
 
 The inner workhorse of the triple-loop solver: the two-sided surrogate
-h_eps is uniformly monotone, so order-p extragradient epochs contract the
-distance to its saddle at a fixed rate, and a restart loop drives that
-distance below a target zeta3.  First-order steps size themselves from the
-local Lipschitz constant each step measures with the operator values it
-already has (the adaptive steps of Malitsky, "Golden ratio algorithms for
-variational inequalities", 2020); second-order steps keep the caller's M.
-The epochs take first-order steps as past_eg_steps, Popov's past
-extragradient ("A modification of the Arrow-Hurwicz method for search of
-saddle points", 1980): one oracle call per step, since the last half
-point's value stands in for the anchor's, and on the strongly monotone
-h_eps it keeps extragradient's linear rate.  Second-order epoch steps and
-the EG baseline in minimax take eg_steps, two calls per q=1 step.
+h_eps is uniformly monotone, so a measured residual bounds the distance
+to its saddle, and one extragradient run (restarted_eg) stops at the
+first half point whose residual certifies distance below a target zeta3.
+The analysis's restart schedule, S3 epochs of T3 steps that each halve
+the distance, serves only as that run's step cap.  First-order steps
+size themselves from the local Lipschitz constant each step measures
+with the operator values it already has (the adaptive steps of Malitsky,
+"Golden ratio algorithms for variational inequalities", 2020);
+second-order steps keep the caller's M.  The run takes first-order steps
+as past_eg_steps, Popov's past extragradient ("A modification of the
+Arrow-Hurwicz method for search of saddle points", 1980): one oracle
+call per step, since the last half point's value stands in for the
+anchor's, and on the strongly monotone h_eps it keeps extragradient's
+linear rate.  Second-order run steps and the EG baseline in minimax take
+eg_steps, two calls per q=1 step.
 A final short gradient step ("polish") converts small distance into a
 small operator residual plus an explicit normal-cone certificate, which is
 exactly the currency the middle loop's inexact proximal oracle needs.
@@ -64,7 +67,7 @@ def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
     ||project_tangent(zh, -Fh)||, the step length d = ||zh - z|| and the
     step size eta = q!/(M d^{q-1}) of the update z <- project(z - eta Fh).
     Each step asks F at its anchor z and at zh, two calls; the EG baseline
-    takes these steps, and so do the q=2 epochs.
+    takes these steps, and so does the q=2 inner run.
 
     cfg regularizes the first step.  A q=1 step then sets the next one's
     M_{k+1} = max(M_k/2, 2 L_k), where L_k = ||Fh - F(z)|| / d is the local
@@ -130,23 +133,25 @@ def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
 
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
              stop_residual: float = 0.0, F0=None):
-    """T extragradient steps at regularization M; returns the eta-weighted
-    average of the half iterates and the per-step trace.  q=1 steps are
-    past_eg_steps, one call each; q=2 steps are eg_steps.  A zero step
-    returns its point, which solves the VI, and the trace keeps F there.
+    """Up to T extragradient steps at regularization M; returns one half
+    iterate and the per-step trace.  q=1 steps are past_eg_steps, one
+    call each; q=2 steps are eg_steps.  A zero step returns its point,
+    which solves the VI.
 
     stop_residual > 0 turns the free per-step residual estimate into an
-    early exit: once some half iterate already certifies the caller's
-    distance target there is no point in finishing the epoch; the trace
-    then keeps F at that half iterate.  F0, the operator value at z0 when
-    the caller has it, seeds the first step.
+    exit: the run returns the first half iterate whose residual is <=
+    stop_residual, marked certified.  When none is, it returns the half
+    iterate of least residual (z0's projection when T is 0).  Either way
+    trace.F keeps F at the returned point, already measured there.  F0,
+    the operator value at z0 when the caller has it, seeds the first
+    step.
     """
     z0 = np.asarray(z0, float)
     z = domain.project(z0)
     if F0 is not None and z.tobytes() != z0.tobytes():
         F0 = None
-    trace = EgTrace()
-    halves = []
+    trace = EgTrace(F=F0)
+    best_r = math.inf
     steps = past_eg_steps(op, domain, z, M, F0) if q == 1 else \
         eg_steps(op, domain, z, TensorStepConfig(order=q, M=M), F0)
     for zh, Fh, r, d, eta in islice(steps, T):
@@ -154,17 +159,13 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         if eta is None:
             trace.F = Fh
             return zh, trace
-        halves.append(zh)
         trace.etas.append(eta)
+        if r < best_r:
+            z, best_r, trace.F = zh, r, Fh
         if stop_residual > 0.0 and r <= stop_residual:
-            trace.certified, trace.F = True, Fh
-            return zh, trace
-    if not halves:
-        return z, trace
-    w = np.asarray(trace.etas)
-    z_avg = (w[:, None] * np.asarray(halves)).sum(axis=0) / w.sum()
-    z_avg = domain.project(z_avg)  # guard roundoff on faces
-    return z_avg, trace
+            trace.certified = True
+            break
+    return z, trace
 
 
 def default_epoch_length(problem: SaddleProblem, mono_coeff: float) -> int:
@@ -178,55 +179,32 @@ def default_epoch_length(problem: SaddleProblem, mono_coeff: float) -> int:
 
 def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
                  F0=None):
-    """Restart loop with distance certification; returns (point, trace).
+    """One extragradient run certified to distance zeta3; returns (point,
+    trace).
 
-    Each epoch runs T3 = default_epoch_length steps, enough to halve the
-    distance to the saddle, starting at regularization M (which q=1 steps
-    then adapt, at one call each, see eg_epoch), and up to
-    S3 = ceil(log2(D/zeta3)) + 2 epochs (D the domain diameter) run until
-    the measured residual certifies distance <= zeta3.  The operator value
-    measured at an epoch's end seeds the next epoch's first step, and
-    trace.F keeps it at the returned point; F0 is that value at z0.  A zero
-    step ends the loop at its point, measured from the F it was taken
-    with: the next epoch would take the same step from there.
+    The run starts at regularization M (which q=1 steps then adapt, at one
+    call each, see eg_epoch) and stops at the first half point whose
+    measured residual is <= r_stop, the level at which uniform
+    monotonicity certifies distance <= zeta3.  Its cap is the analysis's
+    budget of S3 = ceil(log2(D/zeta3)) + 2 restarts (D the domain
+    diameter) of T3 = default_epoch_length steps each, enough to halve
+    the distance: S3*T3 steps.  A run that reaches the cap returns its
+    half point of least residual, uncertified.  trace.F keeps F at the
+    returned point; F0 is that value at z0, which defaults to the
+    domain's center.
     """
     c_min = max(min(problem.mu_x, problem.mu_y), 1e-12)
     T3 = default_epoch_length(problem, c_min)
     D = problem.domain.diameter()
     S3 = math.ceil(math.log2(max(D / max(zeta3, 1e-300), 2.0))) + 2
-    op = problem.operator()
-    domain = problem.domain
     p = problem.p
     mu = min(problem.uc(True), problem.uc(False))   # the weaker side
     mu2 = min(problem.mu2_x, problem.mu2_y)
-    z = domain.project(np.asarray(z0, float)) if z0 is not None \
-        else domain.center()
-    if F0 is not None and z.tobytes() != np.asarray(z0, float).tobytes():
-        F0 = None
-    full = EgTrace()
-    best, best_bound = z, math.inf
     # residual level at which uniform monotonicity certifies the target
     r_stop = max(2.0 * mu * zeta3 ** p / (p + 1), mu2 * zeta3)
-    for _ in range(S3):
-        z, tr = eg_epoch(op, domain, z, M, T3, p, stop_residual=r_stop,
-                         F0=F0)
-        full.step_norms += tr.step_norms
-        full.etas += tr.etas
-        if tr.certified:
-            best = z
-            full.certified, full.F = True, tr.F
-            break
-        zero_step = tr.F is not None
-        F0 = tr.F if zero_step else op(z)
-        r = domain.tangent_residual(z, F0)
-        bound = certified_distance(r, mu, p, mu2=mu2)
-        if bound < best_bound or zero_step:
-            best, best_bound, full.F = z, bound, F0
-        if bound <= zeta3:
-            full.certified = True
-        if full.certified or zero_step:
-            break
-    return best, full
+    z = problem.domain.center() if z0 is None else z0
+    return eg_epoch(problem.operator(), problem.domain, z, M, S3 * T3, p,
+                    stop_residual=r_stop, F0=F0)
 
 
 def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
@@ -248,7 +226,10 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
 
     Psi(y) = min_x g_eps(x, y); its proximal subproblem at y_bar is the
     saddle of h_eps = g_eps - (gamma/(p+1))||y - y_bar||^{p+1}, solved by
-    restarted EG (regularization M, distance target zeta3) plus a polish.
+    one certified extragradient run (restarted_eg: regularization M,
+    distance target zeta3, the analysis's S3*T3 steps only as its cap)
+    plus a polish; a run that reaches its cap hands its least-residual
+    half point to the polish.
     The certificate's residual can't query grad Psi exactly, so it is the
     measured y-block residual plus a Lipschitz bound on the Danskin-gradient
     error, obtained from the certified distance of the x block to its own

@@ -17,10 +17,10 @@ domain's dim is stored once when it is built, so the shape check that
 opens each entry point reads an attribute.
 
 A product of two boxes is itself a box, and it is handled as one: the
-joint bounds are built once with the product, and project, _feasible,
-project_tangent and interior_margin make one shape check and one pass over
-the joint vector.  A product with another block (the ordered box of the
-hard instances) splits the point between its blocks.
+joint bounds are built once with the product, and project, _feasible
+and project_tangent make one shape check and one pass over the joint
+vector.  A product with another block (the ordered box of the hard
+instances) splits the point between its blocks.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class Domain:
         raise NotImplementedError
 
     def diameter(self) -> float:
-        raise NotImplementedError
-
-    def interior_margin(self, z) -> float:
-        """Smallest constraint slack at z (<= 0 on the boundary/outside)."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator):
@@ -151,10 +147,6 @@ class Box(Domain):
     def diameter(self):
         return norm(self.hi - self.lo)
 
-    def interior_margin(self, z):
-        z = self._check_dim(z)
-        return float(min(np.min(z - self.lo), np.min(self.hi - z)))
-
     def sample(self, rng):
         return rng.uniform(self.lo, self.hi)
 
@@ -208,13 +200,6 @@ class Product(Domain):
 
     def diameter(self):
         return float(np.hypot(self.left.diameter(), self.right.diameter()))
-
-    def interior_margin(self, z):
-        if self._box is not None:
-            return self._box.interior_margin(z)
-        z = self._check_dim(z)
-        a, b = self._split(z)
-        return min(self.left.interior_margin(a), self.right.interior_margin(b))
 
     def sample(self, rng):
         return np.concatenate([self.left.sample(rng), self.right.sample(rng)])

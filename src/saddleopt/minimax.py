@@ -7,8 +7,9 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
     envelope Phi(x) = max_y f_eps(x, y);
   * middle loop -- the same method on the dual envelope of the one-sided
     surrogate g_eps, implementing the outer proximal oracle;
-  * inner loop  -- restarted higher-order extragradient on the two-sided
-    surrogate h_eps, implementing the middle proximal oracle.
+  * inner level -- one higher-order extragradient run on the two-sided
+    surrogate h_eps, certified by its measured residual, implementing the
+    middle proximal oracle.
 
 Both accelerated levels take their oracles from one Envelope: inexact
 values and gradients come from warm-started, uniformly convex restricted
@@ -148,8 +149,8 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
     Lipschitz constants and moduli are not part of it: the solver reads
     each from its view.  zeta1 and S use f_eps's L1 (L1t) and M_inner =
     4 Lpg uses h_eps's Lp, both from power_lipschitz before the views exist.
-    M_inner regularizes the first step of each inner extragradient epoch; at
-    p=1 the epochs take one-call past-extragradient steps whose M follows
+    M_inner regularizes the first step of each inner extragradient run; at
+    p=1 the run takes one-call past-extragradient steps whose M follows
     the local Lipschitz constant measured between consecutive half points
     (eg.past_eg_steps), at p=2 every step keeps it.
     """
@@ -187,7 +188,7 @@ def derive_parameters(problem: SaddleProblem, eps: float) -> MinimaxConfig:
         delta=eps / 100.0, stall1=stall1, stall2=stall2,
         zeta2=zeta2, zeta3=zeta3,
         # the contraction analysis wants 32 Lp; measured-stopping runs are
-        # stable at the much smaller 4 Lp, which p=1 epochs then adapt
+        # stable at the much smaller 4 Lp, which p=1 steps then adapt
         M_inner=4.0 * Lpg)
 
 
@@ -540,7 +541,7 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     eps must be a finite number > 0 (ValueError otherwise).
 
     The steps are eg.eg_steps, the two-call steps of extragradient, not
-    the inner epochs' one-call p=1 steps: the first is regularized by
+    the inner run's one-call p=1 steps: the first is regularized by
     M = 2 max(Lp, eps), later p=1 steps size themselves from the local
     Lipschitz constant, so a step costs two calls, and p=2 steps keep M.
     A zero step (zh = z) means z solves the VI: its residual, from F(z),

@@ -127,13 +127,6 @@ class OrderedBox(Domain):
         # is capped by upper, so ||upper|| is the exact diameter.
         return norm(self.upper)
 
-    def interior_margin(self, z):
-        z = self._check_dim(z)
-        slacks = [np.min(self.upper - z), np.min(z)]
-        if self.dim > 1:
-            slacks.append(np.min(z[:-1] - z[1:]))
-        return float(min(slacks))
-
     def sample(self, rng):
         return self.project(rng.uniform(0.0, np.maximum(self.upper, 1e-12)))
 

@@ -4,7 +4,7 @@ The basic move: given an anchor z_bar, build the (q-1)st Taylor model of
 the operator F, add the regularizer (M/q!)||z - z_bar||^{q-1} (z - z_bar),
 and solve the resulting variational inequality over the feasible set.  For
 q = 1 this is a plain projected step; for q = 2 an implicit step through
-the Jacobian, solved by a scalar bisection in the interior case and
+the Jacobian, solved by a scalar bisection when its point is feasible and
 otherwise by the package's one extragradient loop, eg.eg_steps, run on the
 (strongly monotone) model with steps sized at its measured curvature.
 
@@ -32,9 +32,6 @@ import numpy as np
 
 from .geometry import Domain, norm
 
-# interior margin at which the q=2 bisection solution is trusted without
-# running the constrained VI subsolver
-_INTERIOR_MARGIN = 1e-6
 _LAMBDA_FLOOR = 1e-12
 # bisection tolerance on the q=2 step size; the iteration cap of the
 # bisection, and the step cap of the constrained model-VI subsolver
@@ -186,11 +183,13 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
     tol = cfg.vi_tol * (1.0 + norm(F0))
     s, _lam = _bisection_q2(F0, J, cfg.M)
     cand = z_bar + s
-    if domain.interior_margin(cand) >= _INTERIOR_MARGIN:
+    # a feasible candidate with ||G|| <= tol has tangent residual <= tol,
+    # the subsolver's own stop
+    if domain._feasible(cand):
         slack = norm(G(cand))
         if slack <= tol:
             return cand, slack, 0, True
-    # constrained (or the bisection left too much slack): solve the VI,
+    # infeasible (or the bisection left too much slack): solve the VI,
     # from the projected candidate, by steps that start at the step's M
     return _model_vi_subsolve(G, domain, cand, cfg.M, tol)
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from itertools import islice
 
@@ -62,6 +63,21 @@ def two_call_saddle(problem, tol, max_steps=100_000):
         if r <= tol or eta is None:
             return zh, r
     raise AssertionError(f"no residual <= {tol} in {max_steps} steps")
+
+
+def record_half_points(monkeypatch, steps="past_eg_steps"):
+    """Patches eg's step generator of that name to record each half point
+    it yields; returns the record, half point bytes -> measured residual."""
+    halves = {}
+    real_steps = getattr(eg, steps)
+
+    def recorded(*args):
+        for step in real_steps(*args):
+            halves[step[0].tobytes()] = step[2]
+            yield step
+
+    monkeypatch.setattr(eg, steps, recorded)
+    return halves
 
 
 def make_h_eps(seed, p=1, gamma=0.5, mu=0.1):
@@ -149,16 +165,21 @@ def test_epoch_t0_returns_start():
     assert tr.etas == [] and tr.step_norms == []
 
 
-def test_epoch_average_is_convex_combination():
-    h = make_h_eps(2)
+@pytest.mark.parametrize("q", [1, 2])
+def test_epoch_returns_a_half_point_and_F_there(monkeypatch, q):
+    # the epoch returns its half point of least residual and the F it
+    # measured there
+    h = make_h_eps(2, p=q, gamma=1.0 if q == 2 else 0.5)
     rng = np.random.default_rng(3)
     op = h.operator()
     z0 = h.domain.sample(rng)
-    # replay: the average must equal the eta-weighted half-iterate mean
-    z, tr = eg_epoch(op, h.domain, z0, M=8.0, T=5, q=1)
-    w = np.asarray(tr.etas)
-    assert np.all(w > 0)
-    assert h.domain.contains(z)
+    halves = record_half_points(
+        monkeypatch, "past_eg_steps" if q == 1 else "eg_steps")
+    z, tr = eg_epoch(op, h.domain, z0, M=8.0 if q == 1 else 2 * h.Lp, T=5,
+                     q=q)
+    assert np.all(np.asarray(tr.etas) > 0)
+    assert halves[z.tobytes()] == min(halves.values())
+    assert tr.F.tobytes() == op(z).tobytes()
 
 
 def test_epoch_iterates_feasible_q2():
@@ -197,9 +218,8 @@ def test_restart_from_saddle_is_fixed():
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_restart_zero_step_costs_one_call(p):
-    # at the power game's saddle the first step does not move: the epoch
-    # hands back F there, and the restart loop ends instead of taking the
-    # same step again in each of its epochs
+    # at the power game's saddle the first step does not move: the run
+    # ends there and hands back F, instead of taking the same step again
     prob = make_power(2, p, 0)
     center = prob.domain.center()
     z, tr = restarted_eg(prob, 2.0 * prob.Lp, 1e-3, z0=center)
@@ -210,7 +230,7 @@ def test_restart_zero_step_costs_one_call(p):
 
 
 def test_restart_certifies_distance():
-    # the single-call epochs certify what they return: each point is within
+    # the single-call run certifies what it returns: each point is within
     # zeta3 of a saddle that two-call extragradient resolves to 1e-12
     for seed in (8, 9, 10, 11, 12):
         h = make_h_eps(seed, gamma=0.8, mu=0.2)
@@ -220,6 +240,25 @@ def test_restart_certifies_distance():
         out, tr = restarted_eg(h, 32.0 * h.Lp, 1e-5)
         assert tr.certified, seed
         assert np.linalg.norm(out - z_star) <= 1e-5 + slack, seed
+
+
+def test_run_at_its_cap_returns_its_least_residual_half_point(monkeypatch):
+    # zeta3 = 1e-20 puts r_stop near 1e-20, below what float64 resolves,
+    # so the run takes all S3*T3 steps at one call each, plus F at its
+    # start, and returns its half point of least residual, uncertified,
+    # with F measured there
+    h = make_h_eps(0, gamma=2.0, mu=1.0)
+    zeta3 = 1e-20
+    T3 = default_epoch_length(h, min(h.mu_x, h.mu_y))
+    S3 = math.ceil(math.log2(h.domain.diameter() / zeta3)) + 2
+    halves = record_half_points(monkeypatch)
+    start = h.oracle_counter
+    z, tr = restarted_eg(h, 4.0 * h.Lp, zeta3)
+    assert not tr.certified
+    assert len(tr.step_norms) == S3 * T3
+    assert h.oracle_counter - start <= S3 * T3 + 1
+    assert halves[z.tobytes()] == min(halves.values())
+    assert tr.F.tobytes() == h.operator()(z).tobytes()
 
 
 def test_certified_distance_formula():

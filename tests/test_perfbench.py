@@ -49,3 +49,23 @@ def test_benchmark_calls_match_the_library(monkeypatch):
         for row in inputs.get("floors", ()):
             inspect.signature(lowerbound.experiment_row).bind(
                 row["p"], row["T"], schedule=row["schedule"])
+
+
+def test_one_pass_of_each_workload_passes_the_gate(monkeypatch, tmp_path):
+    """One serial pass of every workload passes the benchmark's own
+    correctness gate, so a library change that breaks a cell fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    capture = workloads.Capture()
+    capture.install()
+    try:
+        for name in workloads.WORKLOADS:
+            inputs = workloads.setup(name, 0)
+            result = workloads.run_pass(name, inputs, 1, str(tmp_path / name),
+                                        capture, run._NullSpan())
+            failures = []
+            assert result.cells, name
+            assert run.check_cells(result.cells, failures) == 0, failures
+    finally:
+        capture.uninstall()

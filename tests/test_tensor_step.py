@@ -4,7 +4,7 @@ from scipy.optimize import brentq
 
 from test_aipe import certified_gamma, function_oracle, iprox_via_tensor
 
-from saddleopt.geometry import Box
+from saddleopt.geometry import Box, norm
 from saddleopt import tensor_step as tensor_step_module
 from saddleopt.problems import (
     SaddleProblem, hard_instance, join, make_power, regularize_f_eps,
@@ -217,11 +217,36 @@ def test_q2_model_on_the_hard_chain_is_solved_within_the_cap():
     op = h_eps.operator()
     cfg = TensorStepConfig(order=2, M=12.004)
     G = model_operator(op, z_bar, cfg)
-    assert h_eps.domain.interior_margin(z_bar) <= 0.0
+    s, _ = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
+    assert not op.domain._feasible(z_bar + s)
     z, slack, iters, ok = tensor_step_module._solve_model(G, op.domain, cfg)
     tol = cfg.vi_tol * (1 + np.linalg.norm(G.F0))
     assert ok and 0 < iters < tensor_step_module._MAX_INNER_ITERS
     assert slack == op.domain.tangent_residual(z, G(z)) <= tol
+
+
+def test_q2_feasible_bisection_point_near_a_face_is_returned(monkeypatch):
+    # F(z) = z - c on [-1, 1]^2 from z_bar = 0 with M = 2: the model
+    # s + (M/2)||s|| s = c is solved by s = target for the c below, a
+    # feasible point 1e-7 from a face; with ||G|| <= tol its tangent
+    # residual is <= tol, so the step returns it without the subsolver
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    target = np.array([1.0 - 1e-7, 0.2])
+    c = target + norm(target) * target
+    op = Op(lambda z: z - c, lambda z: np.eye(z.size), order=2)
+    cfg = TensorStepConfig(order=2, M=2.0)
+
+    def no_subsolve(*args):
+        raise AssertionError("the feasible candidate went to the subsolver")
+
+    monkeypatch.setattr(tensor_step_module, "_model_vi_subsolve", no_subsolve)
+    z_bar = np.zeros(2)
+    G = model_operator(op, z_bar, cfg)
+    s, _ = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
+    z, _ = tensor_step(op, box, z_bar, cfg)
+    assert z.tobytes() == (z_bar + s).tobytes()
+    assert box._feasible(z) and 0.0 < 1.0 - z[0] < 1e-6
+    assert norm(G(z)) <= cfg.vi_tol * (1 + norm(c))
 
 
 def test_q1_step_returns_the_handed_in_anchor_value():
