@@ -9,8 +9,13 @@ factor 2^{-(q-1)} or 2^{q-1}.  At q = 1 lambda = gamma is known, lambda'
 stays at gamma and no step is damped: the epoch is Guler's accelerated
 proximal point method.  An epoch ends early for one of three recorded
 reasons (a proximal fixed point, the caller's probe, a stall of the best
-value) or runs all its T iterations.  A restart wrapper halves the
-optimality gap per epoch on uniformly convex objectives.
+value) or runs all its T iterations.  The probe lets a caller whose
+epochs compute an inexact prox step end them on that step's certificate,
+as Monteiro and Svaiter end each inexact prox step on its relative-error
+test rather than after a count ("An accelerated hybrid proximal
+extragradient method", SIAM J. Optim., 2013); the stall exit is the
+fallback.  A restart wrapper halves the optimality gap per epoch on
+uniformly convex objectives.
 """
 
 from __future__ import annotations
@@ -78,11 +83,14 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
     bytes (an accepted step, gamma_t = 1), so ifunc runs at most once per
     iteration plus once at the start.
 
-    probe(best_point) -> bool, if given, is consulted after every
-    iteration's recording; returning True ends the epoch (used by callers
-    that can certify global optimality from the current best point).
-    STALL_PATIENCE iterations in a row that improve the best value by no
-    more than delta also end it.
+    probe(best_point, stalled) -> bool, if given, is consulted after every
+    iteration's recording; returning True ends the epoch.  stalled is True
+    when the iteration improved the best value by no more than delta, so
+    that it counts toward the stall exit: a caller whose measurement costs
+    more than an iteration can check only then (the middle level's primal
+    prox certificate), one whose check is cheap checks every time (the
+    outer level's residual).  STALL_PATIENCE stalled iterations in a row
+    also end the epoch.
     """
     q = oracles.order
     z = domain.project(np.asarray(z_start, float))
@@ -146,7 +154,7 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
         lam_p *= (2.0 if lam > lam_p else 0.5) ** (q - 1)
 
         record(z, z_tilde, h_til)
-        if probe is not None and probe(best_pt):
+        if probe is not None and probe(best_pt, stall > 0):
             st.stopped_by_probe = True
             break
         if stall >= STALL_PATIENCE:
@@ -162,7 +170,7 @@ def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
     start point).  Returns (z, traces), one AipeState per epoch run; an
     epoch's h_hat[0] is the value at its start point.
 
-    probe(best_point) -> bool is passed to every epoch.  The loop ends
+    probe(best_point, stalled) -> bool is passed to every epoch.  The loop ends
     after an epoch that hits a proximal fixed point or is stopped by probe,
     and once an epoch's best recorded value improves on the previous best
     by no more than delta: the oracles can no longer resolve progress.

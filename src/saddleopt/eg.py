@@ -140,8 +140,9 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
 
     stop_residual > 0 turns the free per-step residual estimate into an
     exit: the run returns the first half iterate whose residual is <=
-    stop_residual, marked certified.  When none is, it returns the half
-    iterate of least residual (z0's projection when T is 0).  Either way
+    stop_residual, marked certified, a zero step's included.  When none
+    is, it returns the zero step's point or else the half iterate of
+    least residual (z0's projection when T is 0).  Either way
     trace.F keeps F at the returned point, already measured there.  F0,
     the operator value at z0 when the caller has it, seeds the first
     step.
@@ -156,11 +157,10 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         eg_steps(op, domain, z, TensorStepConfig(order=q, M=M), F0)
     for zh, Fh, r, d, eta in islice(steps, T):
         trace.step_norms.append(d)
-        if eta is None:
-            trace.F = Fh
-            return zh, trace
-        trace.etas.append(eta)
-        if r < best_r:
+        if eta is not None:
+            trace.etas.append(eta)
+        # a zero step (eta None) is the last one, at a point solving the VI
+        if r < best_r or eta is None:
             z, best_r, trace.F = zh, r, Fh
         if stop_residual > 0.0 and r <= stop_residual:
             trace.certified = True
@@ -237,10 +237,12 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     one query at z0, seeds its first step with h_eps's operator read from
     it.  A failed certificate is returned as it is.
 
-    Returns (y_hat, v_hat, certificate, (z_hat, base_out)): the polished
-    point z_hat = (x_hat, y_hat) is measured by one order-p query of the
-    base problem, and base_out is that tuple, which any view on the same
-    base reads without another call.  x_hat is the argmin of g_eps(.,
+    Returns (y_hat, v_hat, certificate, (z_hat, base_out), certified): the
+    polished point z_hat = (x_hat, y_hat) is measured by one order-p query
+    of the base problem, and base_out is that tuple, which any view on the
+    same base reads without another call.  certified is the run's
+    EgTrace.certified, False when no residual certified zeta3 before the
+    run's cap; the caller flags it.  x_hat is the argmin of g_eps(.,
     y_hat) to within the certified dist_x, since the y-prox term of h_eps
     does not depend on x, so the caller can start its next solve on
     g_eps(., y_hat) there.
@@ -266,4 +268,4 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     dist_x = certified_distance(rx, h_eps.uc(True), p, mu2=h_eps.mu2_x)
     cert = prox_certificate(y_bar, y_hat, v_hat,
                             ry + problem_g_eps.L1 * dist_x, gamma, p, delta)
-    return y_hat, v_hat, cert, (z_hat, base_out)
+    return y_hat, v_hat, cert, (z_hat, base_out), tr.certified

@@ -20,11 +20,14 @@ value its solve measured, and each prox oracle (iprox_psi for the middle
 loop, iprox_phi for the outer one) hands back its measured point and
 base oracle tuple, which the envelope keeps as the start of its next
 solve at the point the prox returned.  The worst-case loop counts of
-the analysis (T1, T2, S) are only caps: every level stops on measured
-certificates and stalls, the inner tolerances are eps/100 rather than a
-worst-case delta chain, and the outer loop halts as soon as a recovered
-primal-dual pair has tangent residual <= eps for the ORIGINAL operator
--- which is also the guarantee the solver reports.
+the analysis (T1, T2, S) are only caps: every level stops on a measured
+certificate, with a stall of its best value as the fallback.  The inner
+run stops on a residual that certifies its distance target; the middle
+loop stops once the outer level's primal prox certificate holds at its
+best dual point; the outer loop halts as soon as a recovered primal-dual
+pair has tangent residual <= eps for the ORIGINAL operator -- which is
+also the guarantee the solver reports.  The inner tolerances are eps/100
+rather than a worst-case delta chain.
 
 The schedule (MinimaxConfig, from derive_parameters) holds no Lipschitz
 constant or modulus: each level reads them from the regularized view it
@@ -372,20 +375,31 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     """Inexact proximal oracle for the primal envelope at x_bar.
 
     Runs the middle-loop acceleration on the dual envelope of g_eps =
-    f_eps + (gamma/(p+1))||x - x_bar||^{p+1}, then recovers the primal
-    minimizer at the returned dual point and polishes it.  Returns
-    (x_tilde, u_tilde, certificate, (z, base_out), next_start); the
-    certificate residual adds a Danskin-error bound (from the measured
-    dual-side residual) to the directly measured polished gradient.  That
-    measurement is one order-p base query at z = (x_tilde, y_hat), the
-    envelope solve's own when the polish step did not move, and base_out
-    is its tuple: the x-prox term is constant in y, so y_hat is
-    also the caller's start for maximizing f_eps(x_tilde, .).  Failed dual
-    prox certificates are appended to flags; the middle loop keeps going
-    past them.  A failed certificate gets one retry with zeta2 and zeta3
-    ten times tighter.  This is the package's only certificate retry: the
-    retry's zeta3 is the target each of its iprox_psi calls receives, and
-    iprox_psi itself runs once and returns its certificate as it is.
+    f_eps + (gamma/(p+1))||x - x_bar||^{p+1}; its answer comes from a
+    recovery at a dual point y_hat: the envelope solve for the primal
+    minimizer to distance zeta2, a polish step and the primal prox
+    certificate.  Returns (x_tilde, u_tilde, certificate, (z, base_out),
+    next_start); the certificate residual adds a Danskin-error bound
+    (from the measured dual-side residual) to the directly measured
+    polished gradient.  That measurement is one order-p base query at z =
+    (x_tilde, y_hat), the envelope solve's own when the polish step did
+    not move, and base_out is its tuple: the x-prox term is constant in
+    y, so y_hat is also the caller's start for maximizing f_eps(x_tilde,
+    .).
+
+    The recovery is the middle loop's probe.  It runs at the epoch's best
+    dual point on each iteration that counts toward the stall exit, and
+    the epoch ends as soon as the certificate holds; the stall exit stays
+    as the fallback.  The answer is the last probe's when the loop
+    returns the point it probed, which every stall exit does, and a
+    recovery at the returned point otherwise, so no returned point is
+    recovered twice.  Failed dual prox certificates and inner runs that
+    end uncertified at their step cap are appended to flags; the middle
+    loop keeps going past them.  A failed primal certificate gets one
+    retry with zeta2 and zeta3 ten times tighter.  This is the package's
+    only certificate retry: the retry's zeta3 is the target each of its
+    iprox_psi calls receives, and iprox_psi itself runs once and returns
+    its certificate as it is.
 
     start = (x, y) (None: the domain center) is where the envelope's
     first solve and the middle loop start; next_start, the recovered
@@ -404,24 +418,9 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     env = Envelope(g_eps, True, start[:dx])
     y = start[dx:]
 
-    for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
-                         (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
-        def mid_iprox(yb, g):
-            with tracker.level("inner"):
-                yb = np.asarray(yb, float)
-                y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
-                    g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
-                    z0=join(env.pt, yb), base0=env.base_at(yb))
-            env.keep(z_hat[:dx], y_t, base_out)
-            if not cert.ok:
-                flags.append(f"dual prox certificate: {cert.residual:.3e} "
-                             f"> {cert.bound:.3e}")
-            return y_t, v_t
-
-        y, _ = aipe_restart(env.bundle(tracker, "middle", mid_iprox), y_dom,
-                            y, gamma, cfg.stall2, cfg.T2, cfg.S)
-        y_hat = np.asarray(y, float)
-
+    def recover(y_hat, zeta2):
+        """The answer and its primal prox certificate at the dual point
+        y_hat, with the envelope solved to distance zeta2."""
         with tracker.level("middle"):
             x_hat, base_hat, oracle = env.solve(
                 y_hat, _dist_to_gap(env.mu, p, zeta2))
@@ -446,9 +445,40 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         cert = prox_certificate(x_bar, x_t, u_t,
                                 norm(w) + problem_f_eps.L1 * dist_y, gamma, p,
                                 cfg.delta)
-        if cert.ok:
+        return x_t, u_t, cert, (z_t, base_out), join(x_hat, y_hat)
+
+    for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
+                         (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
+        def mid_iprox(yb, g):
+            with tracker.level("inner"):
+                yb = np.asarray(yb, float)
+                y_t, v_t, cert, (z_hat, base_out), certified = iprox_psi(
+                    g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
+                    z0=join(env.pt, yb), base0=env.base_at(yb))
+            env.keep(z_hat[:dx], y_t, base_out)
+            if not certified:
+                flags.append("inner run ended uncertified at its step cap")
+            if not cert.ok:
+                flags.append(f"dual prox certificate: {cert.residual:.3e} "
+                             f"> {cert.bound:.3e}")
+            return y_t, v_t
+
+        probed = {}   # the last dual point probed (bytes) -> its answer
+
+        def probe(y_best, stalled):
+            if not stalled:
+                return False
+            probed.clear()
+            ans = probed[y_best.tobytes()] = recover(y_best, zeta2)
+            return ans[2].ok
+
+        y, _ = aipe_restart(env.bundle(tracker, "middle", mid_iprox), y_dom,
+                            y, gamma, cfg.stall2, cfg.T2, cfg.S, probe=probe)
+        y = np.asarray(y, float)
+        out = probed.get(y.tobytes()) or recover(y, zeta2)
+        if out[2].ok:
             break
-    return x_t, u_t, cert, (z_t, base_out), join(x_hat, y_hat)
+    return out
 
 
 def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
@@ -501,7 +531,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
             best["z"], best["r"] = z_t, r
         return z_t, r
 
-    def probe(x_best):
+    def probe(x_best, _stalled):
         _, r = recover(x_best)
         return r <= eps
 

@@ -267,7 +267,7 @@ def test_epoch_counts_iprox_calls():
 
 @pytest.mark.parametrize("c, hi, z0, delta, T, S, probe, reasons", [
     ([0.25, -0.5], 1.0, [0.25, -0.5], 0.0, 10, 1, None, ["fixed_point"]),
-    ([0.0, 0.0], 3.0, [2.0, -1.0], 0.0, 5, 4, lambda z: True,
+    ([0.0, 0.0], 3.0, [2.0, -1.0], 0.0, 5, 4, lambda z, stalled: True,
      ["stopped_by_probe"]),
     ([0.5], 1.0, [-1.0], 1e-3, 8, 3, None, [None, "stalled"]),
     ([0.0, 0.0], 3.0, [2.0, -1.0], 0.0, 7, 1, None, [None]),
@@ -320,7 +320,7 @@ def test_restart_probe_stops_after_first_epoch():
     bundle = exact_bundle(h, h.domain, M=2.0, order=1)
     seen = []
 
-    def probe(z):
+    def probe(z, stalled):
         seen.append(np.array(z))
         return True
 
@@ -330,6 +330,27 @@ def test_restart_probe_stops_after_first_epoch():
     assert st.stopped_by_probe and not st.stalled and not st.fixed_point
     assert len(st.lam) == 1 and len(seen) == 1
     assert np.array_equal(z, seen[0])
+
+
+def test_probe_is_told_which_iterations_count_toward_the_stall_exit():
+    # stalled is True exactly when an iteration improves the best recorded
+    # value by no more than delta
+    h = quad_oracle([0.5], lo=-1.0, hi=1.0)
+    bundle = exact_bundle(h, h.domain, M=2.0, order=1)
+    seen = []
+
+    def probe(z, stalled):
+        seen.append(stalled)
+        return False
+
+    _, (st,) = aipe_restart(bundle, h.domain, [-1.0], 1.0, 1e-3, T=8, S=1,
+                            probe=probe)
+    best, want = min(st.h_hat[0], st.h_tilde[0]), []
+    for val in map(min, st.h_hat[1:], st.h_tilde[1:]):
+        want.append(not val < best - 1e-3)
+        best = min(best, val)
+    assert seen == want
+    assert True in seen and False in seen
 
 
 def test_restart_stops_after_a_stalled_epoch():

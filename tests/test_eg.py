@@ -309,11 +309,11 @@ def test_iprox_psi_pure_regularizer():
     x0, y0 = split(z0, base.dx)
     g_eps = surrogate_g(f_eps, x0, gamma=0.5)
     M = 32.0 * surrogate_h(g_eps, y0, 0.5).Lp
-    y_t, v_t, cert, _ = iprox_psi(g_eps, y0, gamma=0.5, delta=1e-6, M=M,
-                                  zeta3=1e-9, z0=z0)
+    y_t, v_t, cert, _, certified = iprox_psi(
+        g_eps, y0, gamma=0.5, delta=1e-6, M=M, zeta3=1e-9, z0=z0)
     assert np.linalg.norm(y_t - y0) <= 1e-6
     assert cert.lam * np.linalg.norm(y_t - y0) <= 1e-6
-    assert cert.ok
+    assert cert.ok and certified
 
 
 def test_iprox_psi_returns_a_failed_certificate_after_one_run(monkeypatch):
@@ -337,7 +337,7 @@ def test_iprox_psi_returns_a_failed_certificate_after_one_run(monkeypatch):
     f_eps = regularize_f_eps(prob, z0, 0.2, 0.2)
     x0, y0 = split(z0, prob.dx)
     g_eps = surrogate_g(f_eps, x0, prob.L1)
-    _, _, cert, _ = iprox_psi(
+    _, _, cert, _, _ = iprox_psi(
         g_eps, y0, prob.L1, delta=1e-2,
         M=32.0 * surrogate_h(g_eps, y0, prob.L1).Lp, zeta3=1e-9, z0=z0)
     assert len(runs) == 1
@@ -358,7 +358,7 @@ def test_iprox_psi_certificate_battery(p):
         y_bar = prob.y_domain.sample(rng)
         gamma = prob.Lp if p == 2 else prob.L1
         g_eps = surrogate_g(f_eps, x_bar, gamma)
-        y_t, v_t, cert, (z_hat, base_out) = iprox_psi(
+        y_t, v_t, cert, (z_hat, base_out), _ = iprox_psi(
             g_eps, y_bar, gamma, delta=1e-2,
             M=32.0 * surrogate_h(g_eps, y_bar, gamma).Lp,
             zeta3=1e-9 if p == 1 else 1e-10, z0=join(x_bar, y_bar))

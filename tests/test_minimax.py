@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from saddleopt import minimax
+from saddleopt import eg, minimax
 from saddleopt.aipe import gap_from_residual
 from saddleopt.geometry import Box
 from saddleopt.minimax import (
@@ -337,11 +337,11 @@ def test_solve_reports_failed_dual_prox_certificate(monkeypatch):
     calls = []
 
     def first_fails(*args, **kwargs):
-        y_t, v_t, cert, at = real(*args, **kwargs)
+        y_t, v_t, cert, at, certified = real(*args, **kwargs)
         calls.append(cert)
         if len(calls) == 1:
             cert = replace(cert, ok=False)
-        return y_t, v_t, cert, at
+        return y_t, v_t, cert, at, certified
 
     monkeypatch.setattr(minimax, "iprox_psi", first_fails)
     z, rep = solve(make_quadratic(2, seed=8), 1e-2)
@@ -439,17 +439,22 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
 
 
 @pytest.mark.parametrize("problem, eps, z0, budget", [
-    (make_quadratic(3, 1, 0), 4e-2, None, 1_300),
+    (make_quadratic(3, 1, 0), 4e-2, None, 335),
     (make_power(3, 2, 2), 1e-2, np.full(6, 0.1), 1_750),
-    (make_bilinear(2, 1, 0), 4e-2, None, 2_300),
+    (make_bilinear(2, 1, 0), 4e-2, None, 1_180),
     (make_bilinear(3, 1, 0), 1e-2, None, 12_000),
     (hard_instance(1, 16), 1e-2, None, 20_500),
-    (make_quadratic(3, 1, 0), 1e-4, None, 9_500),
+    (make_quadratic(3, 1, 0), 1e-4, None, 3_550),
+    (make_power(3, 2, 5), 1e-2, np.full(6, 0.1), 1_950),
 ])
 def test_solve_stays_within_its_call_budget(problem, eps, z0, budget):
     # each level starts from what the level below computed and nothing is
     # asked twice, and each inner q=1 step makes one call; re-solving those
-    # answers or two-call inner steps cost well over these budgets
+    # answers or two-call inner steps cost well over these budgets.  Middle
+    # epochs end on the primal prox certificate, not on a five-iteration
+    # stall tail, which the p=1 budgets of 335, 1 180 and 3 550 leave no
+    # room for; power(3,2,5) keeps the stalled-iteration probes from making
+    # p=2 costlier
     _, rep = solve(problem, eps, z0=z0)
     assert rep.ok
     assert sum(rep.counts.values()) <= budget
@@ -461,6 +466,70 @@ def test_power_game_solve_fits_the_tighter_budget():
     _, rep = solve(make_power(3, 2, 2), 1e-2, z0=np.full(6, 0.1))
     assert rep.ok
     assert sum(rep.counts.values()) <= 1_450
+
+
+def test_middle_epochs_stop_on_the_primal_prox_certificate(monkeypatch):
+    # a middle epoch ends once the primal prox certificate holds at its
+    # best dual point, checked on the iterations that count toward the
+    # stall exit; iprox_phi then returns that probe's answer, so it solves
+    # its envelope to zeta2 at the dual point it returns exactly once
+    problem = make_quadratic(3, 1, 0)
+    cfg = derive_parameters(problem, 4e-2)
+    real_restart, real_phi = minimax.aipe_restart, minimax.iprox_phi
+    real_solve = Envelope.solve
+    depth, middle, solves, returned = [0], [], [], []
+
+    def restart(*args, **kwargs):
+        depth[0] += 1
+        try:
+            z, traces = real_restart(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            middle.extend(traces)
+        return z, traces
+
+    def env_solve(self, fixed, target_gap):
+        recovery = any(
+            target_gap == minimax._dist_to_gap(self.mu, self.view.p, z2)
+            for z2 in (cfg.zeta2, cfg.zeta2 / 10.0))
+        if self.x_side and recovery:
+            solves[-1].append(np.asarray(fixed, float).tobytes())
+        return real_solve(self, fixed, target_gap)
+
+    def iprox_phi(*args, **kwargs):
+        solves.append([])
+        out = real_phi(*args, **kwargs)
+        returned.append(out[4][problem.dx:].tobytes())
+        return out
+
+    monkeypatch.setattr(minimax, "aipe_restart", restart)
+    monkeypatch.setattr(Envelope, "solve", env_solve)
+    monkeypatch.setattr(minimax, "iprox_phi", iprox_phi)
+    _, rep = solve(problem, 4e-2, cfg=cfg)
+    assert rep.ok and returned
+    assert any(st.stopped_by_probe for st in middle)
+    for at, y in zip(solves, returned):
+        assert at.count(y) == 1
+
+
+def test_solve_flags_an_inner_run_that_ends_uncertified(monkeypatch):
+    # inner runs of one step per restart reach their S3*T3 cap before
+    # their residual certifies zeta3; each such run is one flag
+    uncertified = []
+    real_run = eg.restarted_eg
+
+    def run(*args, **kwargs):
+        z, tr = real_run(*args, **kwargs)
+        uncertified.append(not tr.certified)
+        return z, tr
+
+    monkeypatch.setattr(eg, "default_epoch_length", lambda problem, c: 1)
+    monkeypatch.setattr(eg, "restarted_eg", run)
+    _, rep = solve(make_quadratic(2, 1, 0), 4e-2)
+    capped = [f for f in rep.flags if f.startswith("inner run")]
+    assert any(uncertified)
+    assert len(capped) == sum(uncertified)
 
 
 @pytest.mark.parametrize("p, Lp", [(1, 1.0), (2, 0.0)])
