@@ -3,9 +3,13 @@
 The inner workhorse of the triple-loop solver: the two-sided surrogate
 h_eps is uniformly monotone, so a measured residual bounds the distance
 to its saddle, and one extragradient run (restarted_eg) stops at the
-first half point whose residual certifies distance below a target zeta3.
-The analysis's restart schedule, S3 epochs of T3 steps that each halve
-the distance, serves only as that run's step cap.  First-order steps
+first half point whose residual certifies distance below a target zeta3,
+or earlier, at the first half point where the caller's probe finds the
+certificate it serves holding: iprox_psi's dual prox certificate, an
+inexact prox step's relative-error test (Monteiro and Svaiter, "An
+accelerated hybrid proximal extragradient method", SIAM J. Optim.,
+2013).  The analysis's restart schedule, S3 epochs of T3 steps that each
+halve the distance, serves only as that run's step cap.  First-order steps
 size themselves from the local Lipschitz constant each step measures
 with the operator values it already has (the adaptive steps of Malitsky,
 "Golden ratio algorithms for variational inequalities", 2020);
@@ -132,7 +136,7 @@ def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
 
 
 def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
-             stop_residual: float = 0.0, F0=None):
+             stop_residual: float = 0.0, F0=None, probe=None):
     """Up to T extragradient steps at regularization M; returns one half
     iterate and the per-step trace.  q=1 steps are past_eg_steps, one
     call each; q=2 steps are eg_steps.  A zero step returns its point,
@@ -140,12 +144,14 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
 
     stop_residual > 0 turns the free per-step residual estimate into an
     exit: the run returns the first half iterate whose residual is <=
-    stop_residual, marked certified, a zero step's included.  When none
-    is, it returns the zero step's point or else the half iterate of
-    least residual (z0's projection when T is 0).  Either way
-    trace.F keeps F at the returned point, already measured there.  F0,
-    the operator value at z0 when the caller has it, seeds the first
-    step.
+    stop_residual, marked certified, a zero step's included.  probe(zh,
+    Fh) -> bool, if given, is asked at every half iterate that exit
+    passes over, with F there; returning True ends the run at zh, marked
+    certified.  When neither exit fires, the run returns the zero step's
+    point or else the half iterate of least residual (z0's projection
+    when T is 0).  Either way trace.F keeps F at the returned point,
+    already measured there.  F0, the operator value at z0 when the
+    caller has it, seeds the first step.
     """
     z0 = np.asarray(z0, float)
     z = domain.project(z0)
@@ -165,6 +171,9 @@ def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
         if stop_residual > 0.0 and r <= stop_residual:
             trace.certified = True
             break
+        if probe is not None and probe(zh, Fh):
+            z, trace.F, trace.certified = zh, Fh, True
+            break
     return z, trace
 
 
@@ -178,15 +187,17 @@ def default_epoch_length(problem: SaddleProblem, mono_coeff: float) -> int:
 
 
 def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
-                 F0=None):
+                 F0=None, probe=None):
     """One extragradient run certified to distance zeta3; returns (point,
     trace).
 
     The run starts at regularization M (which q=1 steps then adapt, at one
     call each, see eg_epoch) and stops at the first half point whose
     measured residual is <= r_stop, the level at which uniform
-    monotonicity certifies distance <= zeta3.  Its cap is the analysis's
-    budget of S3 = ceil(log2(D/zeta3)) + 2 restarts (D the domain
+    monotonicity certifies distance <= zeta3, or whose probe(zh, Fh)
+    returns True: the caller's own certificate, which eg_epoch asks at
+    each half point that r_stop does not end the run at.  Its cap is the
+    analysis's budget of S3 = ceil(log2(D/zeta3)) + 2 restarts (D the domain
     diameter) of T3 = default_epoch_length steps each, enough to halve
     the distance: S3*T3 steps.  A run that reaches the cap returns its
     half point of least residual, uncertified.  trace.F keeps F at the
@@ -204,7 +215,7 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     r_stop = max(2.0 * mu * zeta3 ** p / (p + 1), mu2 * zeta3)
     z = problem.domain.center() if z0 is None else z0
     return eg_epoch(problem.operator(), problem.domain, z, M, S3 * T3, p,
-                    stop_residual=r_stop, F0=F0)
+                    stop_residual=r_stop, F0=F0, probe=probe)
 
 
 def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
@@ -237,15 +248,26 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     one query at z0, seeds its first step with h_eps's operator read from
     it.  A failed certificate is returned as it is.
 
+    The run also stops on that certificate, as Monteiro and Svaiter end
+    an inexact prox step on its relative-error test.  Its probe first
+    forms the same residual from the half point's free tangent residual,
+    split by block, and only when that is within half the certificate's
+    bound does it measure: the polish, the order-p query and the
+    certificate, the answer this oracle returns.  The run ends, certified,
+    once a measured certificate holds; one that fails costs its query and
+    the run goes on.  The answer is the last probe's when the run returns
+    the point it probed, and is measured at the returned point otherwise,
+    so no point is measured twice.
+
     Returns (y_hat, v_hat, certificate, (z_hat, base_out), certified): the
     polished point z_hat = (x_hat, y_hat) is measured by one order-p query
     of the base problem, and base_out is that tuple, which any view on the
     same base reads without another call.  certified is the run's
-    EgTrace.certified, False when no residual certified zeta3 before the
-    run's cap; the caller flags it.  x_hat is the argmin of g_eps(.,
-    y_hat) to within the certified dist_x, since the y-prox term of h_eps
-    does not depend on x, so the caller can start its next solve on
-    g_eps(., y_hat) there.
+    EgTrace.certified, False when neither r_stop nor the probe ended the
+    run before its cap; the caller flags it.  x_hat is the argmin of
+    g_eps(., y_hat) to within the certified dist_x, since the y-prox term
+    of h_eps does not depend on x, so the caller can start its next solve
+    on g_eps(., y_hat) there.
     """
     y_bar = np.asarray(y_bar, float)
     p = problem_g_eps.p
@@ -253,19 +275,43 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     dx = h_eps.dx
     op = h_eps.operator()
     domain = h_eps.domain
+    mu_x = h_eps.uc(True)
+
+    def dual_residual(rx, ry):
+        # x block: g_eps(., y_hat) is (mu_x)-power-regularized, so the
+        # residual certifies the distance to argmin_x, and the Danskin
+        # gradient of Psi differs from the measured one by at most L1*dist
+        dist_x = certified_distance(rx, mu_x, p, mu2=h_eps.mu2_x)
+        return ry + problem_g_eps.L1 * dist_x
+
+    def measure(z, Fz):
+        """The answer at the half point z, F there being Fz."""
+        z_hat, c_hat = polish_step(op, domain, z, h_eps.L1, Fz=Fz)
+        base_out, out = op.query(z_hat, p)
+        resid_vec = out[1] + c_hat
+        y_hat = z_hat[dx:]
+        v_hat = c_hat[dx:]
+        cert = prox_certificate(
+            y_bar, y_hat, v_hat,
+            dual_residual(norm(resid_vec[:dx]), norm(resid_vec[dx:])),
+            gamma, p, delta)
+        return y_hat, v_hat, cert, (z_hat, base_out)
+
+    probed = {}   # the last half point measured (bytes) -> its answer
+
+    def probe(zh, Fh):
+        t = domain.project_tangent(zh, -Fh)
+        # the certificate's bound at zh; the free check asks for half of
+        # it (0.5, a fixed safety factor), so that what the polish and
+        # the measurement move rarely fails the measured certificate
+        bound = 0.5 * gamma * norm(zh[dx:] - y_bar) ** p + delta
+        if dual_residual(norm(t[:dx]), norm(t[dx:])) > 0.5 * bound:
+            return False
+        probed.clear()
+        ans = probed[zh.tobytes()] = measure(zh, Fh)
+        return ans[2].ok
+
     F0 = None if base0 is None else op.read(z0, base0)[1]
-    zS, tr = restarted_eg(h_eps, M, zeta3, z0, F0)
-    z_hat, c_hat = polish_step(op, domain, zS, h_eps.L1, Fz=tr.F)
-    base_out, out = op.query(z_hat, p)
-    resid_vec = out[1] + c_hat
-    rx = norm(resid_vec[:dx])
-    ry = norm(resid_vec[dx:])
-    y_hat = z_hat[dx:]
-    v_hat = c_hat[dx:]
-    # x block: g_eps(., y_hat) is (mu_x)-power-regularized, so the
-    # residual certifies the distance to argmin_x, and the Danskin
-    # gradient of Psi differs from the measured one by at most L1*dist
-    dist_x = certified_distance(rx, h_eps.uc(True), p, mu2=h_eps.mu2_x)
-    cert = prox_certificate(y_bar, y_hat, v_hat,
-                            ry + problem_g_eps.L1 * dist_x, gamma, p, delta)
-    return y_hat, v_hat, cert, (z_hat, base_out), tr.certified
+    zS, tr = restarted_eg(h_eps, M, zeta3, z0, F0, probe=probe)
+    out = probed.get(zS.tobytes()) or measure(zS, tr.F)
+    return (*out, tr.certified)

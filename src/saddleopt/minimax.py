@@ -22,7 +22,8 @@ base oracle tuple, which the envelope keeps as the start of its next
 solve at the point the prox returned.  The worst-case loop counts of
 the analysis (T1, T2, S) are only caps: every level stops on a measured
 certificate, with a stall of its best value as the fallback.  The inner
-run stops on a residual that certifies its distance target; the middle
+run stops once the middle level's dual prox certificate holds at a half
+point, or on a residual that certifies its distance target; the middle
 loop stops once the outer level's primal prox certificate holds at its
 best dual point; the outer loop halts as soon as a recovered primal-dual
 pair has tangent residual <= eps for the ORIGINAL operator -- which is

@@ -176,6 +176,16 @@ def test_experiment_ratios_and_slope():
     assert slope <= -0.9
 
 
+def test_p1_floor_ratio_holds_past_T_64():
+    # past T = 108 the schedule's 2.6/sqrt(T) falls below half the chain's
+    # L1 (about 0.5); held at L1/2 the steps stay stable and the ratio
+    # stays near its small-T value (4.87 at T=128 and 10.16 at T=256
+    # without the hold, against 3.11 at T=4)
+    base = experiment_row(1, 4)["ratio"]
+    for T in (64, 128, 256):
+        assert experiment_row(1, T)["ratio"] <= 1.5 * base, T
+
+
 def test_best_residual_covers_bases():
     prob = hard_instance(1, 16)
     run = run_alg_class(prob, anchored_eg_schedule(16))

@@ -439,33 +439,35 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
 
 
 @pytest.mark.parametrize("problem, eps, z0, budget", [
-    (make_quadratic(3, 1, 0), 4e-2, None, 335),
+    (make_quadratic(3, 1, 0), 4e-2, None, 227),
     (make_power(3, 2, 2), 1e-2, np.full(6, 0.1), 1_750),
-    (make_bilinear(2, 1, 0), 4e-2, None, 1_180),
-    (make_bilinear(3, 1, 0), 1e-2, None, 12_000),
-    (hard_instance(1, 16), 1e-2, None, 20_500),
-    (make_quadratic(3, 1, 0), 1e-4, None, 3_550),
-    (make_power(3, 2, 5), 1e-2, np.full(6, 0.1), 1_950),
+    (make_bilinear(2, 1, 0), 4e-2, None, 620),
+    (make_bilinear(3, 1, 0), 1e-2, None, 4_750),
+    (hard_instance(1, 16), 1e-2, None, 8_500),
+    (make_quadratic(3, 1, 0), 1e-4, None, 2_650),
+    (make_power(3, 2, 5), 1e-2, np.full(6, 0.1), 1_570),
 ])
 def test_solve_stays_within_its_call_budget(problem, eps, z0, budget):
     # each level starts from what the level below computed and nothing is
     # asked twice, and each inner q=1 step makes one call; re-solving those
     # answers or two-call inner steps cost well over these budgets.  Middle
     # epochs end on the primal prox certificate, not on a five-iteration
-    # stall tail, which the p=1 budgets of 335, 1 180 and 3 550 leave no
-    # room for; power(3,2,5) keeps the stalled-iteration probes from making
-    # p=2 costlier
+    # stall tail, and inner runs end on the dual prox certificate, not only
+    # on the residual that certifies zeta3: these budgets are about 1.1x
+    # the counts with both exits and leave room for neither tail.  The
+    # power(3,2,2) row's tighter budget has a test of its own
     _, rep = solve(problem, eps, z0=z0)
     assert rep.ok
     assert sum(rep.counts.values()) <= budget
 
 
 def test_power_game_solve_fits_the_tighter_budget():
-    # a recovery solves no envelope of its own, which takes this run well
-    # under the 1_750 it is held to above
+    # a recovery solves no envelope of its own and inner runs stop on the
+    # dual prox certificate, which take this run well under the 1_750 it
+    # is held to above
     _, rep = solve(make_power(3, 2, 2), 1e-2, z0=np.full(6, 0.1))
     assert rep.ok
-    assert sum(rep.counts.values()) <= 1_450
+    assert sum(rep.counts.values()) <= 1_220
 
 
 def test_middle_epochs_stop_on_the_primal_prox_certificate(monkeypatch):
@@ -515,11 +517,13 @@ def test_middle_epochs_stop_on_the_primal_prox_certificate(monkeypatch):
 
 def test_solve_flags_an_inner_run_that_ends_uncertified(monkeypatch):
     # inner runs of one step per restart reach their S3*T3 cap before
-    # their residual certifies zeta3; each such run is one flag
+    # their residual certifies zeta3; each such run is one flag.  The
+    # wrapper drops the run's probe, which would otherwise stop it on its
+    # dual prox certificate before the cap
     uncertified = []
     real_run = eg.restarted_eg
 
-    def run(*args, **kwargs):
+    def run(*args, probe=None, **kwargs):
         z, tr = real_run(*args, **kwargs)
         uncertified.append(not tr.certified)
         return z, tr
@@ -530,6 +534,108 @@ def test_solve_flags_an_inner_run_that_ends_uncertified(monkeypatch):
     capped = [f for f in rep.flags if f.startswith("inner run")]
     assert any(uncertified)
     assert len(capped) == sum(uncertified)
+
+
+def log_probes(monkeypatch):
+    """Patches the inner run to log each run's probes and trace: a list of
+    (asked, trace), asked holding one (measured, ok) pair per probe in
+    the order the run asked them, measured when the probe got past its
+    free check to a dual prox certificate."""
+    runs, certs = [], []
+    real_run, real_cert = eg.restarted_eg, eg.prox_certificate
+
+    def cert(*args, **kwargs):
+        certs.append(real_cert(*args, **kwargs))
+        return certs[-1]
+
+    def run(*args, probe, **kwargs):
+        asked = []
+
+        def logged(zh, Fh):
+            before = len(certs)
+            ok = probe(zh, Fh)
+            asked.append((len(certs) > before, ok))
+            return ok
+
+        z, tr = real_run(*args, probe=logged, **kwargs)
+        runs.append((asked, tr))
+        return z, tr
+
+    monkeypatch.setattr(eg, "prox_certificate", cert)
+    monkeypatch.setattr(eg, "restarted_eg", run)
+    return runs
+
+
+def test_inner_runs_stop_on_the_dual_prox_certificate(monkeypatch):
+    # a run whose last probe returned True stopped on it; iprox_psi hands
+    # up that probe's certificate, and the run counts as certified
+    runs = log_probes(monkeypatch)
+    handed = []
+    real_psi = minimax.iprox_psi
+
+    def psi(*args, **kwargs):
+        out = real_psi(*args, **kwargs)
+        handed.append((runs[-1][0], out[2], out[4]))
+        return out
+
+    monkeypatch.setattr(minimax, "iprox_psi", psi)
+    _, rep = solve(make_quadratic(3, 1, 0), 4e-2)
+    assert rep.ok
+    stopped = [(cert, certified) for asked, cert, certified in handed
+               if asked and asked[-1][1]]
+    assert stopped
+    for cert, certified in stopped:
+        assert cert.ok and certified
+
+
+def test_iprox_psi_measures_the_point_it_returns_once(monkeypatch):
+    # one order-p query at the returned point per iprox_psi, whether a
+    # probe made it inside the run or the measurement after the run did;
+    # some returned point is a probe's, measured before its run returned
+    queries, ends, checks = [], [], []
+    real_query, real_run = OracleView.query, eg.restarted_eg
+    real_psi = minimax.iprox_psi
+
+    def query(self, v, order):
+        queries.append((np.asarray(v, float).tobytes(), order))
+        return real_query(self, v, order)
+
+    def run(*args, **kwargs):
+        out = real_run(*args, **kwargs)
+        ends.append(len(queries))
+        return out
+
+    def psi(*args, **kwargs):
+        start = len(queries)
+        out = real_psi(*args, **kwargs)
+        key = (out[3][0].tobytes(), 1)     # the quadratic game has p = 1
+        checks.append(([i for i in range(start, len(queries))
+                        if queries[i] == key], ends[-1]))
+        return out
+
+    monkeypatch.setattr(OracleView, "query", query)
+    monkeypatch.setattr(eg, "restarted_eg", run)
+    monkeypatch.setattr(minimax, "iprox_psi", psi)
+    _, rep = solve(make_quadratic(3, 1, 0), 4e-2)
+    assert rep.ok and checks
+    for at, _ in checks:
+        assert len(at) == 1
+    assert any(at[0] < end for at, end in checks)
+
+
+def test_a_failed_measured_probe_does_not_end_the_run(monkeypatch):
+    # a half point can pass the free check and still fail the measured
+    # certificate; that probe costs its query and the run goes on.  The
+    # run asks its i-th probe at its i-th half point
+    runs = log_probes(monkeypatch)
+    _, rep = solve(make_power(3, 2, 5), 1e-2, z0=np.full(6, 0.1))
+    assert rep.ok
+    failed = [(i, tr) for asked, tr in runs
+              for i, (measured, ok) in enumerate(asked)
+              if measured and not ok]
+    assert failed
+    for i, tr in failed:
+        assert len(tr.step_norms) > i + 1
 
 
 @pytest.mark.parametrize("p, Lp", [(1, 1.0), (2, 0.0)])
