@@ -18,8 +18,11 @@ as past_eg_steps, Popov's past extragradient ("A modification of the
 Arrow-Hurwicz method for search of saddle points", 1980): one oracle
 call per step, since the last half point's value stands in for the
 anchor's, and on the strongly monotone h_eps it keeps extragradient's
-linear rate.  Second-order run steps and the EG baseline in minimax take
-eg_steps, two calls per q=1 step.
+linear rate.  Second-order run steps, the constrained q=2 model solve in
+tensor_step and the EG baseline in minimax take eg_steps, two calls per
+step.  All of them run through one driver, eg_epoch: the half point of
+least residual wins, and a stop residual or a caller's probe ends the run
+certified.
 A final short gradient step ("polish") converts small distance into a
 small operator residual plus an explicit normal-cone certificate, which is
 exactly the currency the middle loop's inexact proximal oracle needs.
@@ -40,10 +43,12 @@ from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
 
 @dataclass
 class EgTrace:
+    # one step length per step taken; perfbench/tracer.py counts a run's
+    # steps by its length
     step_norms: list = field(default_factory=list)
-    etas: list = field(default_factory=list)
     certified: bool = False
     F: np.ndarray = None       # operator value at the returned point, if known
+    residual: float = math.inf     # measured residual there, if known
 
 
 def certified_distance(residual: float, mu_uc: float, p: int,
@@ -66,12 +71,14 @@ def certified_distance(residual: float, mu_uc: float, p: int,
 
 
 def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
-    """Order-q extragradient steps from z; yields (zh, Fh, r, d, eta) per
-    step: the half iterate, F there, the free residual estimate
-    ||project_tangent(zh, -Fh)||, the step length d = ||zh - z|| and the
-    step size eta = q!/(M d^{q-1}) of the update z <- project(z - eta Fh).
-    Each step asks F at its anchor z and at zh, two calls; the EG baseline
-    takes these steps, and so does the q=2 inner run.
+    """Order-q extragradient steps from z; yields (zh, Fh, t, d, eta) per
+    step: the half iterate, F there, the tangent vector t =
+    project_tangent(zh, -Fh), whose norm is the free residual estimate,
+    the step length d = ||zh - z|| and the step size eta = q!/(M d^{q-1})
+    of the update z <- project(z - eta Fh).  Each step asks F at its
+    anchor z and at zh, two calls.  Three runs take these steps: the q=2
+    inner run (restarted_eg), the constrained q=2 model solve
+    (tensor_step, on the model) and the EG baseline in minimax.
 
     cfg regularizes the first step.  A q=1 step then sets the next one's
     M_{k+1} = max(M_k/2, 2 L_k), where L_k = ||Fh - F(z)|| / d is the local
@@ -91,8 +98,7 @@ def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
         else:
             eta = math.factorial(q) / (cfg.M * d ** (q - 1))
             Fh = np.asarray(op(zh), float)
-        r = norm(domain.project_tangent(zh, -Fh))
-        yield zh, Fh, r, d, eta
+        yield zh, Fh, domain.project_tangent(zh, -Fh), d, eta
         if eta is None:
             return
         z, F0 = domain.project(z - eta * Fh), None
@@ -125,8 +131,7 @@ def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
         Fh = F_prev if dh == 0.0 else np.asarray(op(zh), float)
         zero_step = first and d == 0.0
         eta = None if zero_step else 1.0 / M
-        r = norm(domain.project_tangent(zh, -Fh))
-        yield zh, Fh, r, d, eta
+        yield zh, Fh, domain.project_tangent(zh, -Fh), d, eta
         if zero_step:
             return
         z = domain.project(z - eta * Fh)
@@ -135,44 +140,32 @@ def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
         zh_prev, F_prev, first = zh, Fh, False
 
 
-def eg_epoch(op, domain: Domain, z0, M: float, T: int, q: int,
-             stop_residual: float = 0.0, F0=None, probe=None):
-    """Up to T extragradient steps at regularization M; returns one half
-    iterate and the per-step trace.  q=1 steps are past_eg_steps, one
-    call each; q=2 steps are eg_steps.  A zero step returns its point,
-    which solves the VI.
+def eg_epoch(steps, z, T: int, stop_residual: float = 0.0, F=None,
+             probe=None):
+    """The package's one extragradient driver: up to T steps of the
+    started step generator steps (eg_steps or past_eg_steps, from the
+    point z, with F there when known); returns one point and the run's
+    trace.
 
-    stop_residual > 0 turns the free per-step residual estimate into an
-    exit: the run returns the first half iterate whose residual is <=
-    stop_residual, marked certified, a zero step's included.  probe(zh,
-    Fh) -> bool, if given, is asked at every half iterate that exit
-    passes over, with F there; returning True ends the run at zh, marked
-    certified.  When neither exit fires, the run returns the zero step's
-    point or else the half iterate of least residual (z0's projection
-    when T is 0).  Either way trace.F keeps F at the returned point,
-    already measured there.  F0, the operator value at z0 when the
-    caller has it, seeds the first step.
+    Its rule: the half iterate of least residual ||t|| wins, and the run
+    returns it, or z when no step is taken; a zero step simply ends the
+    generator.  Two exits end the run at the half iterate zh, marked
+    certified: a residual <= stop_residual, when that is > 0, and
+    probe(zh, Fh, t) -> True, which is asked at every half iterate the
+    first exit passes over, with F and the tangent vector there.  trace.F
+    and trace.residual keep F and the residual at the returned point,
+    already measured there.
     """
-    z0 = np.asarray(z0, float)
-    z = domain.project(z0)
-    if F0 is not None and z.tobytes() != z0.tobytes():
-        F0 = None
-    trace = EgTrace(F=F0)
-    best_r = math.inf
-    steps = past_eg_steps(op, domain, z, M, F0) if q == 1 else \
-        eg_steps(op, domain, z, TensorStepConfig(order=q, M=M), F0)
-    for zh, Fh, r, d, eta in islice(steps, T):
+    trace = EgTrace(F=F)
+    for zh, Fh, t, d, _ in islice(steps, T):
+        r = norm(t)
         trace.step_norms.append(d)
-        if eta is not None:
-            trace.etas.append(eta)
-        # a zero step (eta None) is the last one, at a point solving the VI
-        if r < best_r or eta is None:
-            z, best_r, trace.F = zh, r, Fh
-        if stop_residual > 0.0 and r <= stop_residual:
+        done = (0.0 < stop_residual and r <= stop_residual) or \
+            (probe is not None and probe(zh, Fh, t))
+        if r < trace.residual or done:
+            z, trace.residual, trace.F = zh, r, Fh
+        if done:
             trace.certified = True
-            break
-        if probe is not None and probe(zh, Fh):
-            z, trace.F, trace.certified = zh, Fh, True
             break
     return z, trace
 
@@ -191,18 +184,18 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     """One extragradient run certified to distance zeta3; returns (point,
     trace).
 
-    The run starts at regularization M (which q=1 steps then adapt, at one
-    call each, see eg_epoch) and stops at the first half point whose
-    measured residual is <= r_stop, the level at which uniform
-    monotonicity certifies distance <= zeta3, or whose probe(zh, Fh)
-    returns True: the caller's own certificate, which eg_epoch asks at
-    each half point that r_stop does not end the run at.  Its cap is the
-    analysis's budget of S3 = ceil(log2(D/zeta3)) + 2 restarts (D the domain
-    diameter) of T3 = default_epoch_length steps each, enough to halve
-    the distance: S3*T3 steps.  A run that reaches the cap returns its
-    half point of least residual, uncertified.  trace.F keeps F at the
-    returned point; F0 is that value at z0, which defaults to the
-    domain's center.
+    The run projects z0 (dropping F0 if that moves it) and starts there at
+    regularization M, which q=1 steps (past_eg_steps, one call each) then
+    adapt.  It stops at the first half point whose measured residual is
+    <= r_stop, the level at which uniform monotonicity certifies distance
+    <= zeta3, or whose probe(zh, Fh, t) returns True: the caller's own
+    certificate, which eg_epoch asks at each half point that r_stop does
+    not end the run at.  Its cap is the analysis's budget of S3 =
+    ceil(log2(D/zeta3)) + 2 restarts (D the domain diameter) of T3 =
+    default_epoch_length steps each, enough to halve the distance: S3*T3
+    steps.  A run that reaches the cap returns its half point of least
+    residual, uncertified.  trace.F keeps F at the returned point; F0 is
+    that value at z0, which defaults to the domain's center.
     """
     c_min = max(min(problem.mu_x, problem.mu_y), 1e-12)
     T3 = default_epoch_length(problem, c_min)
@@ -213,9 +206,15 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     mu2 = min(problem.mu2_x, problem.mu2_y)
     # residual level at which uniform monotonicity certifies the target
     r_stop = max(2.0 * mu * zeta3 ** p / (p + 1), mu2 * zeta3)
-    z = problem.domain.center() if z0 is None else z0
-    return eg_epoch(problem.operator(), problem.domain, z, M, S3 * T3, p,
-                    stop_residual=r_stop, F0=F0, probe=probe)
+    op, domain = problem.operator(), problem.domain
+    z0 = domain.center() if z0 is None else np.asarray(z0, float)
+    z = domain.project(z0)
+    if F0 is not None and z.tobytes() != z0.tobytes():
+        F0 = None
+    steps = past_eg_steps(op, domain, z, M, F0) if p == 1 else \
+        eg_steps(op, domain, z, TensorStepConfig(order=p, M=M), F0)
+    return eg_epoch(steps, z, S3 * T3, stop_residual=r_stop, F=F0,
+                    probe=probe)
 
 
 def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
@@ -250,10 +249,10 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
 
     The run also stops on that certificate, as Monteiro and Svaiter end
     an inexact prox step on its relative-error test.  Its probe first
-    forms the same residual from the half point's free tangent residual,
-    split by block, and only when that is within half the certificate's
-    bound does it measure: the polish, the order-p query and the
-    certificate, the answer this oracle returns.  The run ends, certified,
+    forms the same residual from the tangent vector the step yields at
+    the half point, split by block, and only when that is within half the
+    certificate's bound does it measure: the polish, the order-p query and
+    the certificate, the answer this oracle returns.  The run ends, certified,
     once a measured certificate holds; one that fails costs its query and
     the run goes on.  The answer is the last probe's when the run returns
     the point it probed, and is measured at the returned point otherwise,
@@ -299,11 +298,11 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
 
     probed = {}   # the last half point measured (bytes) -> its answer
 
-    def probe(zh, Fh):
-        t = domain.project_tangent(zh, -Fh)
-        # the certificate's bound at zh; the free check asks for half of
-        # it (0.5, a fixed safety factor), so that what the polish and
-        # the measurement move rarely fails the measured certificate
+    def probe(zh, Fh, t):
+        # t is the tangent vector at zh.  The certificate's bound at zh;
+        # the free check asks for half of it (0.5, a fixed safety factor),
+        # so that what the polish and the measurement move rarely fails
+        # the measured certificate
         bound = 0.5 * gamma * norm(zh[dx:] - y_bar) ** p + delta
         if dual_residual(norm(t[:dx]), norm(t[dx:])) > 0.5 * bound:
             return False

@@ -50,7 +50,9 @@ import numpy as np
 from .aipe import (  # noqa: F401
     OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
 )
-from .eg import certified_distance, eg_steps, iprox_psi, polish_step
+from .eg import (
+    certified_distance, eg_epoch, eg_steps, iprox_psi, polish_step,
+)
 from .geometry import norm
 from .problems import (
     PowerRegularized, SaddleProblem, _positive, join, power_lipschitz,
@@ -574,10 +576,14 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     The steps are eg.eg_steps, the two-call steps of extragradient, not
     the inner run's one-call p=1 steps: the first is regularized by
     M = 2 max(Lp, eps), later p=1 steps size themselves from the local
-    Lipschitz constant, so a step costs two calls, and p=2 steps keep M.
-    A zero step (zh = z) means z solves the VI: its residual, from F(z),
-    ends the run.  The budget is checked before each
-    step, so the run stops at the first step that meets or passes it.
+    Lipschitz constant, and p=2 steps keep M.  eg.eg_epoch drives them and
+    returns the half point of least residual.  A zero step (zh = z) means
+    z solves the VI: its residual, from F(z), ends the run.  Every step
+    but a zero step costs two calls at either order, so the budget is a
+    cap of ceil(max_oracle_calls / 2) steps: the run stops at the first
+    step that meets or passes the budget, and is flagged when it ends
+    there without reaching eps.  A trace row is written every 16th step
+    and at the step that ends the run on eps or a zero step.
     """
     t_start = time.perf_counter()
     _positive(eps, "eps")
@@ -589,34 +595,29 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     flags = []
     start_count = problem.oracle_counter
 
-    if z0 is None:
-        z = domain.center()
-    else:
-        z = domain.project(np.asarray(z0, float))
-    best_z, best_r = z, math.inf
-    steps = eg_steps(problem.operator(), domain, z,
-                     TensorStepConfig(order=p, M=2.0 * max(problem.Lp, eps)))
-    n_steps = 0
-    with tracker.level("outer"):
-        while problem.oracle_counter - start_count < max_oracle_calls:
-            zh, _, r, _, eta = next(steps)
-            if r < best_r:
-                best_z, best_r = zh, r
-            done = r <= eps or eta is None
-            if n_steps % 16 == 0 or done:
+    def traced(steps):
+        for n, (zh, Fh, t, d, eta) in enumerate(steps):
+            r = norm(t)
+            if n % 16 == 0 or r <= eps or eta is None:
                 gap = float(gap_fn(zh)) if gap_fn is not None else None
                 trace.append((problem.oracle_counter - start_count, r, gap,
                               "outer"))
-            n_steps += 1
-            if done:
-                break
-        else:
-            flags.append(f"oracle budget {max_oracle_calls} exhausted at "
-                         f"residual {best_r:.3e}")
+            yield zh, Fh, t, d, eta
 
-    ok = best_r <= eps
-    report = SolveReport(z=best_z, residual=float(best_r),
+    z = domain.center() if z0 is None else \
+        domain.project(np.asarray(z0, float))
+    cap = max(0, math.ceil(max_oracle_calls / 2))
+    steps = eg_steps(problem.operator(), domain, z,
+                     TensorStepConfig(order=p, M=2.0 * max(problem.Lp, eps)))
+    with tracker.level("outer"):
+        z, tr = eg_epoch(traced(steps), z, cap, stop_residual=eps)
+    if not tr.certified and len(tr.step_norms) == cap:
+        flags.append(f"oracle budget {max_oracle_calls} exhausted at "
+                     f"residual {tr.residual:.3e}")
+
+    ok = tr.residual <= eps
+    report = SolveReport(z=z, residual=float(tr.residual),
                          counts=dict(tracker.counts), trace=trace,
                          wall_time=time.perf_counter() - t_start,
                          flags=flags, ok=ok, method=f"eg-p{p}")
-    return best_z, report
+    return z, report

@@ -5,8 +5,9 @@ the operator F, add the regularizer (M/q!)||z - z_bar||^{q-1} (z - z_bar),
 and solve the resulting variational inequality over the feasible set.  For
 q = 1 this is a plain projected step; for q = 2 an implicit step through
 the Jacobian, solved by a scalar bisection when its point is feasible and
-otherwise by the package's one extragradient loop, eg.eg_steps, run on the
-(strongly monotone) model with steps sized at its measured curvature.
+otherwise by first-order extragradient steps (eg.eg_steps) on the
+(strongly monotone) model, sized at its measured curvature and driven by
+the package's one extragradient driver, eg.eg_epoch.
 
 Applied to a gradient field, the same step is an inexact proximal-point
 oracle: the returned point z and the leftover model force u in the normal
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .geometry import Domain, norm
 
 _LAMBDA_FLOOR = 1e-12
 # bisection tolerance on the q=2 step size; the iteration cap of the
-# bisection, and the step cap of the constrained model-VI subsolver
+# bisection, and the step cap of the constrained model solve
 _BISECTION_TOL = 1e-12
 _MAX_INNER_ITERS = 10_000
 
@@ -149,28 +149,6 @@ def _bisection_q2(F0, J, M):
     return s_of(lam), lam
 
 
-def _model_vi_subsolve(G, domain: Domain, z_start, M, tol):
-    """The model VI by first-order extragradient steps (eg.eg_steps) on G,
-    from the projection of z_start and starting at regularization M; each
-    step measures the model's local Lipschitz constant and resizes the
-    next one.  Keeps the half point of least residual and stops once that
-    residual is <= tol, on a zero step (its point solves the VI), or after
-    _MAX_INNER_ITERS steps; returns (z, r, iters, r <= tol).
-    """
-    # eg imports this module, so eg_steps is imported at call time
-    from .eg import eg_steps
-    z0 = domain.project(np.asarray(z_start, float))
-    steps = eg_steps(G, domain, z0, TensorStepConfig(1, M))
-    best, best_r = z0, math.inf
-    for iters, (zh, _, r, _, eta) in enumerate(
-            islice(steps, _MAX_INNER_ITERS), 1):
-        if r < best_r:
-            best, best_r = zh, r
-        if r <= tol or eta is None:
-            break
-    return best, best_r, iters, best_r <= tol
-
-
 def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
     """Solve the VI of the model G built by model_operator; returns
     (z, vi_slack, iters, ok)."""
@@ -184,14 +162,19 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
     s, _lam = _bisection_q2(F0, J, cfg.M)
     cand = z_bar + s
     # a feasible candidate with ||G|| <= tol has tangent residual <= tol,
-    # the subsolver's own stop
+    # the extragradient run's own stop
     if domain._feasible(cand):
         slack = norm(G(cand))
         if slack <= tol:
             return cand, slack, 0, True
-    # infeasible (or the bisection left too much slack): solve the VI,
-    # from the projected candidate, by steps that start at the step's M
-    return _model_vi_subsolve(G, domain, cand, cfg.M, tol)
+    # infeasible (or the bisection left too much slack): solve the VI by
+    # q=1 extragradient steps on G from the projected candidate, starting
+    # at the step's M; eg imports this module, so it is imported here
+    from .eg import eg_epoch, eg_steps
+    z = domain.project(cand)
+    z, tr = eg_epoch(eg_steps(G, domain, z, TensorStepConfig(1, cfg.M)), z,
+                     _MAX_INNER_ITERS, stop_residual=tol)
+    return z, tr.residual, len(tr.step_norms), tr.certified
 
 
 def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):

@@ -16,13 +16,13 @@ from test_aipe import (
     certified_gamma, exact_bundle, function_oracle, iprox_via_tensor,
     quad_oracle, quartic_oracle, reference_min, restart_gaps,
 )
-from test_eg import make_h_eps, reference_saddle
+from test_eg import make_h_eps, reference_saddle, run_epoch
 from test_geometry import boundaryish_point, brute_residual, random_domain
 from test_problems import uc_battery
 
 from saddleopt.aipe import aipe_restart
 from saddleopt.cli import BenchConfig, fit_rate, run_suite
-from saddleopt.eg import default_epoch_length, eg_epoch, polish_step
+from saddleopt.eg import default_epoch_length, polish_step
 from saddleopt.geometry import Box
 from saddleopt.lowerbound import experiment_row, residual_floor
 from saddleopt.minimax import baseline_eg_solve, derive_parameters, solve
@@ -134,7 +134,7 @@ def test_criterion_06_inner_epoch_contraction():
             d_before = np.linalg.norm(z - z_star)
             if d_before < 1e-9:
                 break
-            z, _ = eg_epoch(op, h.domain, z, M, T3, p)
+            z, _, _ = run_epoch(op, h.domain, z, M, T3, p)
             assert np.linalg.norm(z - z_star) <= 0.75 * d_before + 1e-12
     assert time.monotonic() - t0 < 120.0
 

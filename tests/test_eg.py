@@ -10,7 +10,7 @@ from saddleopt.eg import (
     certified_distance, default_epoch_length, eg_epoch, eg_steps, iprox_psi,
     polish_step, restarted_eg,
 )
-from saddleopt.geometry import Box
+from saddleopt.geometry import Box, norm
 from saddleopt.problems import (
     SaddleProblem, join, make_power, make_quadratic, regularize_f_eps, split,
     surrogate_g, surrogate_h,
@@ -59,7 +59,8 @@ def two_call_saddle(problem, tol, max_steps=100_000):
     steps = eg_steps(problem.operator(), problem.domain,
                      problem.domain.center(),
                      TensorStepConfig(order=1, M=2.0 * problem.Lp))
-    for zh, _, r, _, eta in islice(steps, max_steps):
+    for zh, _, t, _, eta in islice(steps, max_steps):
+        r = norm(t)
         if r <= tol or eta is None:
             return zh, r
     raise AssertionError(f"no residual <= {tol} in {max_steps} steps")
@@ -73,11 +74,30 @@ def record_half_points(monkeypatch, steps="past_eg_steps"):
 
     def recorded(*args):
         for step in real_steps(*args):
-            halves[step[0].tobytes()] = step[2]
+            halves[step[0].tobytes()] = norm(step[2])
             yield step
 
     monkeypatch.setattr(eg, steps, recorded)
     return halves
+
+
+def run_epoch(op, domain, z0, M, T, q, F0=None):
+    """eg_epoch over q=1 past_eg_steps or q=2 eg_steps from z0 at
+    regularization M; returns (point, trace, etas), etas the step size
+    each step yielded, a zero step's excepted."""
+    z0 = np.asarray(z0, float)
+    steps = eg.past_eg_steps(op, domain, z0, M, F0) if q == 1 else \
+        eg.eg_steps(op, domain, z0, TensorStepConfig(order=q, M=M), F0)
+    etas = []
+
+    def sized(steps):
+        for step in steps:
+            if step[4] is not None:
+                etas.append(step[4])
+            yield step
+
+    z, tr = eg_epoch(sized(steps), z0, T, F=F0)
+    return z, tr, etas
 
 
 def make_h_eps(seed, p=1, gamma=0.5, mu=0.1):
@@ -95,10 +115,10 @@ def make_h_eps(seed, p=1, gamma=0.5, mu=0.1):
 
 def test_epoch_hand_trace():
     prob = xy_problem()
-    z, tr = eg_epoch(prob.operator(), prob.domain, [1.0, 1.0], M=1.0, T=1,
-                     q=1)
+    z, _, etas = run_epoch(prob.operator(), prob.domain, [1.0, 1.0], M=1.0,
+                           T=1, q=1)
     assert np.allclose(z, [0.0, 1.0])
-    assert tr.etas == [1.0]
+    assert etas == [1.0]
 
 
 @pytest.mark.parametrize("L", [0.5, 3.0])
@@ -109,11 +129,11 @@ def test_epoch_q1_step_follows_local_lipschitz(L):
     prob = xy_problem(L, half_width=1e3)
     op, dom = prob.operator(), prob.domain
     z0 = np.array([0.3, -0.2])
-    _, tr = eg_epoch(op, dom, z0, M=8 * L, T=4, q=1)
-    np.testing.assert_allclose(tr.etas, np.array([1 / 8, 1 / 4, 1 / 2,
-                                                  1 / 2]) / L, rtol=1e-12)
-    _, tr = eg_epoch(op, dom, z0, M=L / 4, T=2, q=1)
-    assert tr.etas[1] == pytest.approx(1 / (2 * L), rel=1e-12)
+    _, _, etas = run_epoch(op, dom, z0, M=8 * L, T=4, q=1)
+    np.testing.assert_allclose(etas, np.array([1 / 8, 1 / 4, 1 / 2,
+                                               1 / 2]) / L, rtol=1e-12)
+    _, _, etas = run_epoch(op, dom, z0, M=L / 4, T=2, q=1)
+    assert etas[1] == pytest.approx(1 / (2 * L), rel=1e-12)
 
 
 def test_epoch_q1_step_rule_costs_no_call():
@@ -125,8 +145,8 @@ def test_epoch_q1_step_rule_costs_no_call():
     z0 = h.domain.sample(np.random.default_rng(1))
     F0 = op(z0)
     start = h.oracle_counter
-    _, tr = eg_epoch(op, h.domain, z0, M=4.0, T=6, q=1, F0=F0)
-    assert len(tr.etas) == 6
+    _, _, etas = run_epoch(op, h.domain, z0, M=4.0, T=6, q=1, F0=F0)
+    assert len(etas) == 6
     assert h.oracle_counter - start == 6
 
 
@@ -139,11 +159,11 @@ def test_epoch_q1_repeated_half_point_asks_no_call():
     prob = SaddleProblem(box, box, 1, value=lambda z: z[0] - z[1],
                          grad=lambda z: np.array([1.0, -1.0]),
                          L1=1.0, Lp=1.0, name="corner")
-    z, tr = eg_epoch(prob.operator(), prob.domain, [0.0, 0.0], M=1.0, T=4,
-                     q=1)
+    z, _, etas = run_epoch(prob.operator(), prob.domain, [0.0, 0.0], M=1.0,
+                           T=4, q=1)
     assert prob.oracle_counter == 2
     assert np.array_equal(z, [-1.0, -1.0])
-    assert tr.etas == [1.0, 2.0, 4.0, 8.0]
+    assert etas == [1.0, 2.0, 4.0, 8.0]
 
 
 def test_epoch_zero_step_returns_at_once():
@@ -151,18 +171,20 @@ def test_epoch_zero_step_returns_at_once():
     prob = zero_problem()
     z0 = np.array([0.3, -0.2, 0.1, 0.5])
     start = prob.oracle_counter
-    z, tr = eg_epoch(prob.operator(), prob.domain, z0, M=1.0, T=5, q=1)
+    z, tr, etas = run_epoch(prob.operator(), prob.domain, z0, M=1.0, T=5,
+                            q=1)
     assert prob.oracle_counter - start == 1
     assert np.array_equal(z, z0)
-    assert tr.step_norms == [0.0] and tr.etas == []
+    assert tr.step_norms == [0.0] and etas == []
 
 
 def test_epoch_t0_returns_start():
     prob = xy_problem()
     z0 = np.array([0.3, -0.2])
-    z, tr = eg_epoch(prob.operator(), prob.domain, z0, M=1.0, T=0, q=1)
+    z, tr, etas = run_epoch(prob.operator(), prob.domain, z0, M=1.0, T=0,
+                            q=1)
     assert np.allclose(z, z0)
-    assert tr.etas == [] and tr.step_norms == []
+    assert etas == [] and tr.step_norms == []
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -175,19 +197,46 @@ def test_epoch_returns_a_half_point_and_F_there(monkeypatch, q):
     z0 = h.domain.sample(rng)
     halves = record_half_points(
         monkeypatch, "past_eg_steps" if q == 1 else "eg_steps")
-    z, tr = eg_epoch(op, h.domain, z0, M=8.0 if q == 1 else 2 * h.Lp, T=5,
-                     q=q)
-    assert np.all(np.asarray(tr.etas) > 0)
+    z, tr, etas = run_epoch(op, h.domain, z0,
+                            M=8.0 if q == 1 else 2 * h.Lp, T=5, q=q)
+    assert np.all(np.asarray(etas) > 0)
     assert halves[z.tobytes()] == min(halves.values())
     assert tr.F.tobytes() == op(z).tobytes()
 
 
 def test_epoch_iterates_feasible_q2():
     h = make_h_eps(4, p=2, gamma=1.0)
-    z, tr = eg_epoch(h.operator(), h.domain, h.domain.center(),
-                     M=2 * h.Lp, T=4, q=2)
+    z, _, etas = run_epoch(h.operator(), h.domain, h.domain.center(),
+                           M=2 * h.Lp, T=4, q=2)
     assert h.domain.contains(z)
-    assert all(e > 0 for e in tr.etas)
+    assert all(e > 0 for e in etas)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_epoch_residual_is_measured_at_the_returned_point(monkeypatch, q):
+    # one driver over both generators: a capped run returns its half point
+    # of least residual, uncertified, and a stop residual ends the run,
+    # certified, at the first half point that meets it; either way
+    # trace.residual is the residual measured at the returned point
+    h = make_h_eps(2, p=q, gamma=1.0 if q == 2 else 0.5)
+    op, dom = h.operator(), h.domain
+    z0 = dom.sample(np.random.default_rng(5))
+    M = 8.0 if q == 1 else 2 * h.Lp
+    halves = record_half_points(
+        monkeypatch, "past_eg_steps" if q == 1 else "eg_steps")
+    z, tr, _ = run_epoch(op, dom, z0, M, T=6, q=q)
+    assert not tr.certified and len(tr.step_norms) == 6
+    assert tr.residual == halves[z.tobytes()] == min(halves.values())
+    assert tr.residual == dom.tangent_residual(z, op(z))
+
+    residuals = list(halves.values())
+    steps = eg.past_eg_steps(op, dom, z0, M) if q == 1 else \
+        eg.eg_steps(op, dom, z0, TensorStepConfig(order=2, M=M))
+    z, tr = eg_epoch(steps, z0, 6, stop_residual=residuals[2])
+    first = next(i for i, r in enumerate(residuals) if r <= residuals[2])
+    assert tr.certified and len(tr.step_norms) == first + 1
+    assert tr.residual == residuals[first]
+    assert tr.residual == dom.tangent_residual(z, op(z))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +254,7 @@ def test_epoch_contraction_rate():
         d_before = np.linalg.norm(z - z_star)
         if d_before < 1e-9:
             break
-        z, _ = eg_epoch(op, h.domain, z, M, T3, h.p)
+        z, _, _ = run_epoch(op, h.domain, z, M, T3, h.p)
         assert np.linalg.norm(z - z_star) <= 0.75 * d_before + 1e-12
 
 

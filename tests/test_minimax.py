@@ -551,9 +551,9 @@ def log_probes(monkeypatch):
     def run(*args, probe, **kwargs):
         asked = []
 
-        def logged(zh, Fh):
+        def logged(zh, Fh, t):
             before = len(certs)
-            ok = probe(zh, Fh)
+            ok = probe(zh, Fh, t)
             asked.append((len(certs) > before, ok))
             return ok
 
@@ -833,14 +833,22 @@ def test_baseline_p2_chain_call_counts(T, eps, calls):
     assert prob.oracle_counter == sum(rep.counts.values()) == calls
 
 
-@pytest.mark.parametrize("budget, calls", [
-    (0, 0), (1, 2), (200, 200), (201, 202),
+@pytest.mark.parametrize("p, budget, calls", [
+    pytest.param(p, budget, calls, id=f"{prefix}{budget}-{calls}")
+    for p, prefix, rows in (
+        (1, "", [(0, 0), (1, 2), (200, 200), (201, 202)]),
+        (2, "p2-", [(0, 0), (1, 2), (3, 4), (21, 22)]))
+    for budget, calls in rows
 ])
-def test_baseline_budget_flag(budget, calls):
-    # the budget is checked before each two-call step: a budget of 0 takes
-    # no step, and the step that meets or passes the budget is the last
-    prob = make_bilinear(3, seed=0)
-    z, rep = baseline_eg_solve(prob, 1e-12, max_oracle_calls=budget)
+def test_baseline_budget_flag(p, budget, calls):
+    # every step costs two calls at either order, so the budget is a cap
+    # of ceil(budget / 2) steps: a budget of 0 takes no step, and the step
+    # that meets or passes the budget is the last
+    if p == 1:
+        prob, eps = make_bilinear(3, seed=0), 1e-12
+    else:
+        prob, eps = hard_instance(2, 8), 1e-14
+    z, rep = baseline_eg_solve(prob, eps, max_oracle_calls=budget)
     assert prob.oracle_counter == sum(rep.counts.values()) == calls
     assert not rep.ok
     assert rep.flags == [f"oracle budget {budget} exhausted at residual "

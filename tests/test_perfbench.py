@@ -69,3 +69,31 @@ def test_one_pass_of_each_workload_passes_the_gate(monkeypatch, tmp_path):
             assert run.check_cells(result.cells, failures) == 0, failures
     finally:
         capture.uninstall()
+
+
+def test_one_traced_pass_fires_the_epoch_hook(monkeypatch, tmp_path):
+    """One traced pass of suite-aipe, the tracer installed and then
+    removed as `run.py --trace 1` does.  Every inner step is one q=1
+    tensor step inside an eg_epoch run, so the hook that counts each
+    run's steps must count them all; a library change that breaks a hook
+    fails here, not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    tracer = importlib.import_module("tracer").Tracer()
+    capture = workloads.Capture()
+    capture.install()
+    try:
+        inputs = workloads.setup("suite-aipe", 0)
+        tracer.install()
+        try:
+            result = workloads.run_pass("suite-aipe", inputs, 1,
+                                        str(tmp_path), capture, tracer.span)
+        finally:
+            tracer.uninstall()
+    finally:
+        capture.uninstall()
+    failures = []
+    assert run.check_cells(result.cells, failures) == 0, failures
+    steps = tracer.counters.get("eg.eg_epoch.steps", 0)
+    assert steps > 0 and steps == tracer.calls("tensor_step.q1")

@@ -4,6 +4,7 @@ from scipy.optimize import brentq
 
 from test_aipe import certified_gamma, function_oracle, iprox_via_tensor
 
+from saddleopt import eg
 from saddleopt.geometry import Box, norm
 from saddleopt import tensor_step as tensor_step_module
 from saddleopt.problems import (
@@ -162,9 +163,9 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
     # f = (x-a)'A(x-a)/2 - (y-a)'A(y-a)/2 on [-1,1]^2 x [-1,1]^2 with
     # a = (3, -1) as a counted saddle problem, and its restricted view in x:
     # the bisection candidate leaves the box and its projection is not the
-    # solution (1, 0), so the model VI subsolver takes several steps; the
-    # model keeps F and its Jacobian at the anchor, so the step costs one
-    # order-2 query however often the subsolver evaluates it, and returns
+    # solution (1, 0), so the model VI takes several extragradient steps;
+    # the model keeps F and its Jacobian at the anchor, so the step costs
+    # one order-2 query however often those steps evaluate it, and returns
     # that query's F
     A = np.array([[1.0, 0.5], [0.5, 1.0]])
     a = np.array([3.0, -1.0])
@@ -178,12 +179,12 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
         grad=lambda z: np.concatenate([A @ (z[:2] - a), -A @ (z[2:] - a)]),
         hess=lambda z: H, L1=1.5, Lp=1.0)
     evals = []
-    subsolve = tensor_step_module._model_vi_subsolve
+    real_steps = eg.eg_steps
 
     def spied(G, *args):
-        return subsolve(lambda z: evals.append(1) or G(z), *args)
+        return real_steps(lambda z: evals.append(1) or G(z), *args)
 
-    monkeypatch.setattr(tensor_step_module, "_model_vi_subsolve", spied)
+    monkeypatch.setattr(eg, "eg_steps", spied)
     cfg = TensorStepConfig(order=2, M=2.0)
     for op in (prob.operator(), prob.restricted(np.zeros(2), True)):
         evals.clear()
@@ -229,17 +230,18 @@ def test_q2_feasible_bisection_point_near_a_face_is_returned(monkeypatch):
     # F(z) = z - c on [-1, 1]^2 from z_bar = 0 with M = 2: the model
     # s + (M/2)||s|| s = c is solved by s = target for the c below, a
     # feasible point 1e-7 from a face; with ||G|| <= tol its tangent
-    # residual is <= tol, so the step returns it without the subsolver
+    # residual is <= tol, so the step returns it without an extragradient
+    # run
     box = Box([-1.0, -1.0], [1.0, 1.0])
     target = np.array([1.0 - 1e-7, 0.2])
     c = target + norm(target) * target
     op = Op(lambda z: z - c, lambda z: np.eye(z.size), order=2)
     cfg = TensorStepConfig(order=2, M=2.0)
 
-    def no_subsolve(*args):
-        raise AssertionError("the feasible candidate went to the subsolver")
+    def no_run(*args, **kwargs):
+        raise AssertionError("the feasible candidate went to eg_epoch")
 
-    monkeypatch.setattr(tensor_step_module, "_model_vi_subsolve", no_subsolve)
+    monkeypatch.setattr(eg, "eg_epoch", no_run)
     z_bar = np.zeros(2)
     G = model_operator(op, z_bar, cfg)
     s, _ = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
