@@ -32,22 +32,6 @@ STALL_PATIENCE = 5
 
 
 @dataclass
-class OracleBundle:
-    """ifunc(z, d) -> value and igrad(z, d) -> (value, gradient), each
-    promised accurate to its d, and iprox(z_bar, gamma) -> (z, u), which
-    holds its own tolerance, with values as floats and points as float
-    arrays.  igrad hands up the value its one solve measured along with
-    the gradient, so the epoch never asks ifunc at a point it just passed
-    to igrad.  An iprox that can check its answer flags a failed check
-    itself; the epoch never stops on one."""
-
-    ifunc: callable
-    igrad: callable
-    iprox: callable
-    order: int = 1                    # q, the prox-step order
-
-
-@dataclass
 class AipeState:
     """Per-epoch trace of the acceleration recursion."""
 
@@ -73,10 +57,19 @@ def solve_a(A: float, lambda_prime: float):
     return a_prime, A + a_prime
 
 
-def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
-               delta: float, T: int, probe=None):
+def aipe_epoch(oracles, domain: Domain, z_start, gamma: float, delta: float,
+               T: int, probe=None):
     """One acceleration epoch of prox steps of order q = oracles.order;
     returns (best recorded point, state trace).
+
+    oracles has four names: ifunc(z, d) -> value and igrad(z, d) ->
+    (value, gradient), each promised accurate to its d; iprox(z_bar,
+    gamma) -> (z, u), which holds its own tolerance; and order, the prox
+    step's order q.  Values are floats and points float arrays.  igrad
+    hands up the value its one solve measured along with the gradient,
+    and an iprox that can check its answer flags a failed check itself;
+    the epoch never stops on one.  The solver passes each level's
+    minimax.Envelope.
 
     Each iteration records h at z~ from the value igrad returned with the
     gradient there, and asks ifunc only for h at z, unless z has z~'s
@@ -163,12 +156,13 @@ def aipe_epoch(oracles: OracleBundle, domain: Domain, z_start, gamma: float,
     return best_pt, st
 
 
-def aipe_restart(oracles: OracleBundle, domain: Domain, z0, gamma: float,
-                 delta: float, T: int, S: int, probe=None):
-    """The restart scheme: up to S epochs of order oracles.order, each
-    seeded from the previous epoch's best point (each epoch projects its
-    start point).  Returns (z, traces), one AipeState per epoch run; an
-    epoch's h_hat[0] is the value at its start point.
+def aipe_restart(oracles, domain: Domain, z0, gamma: float, delta: float,
+                 T: int, S: int, probe=None):
+    """The restart scheme: up to S epochs of order oracles.order (oracles
+    as in aipe_epoch), each seeded from the previous epoch's best point
+    (each epoch projects its start point).  Returns (z, traces), one
+    AipeState per epoch run; an epoch's h_hat[0] is the value at its start
+    point.
 
     probe(best_point, stalled) -> bool is passed to every epoch.  The loop ends
     after an epoch that hits a proximal fixed point or is stopped by probe,

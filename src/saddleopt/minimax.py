@@ -11,10 +11,13 @@ convex-concave (the added gradients cost at most eps/2 of residual), then
     surrogate h_eps, certified by its measured residual, implementing the
     middle proximal oracle.
 
-Both accelerated levels take their oracles from one Envelope: inexact
-values and gradients come from warm-started, uniformly convex restricted
-minimizations (Danskin's rule), one routine for either side, whose
-steps follow the curvature they measure at either order (_inner_min).
+Each accelerated level's oracle is an Envelope, which aipe_restart
+takes as it is: inexact values and gradients come from warm-started,
+uniformly convex restricted minimizations (Danskin's rule), one routine
+for either side, whose steps follow the curvature they measure at either
+order (_inner_min), and the prox oracle is the level below.  Each level
+opens one count scope (CountTracker.level) around all of its work, in
+which the level below opens its own.
 Each level hands its answer up: an envelope gradient comes with the
 value its solve measured, and each prox oracle (iprox_psi for the middle
 loop, iprox_phi for the outer one) hands back its measured point and
@@ -47,9 +50,7 @@ import numpy as np
 
 # aipe_epoch is unused here, but perfbench/tracer.py patches it at this
 # import site, so the name must stay
-from .aipe import (  # noqa: F401
-    OracleBundle, aipe_epoch, aipe_restart, gap_from_residual,
-)
+from .aipe import aipe_epoch, aipe_restart, gap_from_residual  # noqa: F401
 from .eg import (
     certified_distance, eg_epoch, eg_steps, iprox_psi, polish_step,
 )
@@ -306,11 +307,16 @@ class Envelope:
     restricted solve starts; the base tuple kept with it, of one query at
     pt joined with the other block, seeds that solve's reuse when the
     fixed block has the same bytes.
+
+    It is its level's oracle for aipe_restart: ifunc and igrad are its
+    solves, iprox the level's prox oracle and order the view's p.
     """
 
-    def __init__(self, view: PowerRegularized, x_side: bool, pt=None):
+    def __init__(self, view: PowerRegularized, x_side: bool, pt=None,
+                 iprox=None):
         self.view, self.x_side, self.pt = view, x_side, pt
         self.mu = view.uc(x_side)
+        self.iprox, self.order = iprox, view.p
         self._at = None   # (fixed bytes, base tuple kept with pt)
 
     def keep(self, pt, fixed, base):
@@ -336,19 +342,13 @@ class Envelope:
         self.keep(pt, fixed, base)
         return pt, base, oracle
 
-    def bundle(self, tracker: CountTracker, level: str, iprox):
-        """This envelope's OracleBundle: value and gradient queries count
-        toward level, iprox is the level's own prox oracle."""
-        def ifunc(z, d):
-            with tracker.level(level):
-                return ifunc_igrad_primal(self, z, d, need_grad=False)[0]
+    # both call the module-level ifunc_igrad_primal, which
+    # perfbench/tracer.py wraps
+    def ifunc(self, z, d):
+        return ifunc_igrad_primal(self, z, d, need_grad=False)[0]
 
-        def igrad(z, d):
-            with tracker.level(level):
-                return ifunc_igrad_primal(self, z, d)[:2]
-
-        return OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox,
-                            order=self.view.p)
+    def igrad(self, z, d):
+        return ifunc_igrad_primal(self, z, d)[:2]
 
 
 def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
@@ -418,15 +418,15 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     dx = g_eps.dx
     y_dom = g_eps.y_domain
     start = g_eps.domain.center() if start is None else start
-    env = Envelope(g_eps, True, start[:dx])
     y = start[dx:]
 
-    def recover(y_hat, zeta2):
+    # recover, mid_iprox and probe read the current attempt's zeta2, zeta3
+    # and probed, which the loop below sets
+    def recover(y_hat):
         """The answer and its primal prox certificate at the dual point
         y_hat, with the envelope solved to distance zeta2."""
-        with tracker.level("middle"):
-            x_hat, base_hat, oracle = env.solve(
-                y_hat, _dist_to_gap(env.mu, p, zeta2))
+        x_hat, base_hat, oracle = env.solve(y_hat,
+                                            _dist_to_gap(env.mu, p, zeta2))
         with tracker.level("polish"):
             x_t, u_t = polish_step(oracle, g_eps.x_domain, x_hat, g_eps.L1,
                                    Fz=oracle.read(x_hat, base_hat)[1])
@@ -450,37 +450,38 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                 cfg.delta)
         return x_t, u_t, cert, (z_t, base_out), join(x_hat, y_hat)
 
-    for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
-                         (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
-        def mid_iprox(yb, g):
-            with tracker.level("inner"):
-                yb = np.asarray(yb, float)
-                y_t, v_t, cert, (z_hat, base_out), certified = iprox_psi(
-                    g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
-                    z0=join(env.pt, yb), base0=env.base_at(yb))
-            env.keep(z_hat[:dx], y_t, base_out)
-            if not certified:
-                flags.append("inner run ended uncertified at its step cap")
-            if not cert.ok:
-                flags.append(f"dual prox certificate: {cert.residual:.3e} "
-                             f"> {cert.bound:.3e}")
-            return y_t, v_t
+    def mid_iprox(yb, g):
+        with tracker.level("inner"):
+            yb = np.asarray(yb, float)
+            y_t, v_t, cert, (z_hat, base_out), certified = iprox_psi(
+                g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
+                z0=join(env.pt, yb), base0=env.base_at(yb))
+        env.keep(z_hat[:dx], y_t, base_out)
+        if not certified:
+            flags.append("inner run ended uncertified at its step cap")
+        if not cert.ok:
+            flags.append(f"dual prox certificate: {cert.residual:.3e} "
+                         f"> {cert.bound:.3e}")
+        return y_t, v_t
 
-        probed = {}   # the last dual point probed (bytes) -> its answer
+    def probe(y_best, stalled):
+        if not stalled:
+            return False
+        probed.clear()
+        ans = probed[y_best.tobytes()] = recover(y_best)
+        return ans[2].ok
 
-        def probe(y_best, stalled):
-            if not stalled:
-                return False
-            probed.clear()
-            ans = probed[y_best.tobytes()] = recover(y_best, zeta2)
-            return ans[2].ok
-
-        y, _ = aipe_restart(env.bundle(tracker, "middle", mid_iprox), y_dom,
-                            y, gamma, cfg.stall2, cfg.T2, cfg.S, probe=probe)
-        y = np.asarray(y, float)
-        out = probed.get(y.tobytes()) or recover(y, zeta2)
-        if out[2].ok:
-            break
+    env = Envelope(g_eps, True, start[:dx], iprox=mid_iprox)
+    with tracker.level("middle"):
+        for zeta2, zeta3 in ((cfg.zeta2, cfg.zeta3),
+                             (cfg.zeta2 / 10.0, cfg.zeta3 / 10.0)):
+            probed = {}   # the last dual point probed (bytes) -> its answer
+            y, _ = aipe_restart(env, y_dom, y, gamma, cfg.stall2, cfg.T2,
+                                cfg.S, probe=probe)
+            y = np.asarray(y, float)
+            out = probed.get(y.tobytes()) or recover(y)
+            if out[2].ok:
+                break
     return out
 
 
@@ -510,10 +511,7 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
     op_feps = f_eps.operator()
     gap_fn = getattr(problem, "_exact_gap", None)
 
-    # the outer loop's envelope and where the next iprox_phi starts (its
-    # last handed-back point)
-    outer = Envelope(f_eps, False)
-    mid = None
+    mid = None   # where the next iprox_phi starts (its last hand-back)
     best = {"z": None, "r": math.inf}
 
     def recover(x):
@@ -548,12 +546,14 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
                          f"{cert.bound:.3e}")
         return x_t, u_t
 
-    bundle = outer.bundle(tracker, "outer", out_iprox)
+    outer = Envelope(f_eps, False, iprox=out_iprox)
     with tracker.level("outer"):
-        x, traces = aipe_restart(bundle, problem.x_domain, z0[:problem.dx],
+        x, traces = aipe_restart(outer, problem.x_domain, z0[:problem.dx],
                                  cfg.gamma, cfg.stall1, cfg.T1, cfg.S,
                                  probe=probe)
-        if not traces[-1].stopped_by_probe:
+        # the probe measured every point an epoch returns but a proximal
+        # fixed point
+        if traces[-1].fixed_point:
             recover(x)
 
     z_t, r = best["z"], best["r"]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.optimize import minimize
 from test_problems import view_value
 
 from saddleopt.aipe import (
-    OracleBundle, aipe_epoch, aipe_restart, gap_from_residual, solve_a,
+    aipe_epoch, aipe_restart, gap_from_residual, solve_a,
 )
 from saddleopt.geometry import Box
 from saddleopt.problems import OracleView
@@ -64,7 +65,8 @@ def function_oracle(value, grad, hess, **fields):
 
 
 def exact_bundle(h: OracleView, domain, M, order, calls=None):
-    """Tensor-step prox oracle on h; appends each prox center to calls."""
+    """Exact oracles on h for aipe_epoch, with a tensor-step prox oracle;
+    appends each prox center to calls."""
     cfg = TensorStepConfig(order=order, M=M)
 
     def iprox(zb, g):
@@ -73,9 +75,9 @@ def exact_bundle(h: OracleView, domain, M, order, calls=None):
         c = iprox_via_tensor(h, domain, zb, g, cfg)
         return c.z, c.u
 
-    return OracleBundle(ifunc=lambda z, d: view_value(h, z),
-                        igrad=lambda z, d: (view_value(h, z), h(z)),
-                        iprox=iprox, order=order)
+    return SimpleNamespace(ifunc=lambda z, d: view_value(h, z),
+                           igrad=lambda z, d: (view_value(h, z), h(z)),
+                           iprox=iprox, order=order)
 
 
 def quad_oracle(c, lo=-10.0, hi=10.0):
@@ -209,8 +211,8 @@ def logged_bundle(inner, log):
         log.append(("p", None))
         return inner.iprox(zb, g)
 
-    return OracleBundle(ifunc=ifunc, igrad=igrad, iprox=iprox,
-                        order=inner.order)
+    return SimpleNamespace(ifunc=ifunc, igrad=igrad, iprox=iprox,
+                           order=inner.order)
 
 
 def test_epoch_asks_ifunc_only_where_igrad_did_not_answer():

@@ -382,6 +382,61 @@ def test_outer_level_counts_only_the_outer_envelope(monkeypatch):
     assert used and sum(used) == rep.counts["outer"]
 
 
+@pytest.mark.parametrize("problem, eps, z0", [
+    (make_power(3, 2, 2), 1e-2, np.full(6, 0.1)),
+    (make_quadratic(3, 1, 2), 1e-2, None),
+    (make_bilinear(2, 1, 0), 4e-2, None),
+])
+def test_middle_level_counts_only_its_dual_envelope(monkeypatch, problem, eps,
+                                                    z0):
+    # iprox_phi opens the middle level once; inside it the inner runs and
+    # the recovery polish open their own, so the middle level is the dual
+    # envelope's solves and nothing else
+    real = Envelope.solve
+    used = []
+
+    def env_solve(self, fixed, target_gap):
+        before = problem.oracle_counter
+        out = real(self, fixed, target_gap)
+        if self.x_side:
+            used.append(problem.oracle_counter - before)
+        return out
+
+    monkeypatch.setattr(Envelope, "solve", env_solve)
+    _, rep = solve(problem, eps, z0=z0)
+    assert rep.ok
+    assert used and sum(used) == rep.counts["middle"]
+
+
+@pytest.mark.parametrize("T1, S, calls", [(1, 1, 235), (3, 1, 638),
+                                          (2, 2, 841)])
+def test_solve_measures_each_outer_point_once(monkeypatch, T1, S, calls):
+    # the outer probe measures the best point after every iteration, so
+    # a loop ended by its T1 cap, a stall or the restart's no-progress
+    # exit returns a point already measured: one trace row per outer
+    # iteration, the last one at the final call
+    real = minimax.aipe_restart
+    depth, outer = [0], []
+
+    def restart(*args, **kwargs):
+        depth[0] += 1
+        try:
+            z, traces = real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            outer.extend(traces)
+        return z, traces
+
+    monkeypatch.setattr(minimax, "aipe_restart", restart)
+    problem = make_quadratic(3, 1, 0)
+    cfg = replace(derive_parameters(problem, 1e-4), T1=T1, S=S)
+    _, rep = solve(problem, 1e-4, cfg=cfg)
+    assert not any(st.fixed_point for st in outer)
+    assert len(rep.trace) == sum(len(st.lam) for st in outer)
+    assert rep.trace[-1][0] == sum(rep.counts.values()) == calls
+
+
 def test_each_recovery_makes_two_polish_queries(monkeypatch):
     # a recovery polishes one pair, one query, and measures the polished
     # pair on f, one more; the rest of the polish level is iprox_phi's
