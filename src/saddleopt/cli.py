@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -274,6 +275,11 @@ def _bad_config(exc) -> int:
     return 2
 
 
+def _bad_out(exc) -> int:
+    print(f"saddlebench: cannot write --out: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_solve(args) -> int:
     try:
         with open(args.config) as fh:
@@ -302,6 +308,10 @@ def _cmd_bench(args) -> int:
         config = BenchConfig.from_file(args.config)
     except CONFIG_ERRORS as exc:
         return _bad_config(exc)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _bad_out(exc)
     summary = run_suite(config, args.out, jobs=args.jobs)
     print(json.dumps({k: summary[k] for k in
                       ("name", "rows", "flagged_rows", "unmet_rows",
@@ -310,15 +320,20 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    T_list = []
-    T = 4
-    while T <= args.tmax:
-        T_list.append(T)
-        T *= 2
-    rows = [experiment_row(args.p, T) for T in T_list]
-    text = lowerbound_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
+    # opened before any row is computed, so a bad path costs no rows
+    try:
+        fh = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        return _bad_out(exc)
+    with fh:
+        T_list = []
+        T = 4
+        while T <= args.tmax:
+            T_list.append(T)
+            T *= 2
+        rows = [experiment_row(args.p, T) for T in T_list]
+        text = lowerbound_csv(rows)
+        if args.out:
             fh.write(text)
     sys.stdout.write(text)
     if len(rows) >= 3:

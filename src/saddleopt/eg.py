@@ -70,7 +70,7 @@ def certified_distance(residual: float, mu_uc: float, p: int,
     return best
 
 
-def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
+def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig):
     """Order-q extragradient steps from z; yields (zh, Fh, t, d, eta) per
     step: the half iterate, F there, the tangent vector t =
     project_tangent(zh, -Fh), whose norm is the free residual estimate,
@@ -84,51 +84,46 @@ def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig, F0=None):
     M_{k+1} = max(M_k/2, 2 L_k), where L_k = ||Fh - F(z)|| / d is the local
     Lipschitz constant measured from two values the step already has, so
     the rule costs no oracle call; q=2 steps keep M.  A zero step (zh = z)
-    means z solves the VI: it is yielded with eta None, measured from F(z),
-    and ends the steps.  F0, the operator value at z when the caller has
-    it, seeds the first step.
+    means z solves the VI: it is yielded with eta None and ends the steps.
     """
     q = cfg.order
     while True:
-        zh, Fz = tensor_step(op, domain, z, cfg, F0=F0)
+        zh, Fz = tensor_step(op, domain, z, cfg)
         d = norm(zh - z)
-        if d == 0.0:
-            # the model was solved exactly at z: zh solves the VI itself
-            Fh, eta = Fz, None
-        else:
-            eta = math.factorial(q) / (cfg.M * d ** (q - 1))
-            Fh = np.asarray(op(zh), float)
+        # a zero step: the model was solved exactly at z, so zh solves the
+        # VI itself
+        eta = None if d == 0.0 else math.factorial(q) / (cfg.M * d ** (q - 1))
+        Fh = np.asarray(op(zh), float)
         yield zh, Fh, domain.project_tangent(zh, -Fh), d, eta
         if eta is None:
             return
-        z, F0 = domain.project(z - eta * Fh), None
+        z = domain.project(z - eta * Fh)
         if q == 1:
             L_k = norm(Fh - Fz) / d
             cfg = TensorStepConfig(order=1, M=max(0.5 * cfg.M, 2.0 * L_k))
 
 
-def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
+def past_eg_steps(op, domain: Domain, z, M: float):
     """Popov's past-extragradient q=1 steps from z; yields what eg_steps
     yields, at one oracle call per step.
 
     Step k takes zh_k = project(z_k - F(zh_{k-1})/M_k), with zh_{-1} = z,
     asks F(zh_k) and updates z_{k+1} = project(z_k - F(zh_k)/M_k).  The
     next M is max(M_k/2, 2 L_k), with L_k = ||F(zh_k) - F(zh_{k-1})|| /
-    ||zh_k - zh_{k-1}|| measured between consecutive half points; a half
-    point equal to the last one reuses its value, and L_k = 0 there.  Only
-    the first step is built from F(z) itself, so only it ends the steps
-    when it does not move (eta None): then z solves the VI.  F0, the
-    operator value at z when the caller has it, seeds the first step.
+    ||zh_k - zh_{k-1}|| measured between consecutive half points, and L_k
+    = 0 when they are equal.  Only the first step is built from F(z)
+    itself, so only it ends the steps when it does not move (eta None):
+    then z solves the VI.
     """
-    zh_prev, F_prev = z, F0
+    zh_prev, F_prev = z, None
     first = True
     while True:
-        # F_prev is F(zh_{k-1}); the first step queries F(z) unless given
+        # F_prev is F(zh_{k-1}); the first step queries F(z)
         zh, F_prev = tensor_step(op, domain, z, TensorStepConfig(1, M),
                                  F0=F_prev)
         d = norm(zh - z)
         dh = norm(zh - zh_prev)
-        Fh = F_prev if dh == 0.0 else np.asarray(op(zh), float)
+        Fh = np.asarray(op(zh), float)
         zero_step = first and d == 0.0
         eta = None if zero_step else 1.0 / M
         yield zh, Fh, domain.project_tangent(zh, -Fh), d, eta
@@ -140,12 +135,10 @@ def past_eg_steps(op, domain: Domain, z, M: float, F0=None):
         zh_prev, F_prev, first = zh, Fh, False
 
 
-def eg_epoch(steps, z, T: int, stop_residual: float = 0.0, F=None,
-             probe=None):
+def eg_epoch(steps, z, T: int, stop_residual: float = 0.0, probe=None):
     """The package's one extragradient driver: up to T steps of the
     started step generator steps (eg_steps or past_eg_steps, from the
-    point z, with F there when known); returns one point and the run's
-    trace.
+    point z); returns one point and the run's trace.
 
     Its rule: the half iterate of least residual ||t|| wins, and the run
     returns it, or z when no step is taken; a zero step simply ends the
@@ -154,9 +147,9 @@ def eg_epoch(steps, z, T: int, stop_residual: float = 0.0, F=None,
     probe(zh, Fh, t) -> True, which is asked at every half iterate the
     first exit passes over, with F and the tangent vector there.  trace.F
     and trace.residual keep F and the residual at the returned point,
-    already measured there.
+    already measured there, when a step was taken.
     """
-    trace = EgTrace(F=F)
+    trace = EgTrace()
     for zh, Fh, t, d, _ in islice(steps, T):
         r = norm(t)
         trace.step_norms.append(d)
@@ -180,12 +173,12 @@ def default_epoch_length(problem: SaddleProblem, mono_coeff: float) -> int:
 
 
 def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
-                 F0=None, probe=None):
+                 probe=None):
     """One extragradient run certified to distance zeta3; returns (point,
     trace).
 
-    The run projects z0 (dropping F0 if that moves it) and starts there at
-    regularization M, which q=1 steps (past_eg_steps, one call each) then
+    The run projects z0, by default the domain's center, and starts there
+    at regularization M, which q=1 steps (past_eg_steps, one call each) then
     adapt.  It stops at the first half point whose measured residual is
     <= r_stop, the level at which uniform monotonicity certifies distance
     <= zeta3, or whose probe(zh, Fh, t) returns True: the caller's own
@@ -194,8 +187,7 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     ceil(log2(D/zeta3)) + 2 restarts (D the domain diameter) of T3 =
     default_epoch_length steps each, enough to halve the distance: S3*T3
     steps.  A run that reaches the cap returns its half point of least
-    residual, uncertified.  trace.F keeps F at the returned point; F0 is
-    that value at z0, which defaults to the domain's center.
+    residual, uncertified.  trace.F keeps F at the returned point.
     """
     c_min = max(min(problem.mu_x, problem.mu_y), 1e-12)
     T3 = default_epoch_length(problem, c_min)
@@ -209,29 +201,24 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     op, domain = problem.operator(), problem.domain
     z0 = domain.center() if z0 is None else np.asarray(z0, float)
     z = domain.project(z0)
-    if F0 is not None and z.tobytes() != z0.tobytes():
-        F0 = None
-    steps = past_eg_steps(op, domain, z, M, F0) if p == 1 else \
-        eg_steps(op, domain, z, TensorStepConfig(order=p, M=M), F0)
-    return eg_epoch(steps, z, S3 * T3, stop_residual=r_stop, F=F0,
-                    probe=probe)
+    steps = past_eg_steps(op, domain, z, M) if p == 1 else \
+        eg_steps(op, domain, z, TensorStepConfig(order=p, M=M))
+    return eg_epoch(steps, z, S3 * T3, stop_residual=r_stop, probe=probe)
 
 
-def polish_step(op, domain: Domain, z, L_tilde: float, Fz=None):
+def polish_step(op, domain: Domain, z, L_tilde: float):
     """One gradient step turning small distance into a small residual:
     z_hat = project(z - F(z)/L), c_hat = L (z - z_hat) - F(z) in N(z_hat);
-    then ||F(z_hat) + c_hat|| <= 6 L ||z - z*||.  Fz is F(z) when the
-    caller already has it, from the subsolver that returned z; otherwise
-    the step queries it."""
+    then ||F(z_hat) + c_hat|| <= 6 L ||z - z*||."""
     z = np.asarray(z, float)
-    Fz = np.asarray(op(z) if Fz is None else Fz, float)
+    Fz = np.asarray(op(z), float)
     z_hat = domain.project(z - Fz / L_tilde)
     c_hat = L_tilde * (z - z_hat) - Fz
     return z_hat, c_hat
 
 
 def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
-              delta: float, M: float, zeta3: float, z0, base0=None):
+              delta: float, M: float, zeta3: float, z0):
     """Inexact proximal oracle for the middle loop's dual function.
 
     Psi(y) = min_x g_eps(x, y); its proximal subproblem at y_bar is the
@@ -243,9 +230,8 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     The certificate's residual can't query grad Psi exactly, so it is the
     measured y-block residual plus a Lipschitz bound on the Danskin-gradient
     error, obtained from the certified distance of the x block to its own
-    minimizer.  The run starts at z0 = (x, y); base0, the base tuple of
-    one query at z0, seeds its first step with h_eps's operator read from
-    it.  A failed certificate is returned as it is.
+    minimizer.  The run starts at z0 = (x, y).  A failed certificate is
+    returned as it is.
 
     The run also stops on that certificate, as Monteiro and Svaiter end
     an inexact prox step on its relative-error test.  Its probe first
@@ -258,15 +244,13 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     the point it probed, and is measured at the returned point otherwise,
     so no point is measured twice.
 
-    Returns (y_hat, v_hat, certificate, (z_hat, base_out), certified): the
-    polished point z_hat = (x_hat, y_hat) is measured by one order-p query
-    of the base problem, and base_out is that tuple, which any view on the
-    same base reads without another call.  certified is the run's
-    EgTrace.certified, False when neither r_stop nor the probe ended the
-    run before its cap; the caller flags it.  x_hat is the argmin of
-    g_eps(., y_hat) to within the certified dist_x, since the y-prox term
-    of h_eps does not depend on x, so the caller can start its next solve
-    on g_eps(., y_hat) there.
+    Returns (y_hat, v_hat, certificate, z_hat, certified): the polished
+    point z_hat = (x_hat, y_hat) is measured by one order-p query.
+    certified is the run's EgTrace.certified, False when neither r_stop
+    nor the probe ended the run before its cap; the caller flags it.
+    x_hat is the argmin of g_eps(., y_hat) to within the certified dist_x,
+    since the y-prox term of h_eps does not depend on x, so the caller can
+    start its next solve on g_eps(., y_hat) there.
     """
     y_bar = np.asarray(y_bar, float)
     p = problem_g_eps.p
@@ -283,10 +267,10 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
         dist_x = certified_distance(rx, mu_x, p, mu2=h_eps.mu2_x)
         return ry + problem_g_eps.L1 * dist_x
 
-    def measure(z, Fz):
-        """The answer at the half point z, F there being Fz."""
-        z_hat, c_hat = polish_step(op, domain, z, h_eps.L1, Fz=Fz)
-        base_out, out = op.query(z_hat, p)
+    def measure(z):
+        """The answer at the half point z."""
+        z_hat, c_hat = polish_step(op, domain, z, h_eps.L1)
+        out = op.query(z_hat, p)
         resid_vec = out[1] + c_hat
         y_hat = z_hat[dx:]
         v_hat = c_hat[dx:]
@@ -294,7 +278,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
             y_bar, y_hat, v_hat,
             dual_residual(norm(resid_vec[:dx]), norm(resid_vec[dx:])),
             gamma, p, delta)
-        return y_hat, v_hat, cert, (z_hat, base_out)
+        return y_hat, v_hat, cert, z_hat
 
     probed = {}   # the last half point measured (bytes) -> its answer
 
@@ -307,10 +291,9 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
         if dual_residual(norm(t[:dx]), norm(t[dx:])) > 0.5 * bound:
             return False
         probed.clear()
-        ans = probed[zh.tobytes()] = measure(zh, Fh)
+        ans = probed[zh.tobytes()] = measure(zh)
         return ans[2].ok
 
-    F0 = None if base0 is None else op.read(z0, base0)[1]
-    zS, tr = restarted_eg(h_eps, M, zeta3, z0, F0, probe=probe)
-    out = probed.get(zS.tobytes()) or measure(zS, tr.F)
+    zS, tr = restarted_eg(h_eps, M, zeta3, z0, probe=probe)
+    out = probed.get(zS.tobytes()) or measure(zS)
     return (*out, tr.certified)

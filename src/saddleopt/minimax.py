@@ -18,20 +18,21 @@ for either side, whose steps follow the curvature they measure at either
 order (_inner_min), and the prox oracle is the level below.  Each level
 opens one count scope (CountTracker.level) around all of its work, in
 which the level below opens its own.
-Each level hands its answer up: an envelope gradient comes with the
-value its solve measured, and each prox oracle (iprox_psi for the middle
-loop, iprox_phi for the outer one) hands back its measured point and
-base oracle tuple, which the envelope keeps as the start of its next
-solve at the point the prox returned.  The worst-case loop counts of
-the analysis (T1, T2, S) are only caps: every level stops on a measured
-certificate, with a stall of its best value as the fallback.  The inner
-run stops once the middle level's dual prox certificate holds at a half
-point, or on a residual that certifies its distance target; the middle
-loop stops once the outer level's primal prox certificate holds at its
-best dual point; the outer loop halts as soon as a recovered primal-dual
-pair has tangent residual <= eps for the ORIGINAL operator -- which is
-also the guarantee the solver reports.  The inner tolerances are eps/100
-rather than a worst-case delta chain.
+An envelope gradient comes with the value its solve measured, and each
+prox oracle (iprox_psi for the middle loop, iprox_phi for the outer one)
+hands back its measured point, which the envelope keeps as the start of
+its next solve.  No level passes oracle answers on: a question asked
+again where the oracle has just answered is served by the base problem's
+memory (SaddleProblem.oracle_eval) at no call.  The worst-case loop
+counts of the analysis (T1, T2, S) are only caps: every level stops on a
+measured certificate, with a stall of its best value as the fallback.
+The inner run stops once the middle level's dual prox certificate holds
+at a half point, or on a residual that certifies its distance target;
+the middle loop stops once the outer level's primal prox certificate
+holds at its best dual point; the outer loop halts as soon as a
+recovered primal-dual pair has tangent residual <= eps for the ORIGINAL
+operator -- which is also the guarantee the solver reports.  The inner
+tolerances are eps/100 rather than a worst-case delta chain.
 
 The schedule (MinimaxConfig, from derive_parameters) holds no Lipschitz
 constant or modulus: each level reads them from the regularized view it
@@ -69,9 +70,13 @@ LEVELS = ("outer", "middle", "inner", "polish")
 
 
 class CountTracker:
-    """Attributes oracle-counter deltas to the innermost active level."""
+    """Attributes oracle-counter deltas to the innermost active level.
+
+    It empties the problem's oracle memory, so the counts of a solve that
+    builds it depend only on that solve's own questions."""
 
     def __init__(self, problem: SaddleProblem):
+        problem.forget()
         self.problem = problem
         self.counts = {lvl: 0 for lvl in LEVELS}
         self._stack = []
@@ -205,7 +210,7 @@ def _dist_to_gap(mu: float, p: int, dist: float) -> float:
     return max(mu / (p + 1) * dist ** (p + 1), 1e-16)
 
 
-def _inner_min(oracle, target_gap, warm, warm_base=None):
+def _inner_min(oracle, target_gap, warm):
     """Uniformly convex restricted minimization for the envelope oracles.
 
     Accelerated projected gradient with gradient-based adaptive restart;
@@ -213,9 +218,7 @@ def _inner_min(oracle, target_gap, warm, warm_base=None):
     through gradient domination, or when the residual stops improving
     (the flat directions of a weakly regularized subproblem eventually
     hit oracle resolution).  oracle is a restricted view, from
-    SaddleProblem.restricted.  Returns (x, base): the best certified point
-    seen and the base tuple of the one query there, which the caller reads
-    instead of asking again.
+    SaddleProblem.restricted.  Returns the best certified point seen.
 
     The step is 1/L at either order, L = min(L_max, max(L/2, L_hat, 1e-8))
     with L_hat = ||g(w) - g(w_prev)|| / ||w - w_prev|| the curvature
@@ -229,41 +232,23 @@ def _inner_min(oracle, target_gap, warm, warm_base=None):
     descent guarantee: its safety rests on the measured stop and the
     gradient restart (Malitsky & Mishchenko, "Adaptive gradient descent
     without descent", 2020, give a variant that keeps one).
-
-    No point is queried twice in a row: the last query is reused while
-    the next point has the same bytes and needs no higher order (the start
-    point's order-2 query serving its first gradient, a residual check
-    followed by a restart at the checked point).  warm_base, the base
-    tuple at warm joined with the view's fixed block, seeds that reuse.
     """
     dom = oracle.domain
     p = oracle.p
-    start = np.asarray(warm if warm is not None else dom.center(), float)
-    x = dom.project(start)
-    # (point bytes, base tuple, the view's tuple)
-    last = None
-    if warm_base is not None and x.tobytes() == start.tobytes():
-        last = (x.tobytes(), warm_base, oracle.read(x, warm_base))
-
-    def query(v, order):
-        nonlocal last
-        key = v.tobytes()
-        if last is None or last[0] != key or len(last[2]) <= order:
-            last = (key, *oracle.query(v, order))
-        return last[1], last[2]
-
+    x = dom.project(np.asarray(warm if warm is not None else dom.center(),
+                               float))
     if p == 1:
         L = L_max = max(oracle.Lp, 1e-8)
     else:
-        L = max(float(np.linalg.norm(query(x, 2)[1][2], 2)), 1e-8)
+        L = max(float(np.linalg.norm(oracle.query(x, 2)[2], 2)), 1e-8)
         L_max = math.inf
     w = x.copy()
     w_prev = g_prev = None
     t = 1.0
-    best_x, best_base, best_r = x, None, math.inf
+    best_x, best_r = x, math.inf
     since_improve = 0
     for k in range(20_000):
-        g_w = np.asarray(query(w, 1)[1][1], float)
+        g_w = np.asarray(oracle(w), float)
         if w_prev is not None:
             # the curvature between the last two momentum points
             dw = norm(w - w_prev)
@@ -281,19 +266,18 @@ def _inner_min(oracle, target_gap, warm, warm_base=None):
             w = dom.project(x_new + ((t - 1.0) / t_new) * step)
         x, t = x_new, t_new
         if k % 8 == 0 or norm(step) <= 1e-15 * (1 + norm(x)):
-            base, res = query(x, 1)
-            r = dom.tangent_residual(x, np.asarray(res[1], float))
+            r = dom.tangent_residual(x, np.asarray(oracle(x), float))
             if r < 0.9 * best_r:
-                best_x, best_base, best_r, since_improve = x, base, r, 0
+                best_x, best_r, since_improve = x, r, 0
             else:
                 if r < best_r:
-                    best_x, best_base, best_r = x, base, r
+                    best_x, best_r = x, r
                 since_improve += 1
             if gap_from_residual(r, oracle.mu, p) <= target_gap:
-                return x, base
+                return x
             if since_improve >= 25:
                 break
-    return best_x, best_base
+    return best_x
 
 
 class Envelope:
@@ -304,9 +288,7 @@ class Envelope:
     of x (the outer loop's primal envelope of f_eps).  mu is the solved
     block's uniform-convexity modulus (view.uc) and the view's L1 turns a
     gradient accuracy into a distance target.  pt is where the next
-    restricted solve starts; the base tuple kept with it, of one query at
-    pt joined with the other block, seeds that solve's reuse when the
-    fixed block has the same bytes.
+    restricted solve starts.
 
     It is its level's oracle for aipe_restart: ifunc and igrad are its
     solves, iprox the level's prox oracle and order the view's p.
@@ -317,30 +299,13 @@ class Envelope:
         self.view, self.x_side, self.pt = view, x_side, pt
         self.mu = view.uc(x_side)
         self.iprox, self.order = iprox, view.p
-        self._at = None   # (fixed bytes, base tuple kept with pt)
-
-    def keep(self, pt, fixed, base):
-        """Starts the next solve at pt; base is the base tuple at pt joined
-        with the other block at fixed."""
-        self.pt, self._at = pt, (fixed.tobytes(), base)
-
-    def base_at(self, fixed):
-        """The base tuple kept with pt if taken at fixed, else None."""
-        if self._at is not None and self._at[0] == fixed.tobytes():
-            return self._at[1]
-        return None
 
     def solve(self, fixed, target_gap):
         """_inner_min of the solved block with the other at fixed, started
-        at pt and seeded with the tuple kept there; keeps the new point.
-        Returns (point, base tuple, restricted oracle), the tuple of the one
-        query at the point joined with fixed."""
-        fixed = np.asarray(fixed, float)
+        at pt; keeps the new point.  Returns (point, restricted oracle)."""
         oracle = self.view.restricted(fixed, self.x_side)
-        pt, base = _inner_min(oracle, target_gap, self.pt,
-                              self.base_at(fixed))
-        self.keep(pt, fixed, base)
-        return pt, base, oracle
+        self.pt = _inner_min(oracle, target_gap, self.pt)
+        return self.pt, oracle
 
     # both call the module-level ifunc_igrad_primal, which
     # perfbench/tracer.py wraps
@@ -359,17 +324,16 @@ def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
     a gradient call needs the solution to distance delta/L1, which a
     (p+1)-uniformly convex objective converts into a (much tighter) value
     target.  The value and gradient are those of the fixed block's own
-    restricted view at the solution (Danskin's rule), read from the base
-    tuple of the solve's last query.  Returns (value, gradient, solution);
-    env keeps the solution, with that tuple, as the next call's start.
+    restricted view at the solution (Danskin's rule), where the solve has
+    just asked.  Returns (value, gradient, solution); env keeps the
+    solution as the next call's start.
     """
     target = max(delta, 1e-16)
     if need_grad:
         target = min(target, _dist_to_gap(env.mu, env.view.p,
                                           delta / env.view.L1))
-    pt, base, _ = env.solve(fixed, target)
-    fixed_view = env.view.restricted(pt, not env.x_side)
-    value, grad = fixed_view.read(fixed, base)[:2]
+    pt, _ = env.solve(fixed, target)
+    value, grad = env.view.restricted(pt, not env.x_side).query(fixed, 1)
     return float(value), np.asarray(grad, float), pt
 
 
@@ -381,14 +345,12 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     f_eps + (gamma/(p+1))||x - x_bar||^{p+1}; its answer comes from a
     recovery at a dual point y_hat: the envelope solve for the primal
     minimizer to distance zeta2, a polish step and the primal prox
-    certificate.  Returns (x_tilde, u_tilde, certificate, (z, base_out),
-    next_start); the certificate residual adds a Danskin-error bound
-    (from the measured dual-side residual) to the directly measured
-    polished gradient.  That measurement is one order-p base query at z =
-    (x_tilde, y_hat), the envelope solve's own when the polish step did
-    not move, and base_out is its tuple: the x-prox term is constant in
-    y, so y_hat is also the caller's start for maximizing f_eps(x_tilde,
-    .).
+    certificate.  Returns (x_tilde, u_tilde, certificate, z, next_start);
+    the certificate residual adds a Danskin-error bound (from the measured
+    dual-side residual) to the directly measured polished gradient.  That
+    measurement is one order-p query at z = (x_tilde, y_hat): the x-prox
+    term is constant in y, so y_hat is also the caller's start for
+    maximizing f_eps(x_tilde, .).
 
     The recovery is the middle loop's probe.  It runs at the epoch's best
     dual point on each iteration that counts toward the stall exit, and
@@ -408,8 +370,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     first solve and the middle loop start; next_start, the recovered
     minimizer joined with the returned dual point, is the next call's.
     Each middle-loop oracle starts where the level below left off: the
-    envelope gradient hands up its value, and the envelope keeps each
-    iprox_psi's x block and base tuple as the start of its next solve.
+    envelope keeps each iprox_psi's x block as the start of its next solve.
     """
     x_bar = np.asarray(x_bar, float)
     p = problem_f_eps.p
@@ -425,20 +386,12 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     def recover(y_hat):
         """The answer and its primal prox certificate at the dual point
         y_hat, with the envelope solved to distance zeta2."""
-        x_hat, base_hat, oracle = env.solve(y_hat,
-                                            _dist_to_gap(env.mu, p, zeta2))
+        x_hat, oracle = env.solve(y_hat, _dist_to_gap(env.mu, p, zeta2))
         with tracker.level("polish"):
-            x_t, u_t = polish_step(oracle, g_eps.x_domain, x_hat, g_eps.L1,
-                                   Fz=oracle.read(x_hat, base_hat)[1])
+            x_t, u_t = polish_step(oracle, g_eps.x_domain, x_hat, g_eps.L1)
             # measured residual at the polished point + Danskin error bound
             z_t = join(x_t, y_hat)
-            # a polish step that did not move is measured by the solve's
-            # own query there
-            if x_t.tobytes() == x_hat.tobytes() and len(base_hat) > p:
-                base_out = base_hat
-            else:
-                base_out = op.joint(z_t, p)
-            F = op.read(z_t, base_out)[1]
+            F = op.query(z_t, p)[1]
             w = F[:dx] + u_t
             # maximizing f_eps(x_t, .) means minimizing -f_eps, whose
             # gradient field at y_hat is -grad_y g_eps (x terms don't enter)
@@ -448,15 +401,15 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         cert = prox_certificate(x_bar, x_t, u_t,
                                 norm(w) + problem_f_eps.L1 * dist_y, gamma, p,
                                 cfg.delta)
-        return x_t, u_t, cert, (z_t, base_out), join(x_hat, y_hat)
+        return x_t, u_t, cert, z_t, join(x_hat, y_hat)
 
     def mid_iprox(yb, g):
         with tracker.level("inner"):
             yb = np.asarray(yb, float)
-            y_t, v_t, cert, (z_hat, base_out), certified = iprox_psi(
+            y_t, v_t, cert, z_hat, certified = iprox_psi(
                 g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
-                z0=join(env.pt, yb), base0=env.base_at(yb))
-        env.keep(z_hat[:dx], y_t, base_out)
+                z0=join(env.pt, yb))
+        env.pt = z_hat[:dx]
         if not certified:
             flags.append("inner run ended uncertified at its step cap")
         if not cert.ok:
@@ -538,9 +491,9 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def out_iprox(xb, g):
         nonlocal mid
-        x_t, u_t, cert, (z_m, base_out), mid = iprox_phi(
+        x_t, u_t, cert, z_m, mid = iprox_phi(
             f_eps, xb, g, cfg, mid, tracker=tracker, flags=flags)
-        outer.keep(z_m[problem.dx:], x_t, base_out)
+        outer.pt = z_m[problem.dx:]
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")

@@ -89,7 +89,8 @@ def model_operator(op, z_bar, cfg: TensorStepConfig, F0=None):
     """The regularized Taylor model G(z) whose VI the tensor step solves.
 
     Building it queries the anchor at most once: at q = 1 for F(z_bar)
-    unless F0, the operator value there, is given; at q = 2 for F and the
+    unless F0 is given to stand in for it (past extragradient builds its
+    step from the last half point's value); at q = 2 for F and the
     Jacobian together (op.derivatives).  They are kept as G.F0 and G.J;
     evaluating G makes no oracle call.
     """
@@ -178,9 +179,9 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
 
 
 def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):
-    """The order-q regularized step from z_bar; returns (z, F(z_bar)), the
-    new point and the operator value at the anchor that built the model.
-    F0, that value when the caller already has it, saves the query."""
+    """The order-q regularized step from z_bar; returns (z, F0), the new
+    point and the operator value that built the model: F(z_bar), or the
+    F0 given to stand in for it at q = 1 (see model_operator)."""
     G = model_operator(op, z_bar, cfg, F0)
     z, _, _, _ = _solve_model(G, domain, cfg)
     return z, G.F0

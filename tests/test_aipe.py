@@ -58,10 +58,10 @@ def restart_gaps(traces, f_star):
 
 
 def function_oracle(value, grad, hess, **fields):
-    """An OracleView whose one joint query evaluates value, grad, hess."""
-    def joint(v, order):
+    """An OracleView whose one query evaluates value, grad, hess."""
+    def query(v, order):
         return tuple(f(v) for f in (value, grad, hess)[:order + 1])
-    return OracleView(joint=joint, read=lambda v, base: base, **fields)
+    return OracleView(query=query, **fields)
 
 
 def exact_bundle(h: OracleView, domain, M, order, calls=None):

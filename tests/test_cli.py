@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import saddleopt
+from saddleopt import cli
 from saddleopt.cli import (LOWERBOUND_HEADER, RESULT_HEADER, BenchConfig,
                            fit_rate, lowerbound_csv, main, run_suite)
 from saddleopt.lowerbound import experiment_row
@@ -226,6 +227,28 @@ def test_cli_bench(tmp_path, capsys):
                  "--out", str(tmp_path / "out"), "--jobs", "1"])
     assert code == 0
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "lowerbound"])
+def test_unwritable_out_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch,
+                                               command):
+    # --out under a regular file cannot be written: the path is checked
+    # before any row runs, and the error is one line, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"problems": [QUAD2],
+                                    "eps_grid": [1e-2, 3e-3]}))
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: ran.append(a))
+    monkeypatch.setattr(cli, "experiment_row", lambda *a: ran.append(a))
+    argv = (["bench", "--config", str(cfg_path)] if command == "bench"
+            else ["lowerbound", "--p", "1"])
+    assert main(argv + ["--out", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not ran
+    assert captured.err.startswith("saddlebench: cannot write --out: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_check(capsys):

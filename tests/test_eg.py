@@ -81,13 +81,13 @@ def record_half_points(monkeypatch, steps="past_eg_steps"):
     return halves
 
 
-def run_epoch(op, domain, z0, M, T, q, F0=None):
+def run_epoch(op, domain, z0, M, T, q):
     """eg_epoch over q=1 past_eg_steps or q=2 eg_steps from z0 at
     regularization M; returns (point, trace, etas), etas the step size
     each step yielded, a zero step's excepted."""
     z0 = np.asarray(z0, float)
-    steps = eg.past_eg_steps(op, domain, z0, M, F0) if q == 1 else \
-        eg.eg_steps(op, domain, z0, TensorStepConfig(order=q, M=M), F0)
+    steps = eg.past_eg_steps(op, domain, z0, M) if q == 1 else \
+        eg.eg_steps(op, domain, z0, TensorStepConfig(order=q, M=M))
     etas = []
 
     def sized(steps):
@@ -96,7 +96,7 @@ def run_epoch(op, domain, z0, M, T, q, F0=None):
                 etas.append(step[4])
             yield step
 
-    z, tr = eg_epoch(sized(steps), z0, T, F=F0)
+    z, tr = eg_epoch(sized(steps), z0, T)
     return z, tr, etas
 
 
@@ -137,15 +137,16 @@ def test_epoch_q1_step_follows_local_lipschitz(L):
 
 
 def test_epoch_q1_step_rule_costs_no_call():
-    # a seeded epoch asks F at its T half points and nowhere else: each
+    # an epoch from a point just asked asks F at its T half points and
+    # nowhere else: the oracle's memory answers F at the start, each
     # past-extragradient step reuses the last half point's value as its
     # anchor's, and the step rule measures from values already in hand
     h = make_h_eps(0)
     op = h.operator()
     z0 = h.domain.sample(np.random.default_rng(1))
-    F0 = op(z0)
+    op(z0)
     start = h.oracle_counter
-    _, _, etas = run_epoch(op, h.domain, z0, M=4.0, T=6, q=1, F0=F0)
+    _, _, etas = run_epoch(op, h.domain, z0, M=4.0, T=6, q=1)
     assert len(etas) == 6
     assert h.oracle_counter - start == 6
 
@@ -409,14 +410,19 @@ def test_iprox_psi_certificate_battery(p):
         y_bar = prob.y_domain.sample(rng)
         gamma = prob.Lp if p == 2 else prob.L1
         g_eps = surrogate_g(f_eps, x_bar, gamma)
-        y_t, v_t, cert, (z_hat, base_out), _ = iprox_psi(
+        y_t, v_t, cert, z_hat, _ = iprox_psi(
             g_eps, y_bar, gamma, delta=1e-2,
             M=32.0 * surrogate_h(g_eps, y_bar, gamma).Lp,
             zeta3=1e-9 if p == 1 else 1e-10, z0=join(x_bar, y_bar))
         assert cert.ok, (p, seed, cert.residual, cert.bound)
         assert prob.y_domain.contains(y_t)
-        # the handed-up base tuple is the order-p oracle at (x_hat, y_t)
+        # the returned point (x_hat, y_t) was measured at order p: asking
+        # there again costs no call and answers what a new evaluation does
         assert np.array_equal(z_hat[prob.dx:], y_t)
-        for got, want in zip(g_eps.extend(z_hat, base_out),
-                             g_eps.oracle_eval(z_hat, p)):
+        before = prob.oracle_counter
+        kept = g_eps.oracle_eval(z_hat, p)
+        assert prob.oracle_counter == before
+        prob.forget()
+        for got, want in zip(kept, g_eps.oracle_eval(z_hat, p)):
             assert np.array_equal(got, want)
+        assert prob.oracle_counter == before + 1

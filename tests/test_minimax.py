@@ -12,7 +12,7 @@ from saddleopt.minimax import (
     derive_parameters, ifunc_igrad_primal, iprox_phi, solve,
 )
 from saddleopt.problems import (
-    OracleView, SaddleProblem, hard_instance, join, make_bilinear,
+    SaddleProblem, hard_instance, join, make_bilinear,
     make_power, make_quadratic, regularize_f_eps, split, surrogate_g,
 )
 from saddleopt.tensor_step import TensorStepConfig, tensor_step
@@ -127,13 +127,14 @@ def test_parameters_positive_and_validated():
 # ---------------------------------------------------------------------------
 
 def test_count_tracker_nested_attribution():
+    # each burn asks at a new point, so each question is one evaluation
     prob = make_quadratic(2, seed=3)
     tr = CountTracker(prob)
-    z = prob.domain.center()
+    rng = np.random.default_rng(3)
 
     def burn(n):
         for _ in range(n):
-            prob.oracle_eval(z, 1)
+            prob.oracle_eval(prob.domain.sample(rng), 1)
 
     start = prob.oracle_counter
     with tr.level("outer"):
@@ -409,7 +410,7 @@ def test_middle_level_counts_only_its_dual_envelope(monkeypatch, problem, eps,
 
 
 @pytest.mark.parametrize("T1, S, calls", [(1, 1, 235), (3, 1, 638),
-                                          (2, 2, 841)])
+                                          (2, 2, 842)])
 def test_solve_measures_each_outer_point_once(monkeypatch, T1, S, calls):
     # the outer probe measures the best point after every iteration, so
     # a loop ended by its T1 cap, a stall or the restart's no-progress
@@ -464,33 +465,43 @@ def test_solve_known_saddle_is_detected_fast():
 
 
 def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
-    # iprox_psi hands up its polished point and base tuple; the envelope
-    # solve that follows is at the dual point it returned, so it starts
-    # from the inner x block with that tuple instead of a stale warm point
+    # iprox_psi hands up its polished point, measured by its last query;
+    # the envelope solve that follows is at the dual point it returned, so
+    # it starts from the inner x block instead of a stale warm point, and
+    # its first question, at that same joint point, costs no call
     real_psi, real_min = minimax.iprox_psi, minimax._inner_min
+    problem = make_quadratic(2, 1, 0)
     events = []
 
     def psi(*args, **kwargs):
         out = real_psi(*args, **kwargs)
-        events.append(("psi", out[3][0]))
+        events.append(("psi", out[3]))
         return out
 
-    def inner_min(oracle, target_gap, warm, warm_base=None):
-        events.append(("min", warm, warm_base))
-        return real_min(oracle, target_gap, warm, warm_base)
+    def inner_min(oracle, target_gap, warm):
+        first = []
+
+        def query(v, order):
+            before = problem.oracle_counter
+            out = oracle.query(v, order)
+            if not first:
+                first.append(problem.oracle_counter - before)
+            return out
+
+        events.append(("min", warm, first))
+        return real_min(replace(oracle, query=query), target_gap, warm)
 
     monkeypatch.setattr(minimax, "iprox_psi", psi)
     monkeypatch.setattr(minimax, "_inner_min", inner_min)
-    problem = make_quadratic(2, 1, 0)
     _, rep = solve(problem, 3e-2)
     assert rep.ok
     follows = [(a[1], b) for a, b in zip(events, events[1:])
                if a[0] == "psi"]
     assert follows
-    for z_hat, (kind, warm, warm_base) in follows:
+    for z_hat, (kind, warm, first) in follows:
         assert kind == "min"
         assert warm.tobytes() == z_hat[:problem.dx].tobytes()
-        assert warm_base is not None
+        assert first == [0]
 
 
 @pytest.mark.parametrize("problem, eps, z0, budget", [
@@ -644,16 +655,19 @@ def test_inner_runs_stop_on_the_dual_prox_certificate(monkeypatch):
 
 
 def test_iprox_psi_measures_the_point_it_returns_once(monkeypatch):
-    # one order-p query at the returned point per iprox_psi, whether a
-    # probe made it inside the run or the measurement after the run did;
+    # one order-p evaluation at the returned point per iprox_psi, whether
+    # a probe made it inside the run or the measurement after the run did;
     # some returned point is a probe's, measured before its run returned
     queries, ends, checks = [], [], []
-    real_query, real_run = OracleView.query, eg.restarted_eg
+    real_eval, real_run = SaddleProblem.oracle_eval, eg.restarted_eg
     real_psi = minimax.iprox_psi
 
-    def query(self, v, order):
-        queries.append((np.asarray(v, float).tobytes(), order))
-        return real_query(self, v, order)
+    def query(self, z, order):
+        before = self.oracle_counter
+        out = real_eval(self, z, order)
+        if self.oracle_counter > before:
+            queries.append((np.asarray(z, float).tobytes(), order))
+        return out
 
     def run(*args, **kwargs):
         out = real_run(*args, **kwargs)
@@ -663,12 +677,12 @@ def test_iprox_psi_measures_the_point_it_returns_once(monkeypatch):
     def psi(*args, **kwargs):
         start = len(queries)
         out = real_psi(*args, **kwargs)
-        key = (out[3][0].tobytes(), 1)     # the quadratic game has p = 1
+        key = (out[3].tobytes(), 1)     # the quadratic game has p = 1
         checks.append(([i for i in range(start, len(queries))
                         if queries[i] == key], ends[-1]))
         return out
 
-    monkeypatch.setattr(OracleView, "query", query)
+    monkeypatch.setattr(SaddleProblem, "oracle_eval", query)
     monkeypatch.setattr(eg, "restarted_eg", run)
     monkeypatch.setattr(minimax, "iprox_psi", psi)
     _, rep = solve(make_quadratic(3, 1, 0), 4e-2)
@@ -694,30 +708,36 @@ def test_a_failed_measured_probe_does_not_end_the_run(monkeypatch):
 
 
 @pytest.mark.parametrize("p, Lp", [(1, 1.0), (2, 0.0)])
-def test_inner_min_steps_at_the_curvature_it_measures(p, Lp):
-    # f = (m/2)(v-c)' diag(1, .5, .2) (v-c) is far flatter than its p=1
+def test_inner_min_steps_at_the_curvature_it_measures(monkeypatch, p, Lp):
+    # f = (m/2)(x-c)' diag(1, .5, .2) (x-c) is far flatter than its p=1
     # Lp = 1: steps of 1/Lp crawl, steps at the measured curvature do not.
     # At p=2 its Hessian is constant, so Lp = 0 bounds no gradient change,
-    # and the steps start at the Hessian's norm; neither order asks a value
+    # and the steps start at the Hessian's norm; neither order asks a value.
+    # f is the x block of a counted problem whose y block is inert
     m = 1e-3
     c = np.array([0.3, -0.5, 0.8])
     diag = np.array([1.0, 0.5, 0.2])
-    calls = []
-
-    def joint(v, order):
-        calls.append(order)
-        d = v - c
-        return (0.5 * m * d @ (diag * d), m * diag * d,
-                m * np.diag(diag))[:order + 1]
-
     box = Box(-np.ones(3), np.ones(3))
-    oracle = OracleView(domain=box, joint=joint, read=lambda v, base: base,
-                        p=p, Lp=Lp, mu=0.2 * m)
-    x, base = minimax._inner_min(oracle, 1e-12, None)
-    r = box.tangent_residual(x, oracle.read(x, base)[1])
+    prob = SaddleProblem(
+        box, Box([0.0], [1.0]), p,
+        value=lambda z: 0.5 * m * (z[:3] - c) @ (diag * (z[:3] - c)),
+        grad=lambda z: np.append(m * diag * (z[:3] - c), 0.0),
+        hess=lambda z: np.diag(np.append(m * diag, 0.0)), L1=1.0, Lp=Lp)
+    asked = []
+    real_eval = SaddleProblem.oracle_eval
+
+    def logged(self, z, order):
+        asked.append(order)
+        return real_eval(self, z, order)
+
+    monkeypatch.setattr(SaddleProblem, "oracle_eval", logged)
+    oracle = replace(prob.restricted(np.zeros(1), True), mu=0.2 * m)
+    x = minimax._inner_min(oracle, 1e-12, None)
+    calls = prob.oracle_counter
+    r = box.tangent_residual(x, oracle(x))
     assert gap_from_residual(r, oracle.mu, p) <= 1e-12
-    assert 0 not in calls
-    assert len(calls) <= 100
+    assert 0 not in asked
+    assert calls <= 100
 
 
 def test_envelope_solves_end_before_their_iteration_cap(monkeypatch):
@@ -726,9 +746,9 @@ def test_envelope_solves_end_before_their_iteration_cap(monkeypatch):
     real_min = minimax._inner_min
     used = []
 
-    def inner_min(oracle, target_gap, warm, warm_base=None):
+    def inner_min(oracle, target_gap, warm):
         before = problem.oracle_counter
-        out = real_min(oracle, target_gap, warm, warm_base)
+        out = real_min(oracle, target_gap, warm)
         used.append(problem.oracle_counter - before)
         return out
 
@@ -744,22 +764,27 @@ def test_envelope_solves_end_before_their_iteration_cap(monkeypatch):
     (make_bilinear(2, 1, 0), None),
 ])
 def test_no_query_repeats_the_previous_one(monkeypatch, problem, z0):
-    # every subsolver hands back the oracle output at the point it returns,
-    # so no base query asks again at the point of the query just before it
-    # for an order that query already returned
+    # the oracle remembers its last two evaluations, so no evaluation is
+    # at the point of either of the two before it for an order that one
+    # already returned, and every evaluation is one counted call
     real_eval = SaddleProblem.oracle_eval
     log = []
 
     def logged(self, z, order):
-        log.append((np.asarray(z, float).tobytes(), order))
-        return real_eval(self, z, order)
+        before = self.oracle_counter
+        out = real_eval(self, z, order)
+        if self.oracle_counter > before:
+            log.append((np.asarray(z, float).tobytes(), order))
+        return out
 
     monkeypatch.setattr(SaddleProblem, "oracle_eval", logged)
     _, rep = solve(problem, 3e-2, z0=z0)
     assert rep.ok and len(log) == sum(rep.counts.values())
     repeats = [i for i in range(1, len(log))
-               if log[i][0] == log[i - 1][0] and log[i][1] <= log[i - 1][1]]
-    assert not repeats, f"{len(repeats)} of {len(log)} queries repeat"
+               for j in (i - 2, i - 1)
+               if j >= 0 and log[i][0] == log[j][0]
+               and log[i][1] <= log[j][1]]
+    assert not repeats, f"{len(repeats)} of {len(log)} evaluations repeat"
 
 
 @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf, True,
@@ -785,6 +810,22 @@ def test_solve_determinism():
         reports.append((z.tobytes(), rep.residual, tuple(rep.trace[-1][:2]),
                         tuple(sorted(rep.counts.items()))))
     assert reports[0] == reports[1]
+
+
+def test_back_to_back_solves_on_one_problem_report_the_same_counts():
+    # each solve starts with an empty oracle memory: the EG baseline from
+    # the power game's saddle takes one zero step, one call, every time,
+    # and a second AIPE solve on the same object repeats the first
+    prob = make_power(3, 2, 0)
+    for _ in range(2):
+        before = prob.oracle_counter
+        _, rep = baseline_eg_solve(prob, 1e-2, z0=np.zeros(6))
+        assert rep.ok and rep.counts["outer"] == 1
+        assert prob.oracle_counter - before == 1
+    prob = make_quadratic(2, 1, 0)
+    reports = [solve(prob, 4e-2)[1] for _ in range(2)]
+    assert reports[0].counts == reports[1].counts
+    assert reports[0].trace == reports[1].trace
 
 
 def test_solve_report_json_roundtrip():

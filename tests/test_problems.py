@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from saddleopt.problems import (
 
 def view_value(view, v):
     """The value of an OracleView at v, from one order-0 query."""
-    return view.query(v, 0)[1][0]
+    return view.query(v, 0)[0]
 
 
 def scalar_bilinear(p=1):
@@ -282,6 +284,8 @@ def test_one_query_counts_one_oracle_call_on_every_view(kind, p, seed):
     z = base.domain.sample(rng)
     for prob in (base, f_eps, g_eps, h_eps):
         for query in single_queries(prob, z):
+            # a query the oracle's memory cannot answer
+            prob.forget()
             before = prob.oracle_counter
             query()
             assert prob.oracle_counter == before + 1
@@ -302,8 +306,9 @@ def test_one_query_counts_one_oracle_call_on_every_view(kind, p, seed):
 @pytest.mark.parametrize("p", [1, 2])
 def test_joint_query_restricts_bit_for_bit(p):
     # the value, gradient and Hessian a restricted view reads from its one
-    # joint query are exactly its own value/grad/hess: reusing a subsolver's
-    # tuple in place of a fresh query then leaves every iterate unchanged
+    # joint query are exactly the joint tuple's block, negated on the y
+    # side, and the joint query that follows is answered from the oracle's
+    # memory: a view's answer and the joint one never disagree
     rng = np.random.default_rng(10 + p)
     for kind in ("bilinear", "quadratic", "power"):
         base = from_config({"problem": kind, "p": p, "dim": 3, "seed": p})
@@ -312,52 +317,146 @@ def test_joint_query_restricts_bit_for_bit(p):
         h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.7)
         for prob in (base, f_eps, g_eps, h_eps):
             x, y = split(prob.domain.sample(rng), prob.dx)
-            for fo, v, z in ((prob.restricted(y, True), x, join(x, y)),
-                             (prob.restricted(x, False), y, join(x, y))):
+            for fo, v, blk, sign in (
+                    (prob.restricted(y, True), x, slice(None, prob.dx), 1),
+                    (prob.restricted(x, False), y, slice(prob.dx, None), -1)):
                 for order in range(1, p + 1):
+                    prob.forget()
                     before = prob.oracle_counter
-                    base_out, res = fo.query(v, order)
+                    res = fo.query(v, order)
                     assert prob.oracle_counter == before + 1
-                    ref = prob.oracle_eval(z, order)
-                    out = prob.extend(z, base_out)
-                    assert len(out) == len(res) == order + 1
-                    assert all(np.array_equal(a, b) for a, b in zip(out, ref))
+                    ref = prob.oracle_eval(join(x, y), order)
+                    assert prob.oracle_counter == before + 1
+                    assert len(ref) == len(res) == order + 1
+                    assert res[0] == sign * ref[0]
+                    assert np.array_equal(res[1], sign * ref[1][blk])
+                    if order == 2:
+                        assert np.array_equal(res[2], sign * ref[2][blk, blk])
+                        assert np.array_equal(res[2], fo.derivatives(v)[1])
                     assert res[0] == view_value(fo, v)
                     assert np.array_equal(res[1], fo(v))
-                    if order == 2:
-                        assert np.array_equal(res[2], fo.derivatives(v)[1])
-                    assert all(np.array_equal(a, b) for a, b in
-                               zip(fo.read(v, base_out), res))
+
+
+def surrogates(base, centers):
+    """base, f_eps, g_eps and h_eps, with their power terms at centers."""
+    cf, xb, yb = centers
+    f_eps = regularize_f_eps(base, cf, 0.3, 0.2)
+    g_eps = surrogate_g(f_eps, xb, 0.5)
+    return base, f_eps, g_eps, surrogate_h(g_eps, yb, 0.7)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_oracle_remembers_its_last_two_evaluations(p):
+    # a repeat at either of the last two evaluated points, at an order no
+    # higher than the one evaluated there, is answered without a call and
+    # equals a new problem's evaluation bit for bit; a third point evicts
+    # the older one, a higher order is evaluated, and a point outside the
+    # domain is still refused
+    rng = np.random.default_rng(50 + p)
+    base = make_power(3, p=p, seed=p)
+    centers = (base.domain.sample(rng), base.x_domain.sample(rng),
+               base.y_domain.sample(rng))
+    fresh_base = make_power(3, p=p, seed=p)
+    for prob, fresh in zip(surrogates(base, centers),
+                           surrogates(fresh_base, centers)):
+        a, b, c, d = (prob.domain.sample(rng) for _ in range(4))
+
+        def calls(z, order):
+            before = prob.oracle_counter
+            out = prob.oracle_eval(z, order)
+            return prob.oracle_counter - before, out
+
+        prob.forget()
+        assert calls(a, p)[0] == calls(b, p)[0] == 1
+        for z in (a, b, a):
+            for order in range(p + 1):
+                n, out = calls(z.copy(), order)
+                fresh_base.forget()
+                ref = fresh.oracle_eval(z, order)
+                assert n == 0 and len(out) == len(ref) == order + 1
+                assert all(np.array_equal(u, w) for u, w in zip(out, ref))
+        assert calls(c, p)[0] == 1
+        assert calls(b, p)[0] == 0
+        assert calls(a, p)[0] == 1
+        assert calls(d, 0)[0] == 1
+        for order in range(1, p + 1):
+            assert calls(d, order)[0] == 1
+        assert all(calls(d, order)[0] == 0 for order in range(p + 1))
+        outside = d.copy()
+        outside[0] = 5.0
+        before = prob.oracle_counter
+        with pytest.raises(ValueError, match="outside the domain"):
+            prob.oracle_eval(outside, 0)
+        assert prob.oracle_counter == before
+
+
+def test_oracle_count_and_memory_agree_under_threads():
+    # threads asking one problem at three points, so answers from memory
+    # and evaluations interleave: every evaluation is counted once, and
+    # every answer is the one for the point asked
+    evals = []
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    prob = SaddleProblem(
+        box, box, 1, value=lambda z: evals.append(1) or float(z @ z),
+        grad=lambda z: 2.0 * z, L1=2.0, Lp=2.0)
+    points = [np.full(4, v) for v in (-0.5, 0.0, 0.5)]
+    wrong = []
+
+    def ask(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            z = points[int(rng.integers(3))]
+            value, grad = prob.oracle_eval(z, 1)
+            if value != z @ z or not np.array_equal(grad, 2.0 * z):
+                wrong.append(z)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(s,)) for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert prob.oracle_counter == len(evals) > 0
+
+
+def views_at(base, centers, z):
+    """Every view of base, f_eps, g_eps and h_eps (their power terms at
+    centers) that asks at z: (view, its argument) pairs."""
+    x, y = split(z, base.dx)
+    return [(view, v) for prob in surrogates(base, centers)
+            for view, v in ((prob.operator(), z),
+                            (prob.restricted(y, True), x),
+                            (prob.restricted(x, False), y))]
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_one_base_query_reads_through_every_view(p):
-    # every hand-off passes a point and the base tuple of its one query:
-    # the operator and both restricted blocks of the base problem, f_eps,
-    # g_eps and h_eps read that tuple exactly as their own fresh query, and
-    # reading makes no call
+    # one order-p evaluation at z serves every view that asks there: the
+    # operator and both restricted blocks of the base problem, f_eps,
+    # g_eps and h_eps answer from the oracle's memory without a call, bit
+    # for bit what the same view of a new problem evaluates
     rng = np.random.default_rng(30 + p)
     base = make_power(3, p=p, seed=p)
-    f_eps = regularize_f_eps(base, base.domain.sample(rng), 0.3, 0.2)
-    g_eps = surrogate_g(f_eps, base.x_domain.sample(rng), 0.5)
-    h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.7)
+    centers = (base.domain.sample(rng), base.x_domain.sample(rng),
+               base.y_domain.sample(rng))
     z = base.domain.sample(rng)
-    x, y = split(z, base.dx)
-    views = [(view, v) for prob in (base, f_eps, g_eps, h_eps)
-             for view, v in ((prob.operator(), z),
-                             (prob.restricted(y, True), x),
-                             (prob.restricted(x, False), y))]
+    base.oracle_eval(z, p)
     before = base.oracle_counter
-    tup = base.oracle_eval(z, p)
-    reads = [view.read(v, tup) for view, v in views]
-    assert base.oracle_counter == before + 1
-    for (view, v), got in zip(views, reads):
-        fresh_base, fresh = view.query(v, p)
-        assert len(got) == len(fresh) == p + 1
-        assert all(np.array_equal(a, b) for a, b in zip(tup, fresh_base))
-        assert all(np.array_equal(a, b) for a, b in zip(got, fresh)), \
+    got = [view.query(v, p) for view, v in views_at(base, centers, z)]
+    assert base.oracle_counter == before
+    new = make_power(3, p=p, seed=p)
+    for (view, v), kept in zip(views_at(new, centers, z), got):
+        new.forget()
+        fresh = view.query(v, p)
+        assert len(kept) == len(fresh) == p + 1
+        assert all(np.array_equal(a, b) for a, b in zip(kept, fresh)), \
             view.name
-    assert base.oracle_counter == before + 1 + len(views)
 
 
 def test_quadratic_hessian_signs():

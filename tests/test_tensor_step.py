@@ -187,6 +187,8 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
     monkeypatch.setattr(eg, "eg_steps", spied)
     cfg = TensorStepConfig(order=2, M=2.0)
     for op in (prob.operator(), prob.restricted(np.zeros(2), True)):
+        # both views ask at the same joint point; start each unanswered
+        prob.forget()
         evals.clear()
         before = prob.oracle_counter
         z, F = tensor_step(op, op.domain, np.zeros(op.domain.dim), cfg)
