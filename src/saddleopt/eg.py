@@ -22,7 +22,8 @@ linear rate.  Second-order run steps, the constrained q=2 model solve in
 tensor_step and the EG baseline in minimax take eg_steps, two calls per
 step.  All of them run through one driver, eg_epoch: the half point of
 least residual wins, and a stop residual or a caller's probe ends the run
-certified.
+certified.  Steps hand up no F: a caller that wants F at a half point
+asks the oracle, whose memory answers a repeated question at no call.
 A final short gradient step ("polish") converts small distance into a
 small operator residual plus an explicit normal-cone certificate, which is
 exactly the currency the middle loop's inexact proximal oracle needs.
@@ -47,8 +48,7 @@ class EgTrace:
     # steps by its length
     step_norms: list = field(default_factory=list)
     certified: bool = False
-    F: np.ndarray = None       # operator value at the returned point, if known
-    residual: float = math.inf     # measured residual there, if known
+    residual: float = math.inf     # measured residual at the returned point
 
 
 def certified_distance(residual: float, mu_uc: float, p: int,
@@ -71,11 +71,11 @@ def certified_distance(residual: float, mu_uc: float, p: int,
 
 
 def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig):
-    """Order-q extragradient steps from z; yields (zh, Fh, t, d, eta) per
-    step: the half iterate, F there, the tangent vector t =
-    project_tangent(zh, -Fh), whose norm is the free residual estimate,
-    the step length d = ||zh - z|| and the step size eta = q!/(M d^{q-1})
-    of the update z <- project(z - eta Fh).  Each step asks F at its
+    """Order-q extragradient steps from z; yields (zh, t, d, eta) per
+    step: the half iterate, the tangent vector t = project_tangent(zh,
+    -Fh) for Fh = F(zh), whose norm is the free residual estimate, the
+    step length d = ||zh - z|| and the step size eta = q!/(M d^{q-1}) of
+    the update z <- project(z - eta Fh).  Each step asks F at its
     anchor z and at zh, two calls.  Three runs take these steps: the q=2
     inner run (restarted_eg), the constrained q=2 model solve
     (tensor_step, on the model) and the EG baseline in minimax.
@@ -94,7 +94,7 @@ def eg_steps(op, domain: Domain, z, cfg: TensorStepConfig):
         # VI itself
         eta = None if d == 0.0 else math.factorial(q) / (cfg.M * d ** (q - 1))
         Fh = np.asarray(op(zh), float)
-        yield zh, Fh, domain.project_tangent(zh, -Fh), d, eta
+        yield zh, domain.project_tangent(zh, -Fh), d, eta
         if eta is None:
             return
         z = domain.project(z - eta * Fh)
@@ -126,7 +126,7 @@ def past_eg_steps(op, domain: Domain, z, M: float):
         Fh = np.asarray(op(zh), float)
         zero_step = first and d == 0.0
         eta = None if zero_step else 1.0 / M
-        yield zh, Fh, domain.project_tangent(zh, -Fh), d, eta
+        yield zh, domain.project_tangent(zh, -Fh), d, eta
         if zero_step:
             return
         z = domain.project(z - eta * Fh)
@@ -144,19 +144,19 @@ def eg_epoch(steps, z, T: int, stop_residual: float = 0.0, probe=None):
     returns it, or z when no step is taken; a zero step simply ends the
     generator.  Two exits end the run at the half iterate zh, marked
     certified: a residual <= stop_residual, when that is > 0, and
-    probe(zh, Fh, t) -> True, which is asked at every half iterate the
-    first exit passes over, with F and the tangent vector there.  trace.F
-    and trace.residual keep F and the residual at the returned point,
-    already measured there, when a step was taken.
+    probe(zh, t) -> True, which is asked at every half iterate the first
+    exit passes over, with the tangent vector there.  trace.residual keeps
+    the residual at the returned point, already measured there, when a
+    step was taken.
     """
     trace = EgTrace()
-    for zh, Fh, t, d, _ in islice(steps, T):
+    for zh, t, d, _ in islice(steps, T):
         r = norm(t)
         trace.step_norms.append(d)
         done = (0.0 < stop_residual and r <= stop_residual) or \
-            (probe is not None and probe(zh, Fh, t))
+            (probe is not None and probe(zh, t))
         if r < trace.residual or done:
-            z, trace.residual, trace.F = zh, r, Fh
+            z, trace.residual = zh, r
         if done:
             trace.certified = True
             break
@@ -181,13 +181,13 @@ def restarted_eg(problem: SaddleProblem, M: float, zeta3: float, z0=None,
     at regularization M, which q=1 steps (past_eg_steps, one call each) then
     adapt.  It stops at the first half point whose measured residual is
     <= r_stop, the level at which uniform monotonicity certifies distance
-    <= zeta3, or whose probe(zh, Fh, t) returns True: the caller's own
+    <= zeta3, or whose probe(zh, t) returns True: the caller's own
     certificate, which eg_epoch asks at each half point that r_stop does
     not end the run at.  Its cap is the analysis's budget of S3 =
     ceil(log2(D/zeta3)) + 2 restarts (D the domain diameter) of T3 =
     default_epoch_length steps each, enough to halve the distance: S3*T3
     steps.  A run that reaches the cap returns its half point of least
-    residual, uncertified.  trace.F keeps F at the returned point.
+    residual, uncertified.
     """
     c_min = max(min(problem.mu_x, problem.mu_y), 1e-12)
     T3 = default_epoch_length(problem, c_min)
@@ -240,9 +240,11 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     certificate's bound does it measure: the polish, the order-p query and
     the certificate, the answer this oracle returns.  The run ends, certified,
     once a measured certificate holds; one that fails costs its query and
-    the run goes on.  The answer is the last probe's when the run returns
-    the point it probed, and is measured at the returned point otherwise,
-    so no point is measured twice.
+    the run goes on.  The answer is measured at the returned point after
+    the run.  When the run ended on its probe there, the oracle's memory
+    still holds both of that probe's questions (F at the half point and
+    the order-p query at the polished point), so the measurement repeats
+    the probe's at no call and with the same bits.
 
     Returns (y_hat, v_hat, certificate, z_hat, certified): the polished
     point z_hat = (x_hat, y_hat) is measured by one order-p query.
@@ -280,9 +282,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
             gamma, p, delta)
         return y_hat, v_hat, cert, z_hat
 
-    probed = {}   # the last half point measured (bytes) -> its answer
-
-    def probe(zh, Fh, t):
+    def probe(zh, t):
         # t is the tangent vector at zh.  The certificate's bound at zh;
         # the free check asks for half of it (0.5, a fixed safety factor),
         # so that what the polish and the measurement move rarely fails
@@ -290,10 +290,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
         bound = 0.5 * gamma * norm(zh[dx:] - y_bar) ** p + delta
         if dual_residual(norm(t[:dx]), norm(t[dx:])) > 0.5 * bound:
             return False
-        probed.clear()
-        ans = probed[zh.tobytes()] = measure(zh)
-        return ans[2].ok
+        return measure(zh)[2].ok
 
     zS, tr = restarted_eg(h_eps, M, zeta3, z0, probe=probe)
-    out = probed.get(zS.tobytes()) or measure(zS)
-    return (*out, tr.certified)
+    return (*measure(zS), tr.certified)

@@ -23,8 +23,8 @@ from .geometry import norm
 from .problems import SaddleProblem, hard_instance, join, split
 from .tensor_step import TensorStepConfig, tensor_step
 
-# the replayed steps' model-VI tolerance and the magnitude below which a
-# coordinate counts as zero in the support and precondition checks
+# the magnitude below which a coordinate counts as zero in the support
+# and precondition checks
 TOL = 1e-12
 
 
@@ -148,7 +148,7 @@ def run_alg_class(problem: SaddleProblem, schedule) -> AlgClassRun:
         run.base_shift = max(run.base_shift, norm(xp - x_bar),
                              norm(yp - y_bar))
         x_bar, y_bar = xp, yp
-        cfg = TensorStepConfig(order=step.q, M=M, vi_tol=TOL)
+        cfg = TensorStepConfig(order=step.q, M=M)
         if step.option == "A":
             x, _ = tensor_step(problem.restricted(y_bar, True),
                                problem.x_domain, x_bar, cfg)

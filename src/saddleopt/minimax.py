@@ -313,7 +313,7 @@ class Envelope:
         return ifunc_igrad_primal(self, z, d, need_grad=False)[0]
 
     def igrad(self, z, d):
-        return ifunc_igrad_primal(self, z, d)[:2]
+        return ifunc_igrad_primal(self, z, d)
 
 
 def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
@@ -325,8 +325,8 @@ def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
     (p+1)-uniformly convex objective converts into a (much tighter) value
     target.  The value and gradient are those of the fixed block's own
     restricted view at the solution (Danskin's rule), where the solve has
-    just asked.  Returns (value, gradient, solution); env keeps the
-    solution as the next call's start.
+    just asked.  Returns (value, gradient); the solution is env.pt, which
+    env keeps as the next call's start.
     """
     target = max(delta, 1e-16)
     if need_grad:
@@ -334,7 +334,7 @@ def ifunc_igrad_primal(env: Envelope, fixed, delta: float,
                                           delta / env.view.L1))
     pt, _ = env.solve(fixed, target)
     value, grad = env.view.restricted(pt, not env.x_side).query(fixed, 1)
-    return float(value), np.asarray(grad, float), pt
+    return float(value), np.asarray(grad, float)
 
 
 def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
@@ -345,12 +345,12 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     f_eps + (gamma/(p+1))||x - x_bar||^{p+1}; its answer comes from a
     recovery at a dual point y_hat: the envelope solve for the primal
     minimizer to distance zeta2, a polish step and the primal prox
-    certificate.  Returns (x_tilde, u_tilde, certificate, z, next_start);
+    certificate.  Returns (x_tilde, u_tilde, certificate, next_start);
     the certificate residual adds a Danskin-error bound (from the measured
     dual-side residual) to the directly measured polished gradient.  That
-    measurement is one order-p query at z = (x_tilde, y_hat): the x-prox
-    term is constant in y, so y_hat is also the caller's start for
-    maximizing f_eps(x_tilde, .).
+    measurement is one order-p query at (x_tilde, y_hat): the x-prox term
+    is constant in y, so y_hat, next_start's y block, is also the
+    caller's start for maximizing f_eps(x_tilde, .).
 
     The recovery is the middle loop's probe.  It runs at the epoch's best
     dual point on each iteration that counts toward the stall exit, and
@@ -390,8 +390,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         with tracker.level("polish"):
             x_t, u_t = polish_step(oracle, g_eps.x_domain, x_hat, g_eps.L1)
             # measured residual at the polished point + Danskin error bound
-            z_t = join(x_t, y_hat)
-            F = op.query(z_t, p)[1]
+            F = op.query(join(x_t, y_hat), p)[1]
             w = F[:dx] + u_t
             # maximizing f_eps(x_t, .) means minimizing -f_eps, whose
             # gradient field at y_hat is -grad_y g_eps (x terms don't enter)
@@ -401,7 +400,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
         cert = prox_certificate(x_bar, x_t, u_t,
                                 norm(w) + problem_f_eps.L1 * dist_y, gamma, p,
                                 cfg.delta)
-        return x_t, u_t, cert, z_t, join(x_hat, y_hat)
+        return x_t, u_t, cert, join(x_hat, y_hat)
 
     def mid_iprox(yb, g):
         with tracker.level("inner"):
@@ -491,9 +490,9 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def out_iprox(xb, g):
         nonlocal mid
-        x_t, u_t, cert, z_m, mid = iprox_phi(
+        x_t, u_t, cert, mid = iprox_phi(
             f_eps, xb, g, cfg, mid, tracker=tracker, flags=flags)
-        outer.pt = z_m[problem.dx:]
+        outer.pt = mid[problem.dx:]
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")
@@ -549,13 +548,13 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     start_count = problem.oracle_counter
 
     def traced(steps):
-        for n, (zh, Fh, t, d, eta) in enumerate(steps):
+        for n, (zh, t, d, eta) in enumerate(steps):
             r = norm(t)
             if n % 16 == 0 or r <= eps or eta is None:
                 gap = float(gap_fn(zh)) if gap_fn is not None else None
                 trace.append((problem.oracle_counter - start_count, r, gap,
                               "outer"))
-            yield zh, Fh, t, d, eta
+            yield zh, t, d, eta
 
     z = domain.center() if z0 is None else \
         domain.project(np.asarray(z0, float))

@@ -199,7 +199,8 @@ class SaddleProblem:
     # -- oracles ----------------------------------------------------------
 
     def oracle_eval(self, z, order: int):
-        """(value, gradient[, Hessian]) of f at z up to order.
+        """(value, gradient[, Hessian]) of f at z up to order, which must
+        lie in 0..p (OrderError otherwise).
 
         The problem remembers its last two evaluations.  A query at the
         bytes of either point, at an order no higher than the one evaluated
@@ -211,7 +212,7 @@ class SaddleProblem:
         it: with one entry bilinear(3,1,0) at eps 1e-3 takes 8 514 calls,
         with two 8 485.
         """
-        if order > self.p:
+        if not 0 <= order <= self.p:
             raise OrderError(f"order {order} oracle on a p={self.p} problem")
         z = self.domain._check_dim(z)
         key = z.tobytes()

@@ -37,21 +37,22 @@ _LAMBDA_FLOOR = 1e-12
 # bisection, and the step cap of the constrained model solve
 _BISECTION_TOL = 1e-12
 _MAX_INNER_ITERS = 10_000
+# every q=2 step solves its model VI to slack <= _VI_TOL (1 + ||F(z_bar)||)
+_VI_TOL = 1e-10
 
 
 @dataclass
 class TensorStepConfig:
+    """A tensor step's order q and M; its model-VI tolerance is _VI_TOL."""
+
     order: int = 1            # q, the step order (1 or 2)
     M: float = 1.0            # regularization strength
-    vi_tol: float = 1e-10     # relative tangent-residual target for the model VI
 
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError(f"step order must be 1 or 2, got {self.order}")
         if not self.M > 0:
             raise ValueError("M must be positive")
-        if not self.vi_tol > 0:
-            raise ValueError("vi_tol must be positive")
 
 
 @dataclass
@@ -159,7 +160,7 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
         # projection solves the model VI exactly
         return z, 0.0, 0, True
 
-    tol = cfg.vi_tol * (1.0 + norm(F0))
+    tol = _VI_TOL * (1.0 + norm(F0))
     s, _lam = _bisection_q2(F0, J, cfg.M)
     cand = z_bar + s
     # a feasible candidate with ||G|| <= tol has tangent residual <= tol,

@@ -13,8 +13,8 @@ from saddleopt.aipe import (
 from saddleopt.geometry import Box
 from saddleopt.problems import OracleView
 from saddleopt.tensor_step import (
-    ProxCertificate, TensorStepConfig, _solve_model, model_operator,
-    prox_certificate,
+    _VI_TOL, ProxCertificate, TensorStepConfig, _solve_model,
+    model_operator, prox_certificate,
 )
 
 
@@ -43,7 +43,7 @@ def iprox_via_tensor(h_grad, domain, z_bar, gamma: float,
     u = u - domain.project_tangent(z, u)
 
     grad_z = np.asarray(h_grad(z), float)
-    delta = cfg.vi_tol * (1.0 + np.linalg.norm(G.F0)) * 2.0
+    delta = _VI_TOL * (1.0 + np.linalg.norm(G.F0)) * 2.0
     lam = float(gamma) * float(np.linalg.norm(s)) ** (cfg.order - 1)
     return prox_certificate(
         G.z_bar, z, u, float(np.linalg.norm(grad_z + u + lam * s)), gamma,

@@ -75,8 +75,9 @@ def test_one_traced_pass_fires_the_epoch_hook(monkeypatch, tmp_path):
     """One traced pass of suite-aipe, the tracer installed and then
     removed as `run.py --trace 1` does.  Every inner step is one q=1
     tensor step inside an eg_epoch run, so the hook that counts each
-    run's steps must count them all; a library change that breaks a hook
-    fails here, not only in a traced benchmark run."""
+    run's steps must count them all, and the hooks on both prox oracles
+    must read their answers' certificates; a library change that breaks a
+    hook fails here, not only in a traced benchmark run."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     run = importlib.import_module("run")
@@ -97,3 +98,9 @@ def test_one_traced_pass_fires_the_epoch_hook(monkeypatch, tmp_path):
     assert run.check_cells(result.cells, failures) == 0, failures
     steps = tracer.counters.get("eg.eg_epoch.steps", 0)
     assert steps > 0 and steps == tracer.calls("tensor_step.q1")
+    # both prox oracles' hooks read the certificate at index 2 of the
+    # answer; each fired, and counted at most one failure per call
+    for span in ("eg.iprox_psi", "minimax.iprox_phi"):
+        assert tracer.calls(span) > 0
+        assert 0 <= tracer.counters[f"{span}.cert_fail"] \
+            <= tracer.calls(span)

@@ -73,6 +73,19 @@ def test_oracle_order_and_domain_errors():
         prob.oracle_eval([5.0, 0.0], 0)
 
 
+@pytest.mark.parametrize("order", [-1, -2])
+def test_negative_order_is_an_order_error(order):
+    # a negative order is refused as a too-high one is, each time it is
+    # asked: it neither evaluates nor counts, and the memory does not
+    # answer it with an empty tuple
+    prob = make_bilinear(2)
+    center = prob.domain.center()
+    for _ in range(2):
+        with pytest.raises(OrderError):
+            prob.oracle_eval(center, order)
+    assert prob.oracle_counter == 0
+
+
 def test_oracle_eval_checks_the_point_once(monkeypatch):
     # oracle_eval checks z's shape, then reads its distance to the domain
     # without a second check

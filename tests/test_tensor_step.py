@@ -12,7 +12,7 @@ from saddleopt.problems import (
     surrogate_g, surrogate_h,
 )
 from saddleopt.tensor_step import (
-    TensorStepConfig, model_operator, prox_certificate, tensor_step,
+    _VI_TOL, TensorStepConfig, model_operator, prox_certificate, tensor_step,
 )
 
 
@@ -144,7 +144,7 @@ def test_model_vi_residual(q):
         z, _ = tensor_step(op, prob.domain, zb, cfg)
         G = model_operator(op, zb, cfg)
         r = prob.domain.tangent_residual(z, G(z))
-        assert r <= cfg.vi_tol * (1 + np.linalg.norm(op(zb))) + 1e-12
+        assert r <= _VI_TOL * (1 + np.linalg.norm(op(zb))) + 1e-12
 
 
 def test_step_q2_constrained_hits_boundary():
@@ -155,7 +155,7 @@ def test_step_q2_constrained_hits_boundary():
     cfg = TensorStepConfig(order=2, M=2.0)
     z, _ = tensor_step(op, box, np.zeros(2), cfg)
     G = model_operator(op, np.zeros(2), cfg)
-    assert box.tangent_residual(z, G(z)) <= cfg.vi_tol * (1 + 5 * np.sqrt(2))
+    assert box.tangent_residual(z, G(z)) <= _VI_TOL * (1 + 5 * np.sqrt(2))
     assert np.max(np.abs(z)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -223,7 +223,7 @@ def test_q2_model_on_the_hard_chain_is_solved_within_the_cap():
     s, _ = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
     assert not op.domain._feasible(z_bar + s)
     z, slack, iters, ok = tensor_step_module._solve_model(G, op.domain, cfg)
-    tol = cfg.vi_tol * (1 + np.linalg.norm(G.F0))
+    tol = _VI_TOL * (1 + np.linalg.norm(G.F0))
     assert ok and 0 < iters < tensor_step_module._MAX_INNER_ITERS
     assert slack == op.domain.tangent_residual(z, G(z)) <= tol
 
@@ -250,7 +250,7 @@ def test_q2_feasible_bisection_point_near_a_face_is_returned(monkeypatch):
     z, _ = tensor_step(op, box, z_bar, cfg)
     assert z.tobytes() == (z_bar + s).tobytes()
     assert box._feasible(z) and 0.0 < 1.0 - z[0] < 1e-6
-    assert norm(G(z)) <= cfg.vi_tol * (1 + norm(c))
+    assert norm(G(z)) <= _VI_TOL * (1 + norm(c))
 
 
 def test_q1_step_returns_the_handed_in_anchor_value():
