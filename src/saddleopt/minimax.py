@@ -218,7 +218,13 @@ def _inner_min(oracle, target_gap, warm):
     through gradient domination, or when the residual stops improving
     (the flat directions of a weakly regularized subproblem eventually
     hit oracle resolution).  oracle is a restricted view, from
-    SaddleProblem.restricted.  Returns the best certified point seen.
+    SaddleProblem.restricted.  The stop is checked where k + 1 is a power
+    of two (k = 0, 1, 3, 7, 15, 31, ..., so a short solve ends at its
+    first certified iterate), at every k divisible by 8 and after a zero
+    step; each check costs one call, the gradient at x.  Returns x at the
+    first check whose gap certificate holds; otherwise, after the stall
+    exit or the 20 000-iteration cap, the least-residual point checked,
+    which is not certified.
 
     The step is 1/L at either order, L = min(L_max, max(L/2, L_hat, 1e-8))
     with L_hat = ||g(w) - g(w_prev)|| / ||w - w_prev|| the curvature
@@ -265,7 +271,8 @@ def _inner_min(oracle, target_gap, warm):
         else:
             w = dom.project(x_new + ((t - 1.0) / t_new) * step)
         x, t = x_new, t_new
-        if k % 8 == 0 or norm(step) <= 1e-15 * (1 + norm(x)):
+        if ((k & (k + 1)) == 0 or k % 8 == 0
+                or norm(step) <= 1e-15 * (1 + norm(x))):
             r = dom.tangent_residual(x, np.asarray(oracle(x), float))
             if r < 0.9 * best_r:
                 best_x, best_r, since_improve = x, r, 0

@@ -412,8 +412,8 @@ def test_middle_level_counts_only_its_dual_envelope(monkeypatch, problem, eps,
     assert used and sum(used) == rep.counts["middle"]
 
 
-@pytest.mark.parametrize("T1, S, calls", [(1, 1, 235), (3, 1, 638),
-                                          (2, 2, 842)])
+@pytest.mark.parametrize("T1, S, calls", [(1, 1, 219), (3, 1, 558),
+                                          (2, 2, 723)])
 def test_solve_measures_each_outer_point_once(monkeypatch, T1, S, calls):
     # the outer probe measures the best point after every iteration, so
     # a loop ended by its T1 cap, a stall or the restart's no-progress
@@ -537,6 +537,20 @@ def test_power_game_solve_fits_the_tighter_budget():
     _, rep = solve(make_power(3, 2, 2), 1e-2, z0=np.full(6, 0.1))
     assert rep.ok
     assert sum(rep.counts.values()) <= 1_220
+
+
+@pytest.mark.parametrize("problem, eps, z0, budget", [
+    (make_quadratic(3, 1, 0), 1e-4, None, 1_900),
+    (make_power(3, 2, 5), 1e-3, np.full(6, 0.1), 2_885),
+])
+def test_envelope_solves_check_their_stop_early(problem, eps, z0, budget):
+    # _inner_min also checks its stop at k = 1, 3, 7, 15, so a solve
+    # certified after a step or two ends there and does not run on to
+    # k = 8: checked at multiples of 8 alone, the quadratic cell takes
+    # 2_413 calls; the power cell's budget is its 2_828 calls then plus 2 %
+    _, rep = solve(problem, eps, z0=z0)
+    assert rep.ok and not rep.flags
+    assert sum(rep.counts.values()) <= budget
 
 
 def test_middle_epochs_stop_on_the_primal_prox_certificate(monkeypatch):
