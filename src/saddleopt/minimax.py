@@ -52,9 +52,10 @@ import numpy as np
 # aipe_epoch is unused here, but perfbench/tracer.py patches it at this
 # import site, so the name must stay
 from .aipe import aipe_epoch, aipe_restart, gap_from_residual  # noqa: F401
-from .eg import (
-    certified_distance, eg_epoch, eg_steps, iprox_psi, polish_step,
-)
+# eg_epoch is called through its module, so that a patch on eg (as
+# perfbench/tracer.py installs) reaches the baseline's run too
+from . import eg
+from .eg import certified_distance, eg_steps, iprox_psi, polish_step
 from .geometry import norm
 from .problems import (
     PowerRegularized, SaddleProblem, _positive, join, power_lipschitz,
@@ -569,7 +570,7 @@ def baseline_eg_solve(problem: SaddleProblem, eps: float,
     steps = eg_steps(problem.operator(), domain, z,
                      TensorStepConfig(order=p, M=2.0 * max(problem.Lp, eps)))
     with tracker.level("outer"):
-        z, tr = eg_epoch(traced(steps), z, cap, stop_residual=eps)
+        z, tr = eg.eg_epoch(traced(steps), z, cap, stop_residual=eps)
     if not tr.certified and len(tr.step_norms) == cap:
         flags.append(f"oracle budget {max_oracle_calls} exhausted at "
                      f"residual {tr.residual:.3e}")

@@ -10,14 +10,14 @@ value, gradient, Hessian and exact duality gap.
 A SaddleProblem holds f, its derivatives up to order p in {1, 2}, the
 feasible sets X, Y, and Lipschitz constants.  Solvers see a problem
 through an OracleView, its operator() or one restricted() block, whose
-one counted query is the base problem's ``oracle_eval``; the view reads
-its own numbers from the base tuple that query returns, adding the power
-terms of a regularized surrogate on the way (``extend``).  So
-oracle-complexity accounting is exact: every evaluation of f counts one
-call, whatever view asked for it.  The base problem remembers its last
-two evaluations (see ``SaddleProblem.oracle_eval``), so a question asked
-again at one of those points, on any view of the same base, is answered
-without a call, and no subsolver passes answers to another by hand.
+one query is its own problem's ``oracle_eval``; a regularized surrogate's
+asks the base problem's and adds its power terms, and only the base
+problem evaluates and counts.  So oracle-complexity accounting is exact:
+every evaluation of f counts one call, whatever view asked for it.  The
+base problem remembers its last two evaluations (see
+``SaddleProblem.oracle_eval``), so a question asked again at one of those
+points, on any view of the same base, is answered without a call, and no
+subsolver passes answers to another by hand.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ class SaddleProblem:
 
     value/grad/hess are callables on the joint vector z = (x, y); hess may
     be None for p = 1.  Every evaluation increments a thread-safe counter.
-    base is the problem whose oracle_eval a query of this one calls (itself
-    here), and extend turns that base tuple into this problem's tuple.
+    base is the problem that evaluates f, counts and remembers (itself
+    here); every view's query is this problem's oracle_eval.
     """
 
     def __init__(self, x_domain: Domain, y_domain: Domain, p: int,
@@ -188,7 +188,7 @@ class SaddleProblem:
 
     @property
     def oracle_counter(self) -> int:
-        return self._counter
+        return self.base._counter
 
     def forget(self):
         """Empties the base problem's oracle memory, so the next question
@@ -240,11 +240,6 @@ class SaddleProblem:
             self._memory = (self._memory[1], (key, out))
         return out
 
-    def extend(self, z, base):
-        """This problem's tuple at z from the base problem's tuple there:
-        the same tuple here."""
-        return base
-
     def operator(self) -> "OracleView":
         """F(z) = (grad_x f, -grad_y f), with the Jacobian at order 2; its
         value is f's."""
@@ -252,7 +247,7 @@ class SaddleProblem:
         sign[self.dx:] = -1.0
 
         def query(z, order):
-            out = self.extend(z, self.base.oracle_eval(z, order))
+            out = self.oracle_eval(z, order)
             res = [out[0]]
             if len(out) > 1:
                 res.append(sign * out[1])
@@ -267,13 +262,13 @@ class SaddleProblem:
         """The function of one block with the other held at fixed: f(., y)
         over X with x_side, else -f(x, .) over Y, whose minimization
         maximizes f in y.  It reads the block's value, gradient and Hessian
-        from the base tuple at the joint point."""
+        from this problem's tuple at the joint point."""
         fixed = np.asarray(fixed, float)
         blk = slice(None, self.dx) if x_side else slice(self.dx, None)
 
         def query(v, order):
             z = join(v, fixed) if x_side else join(fixed, v)
-            out = self.extend(z, self.base.oracle_eval(z, order))
+            out = self.oracle_eval(z, order)
             res = [out[0]]
             if len(out) > 1:
                 res.append(out[1][blk])
@@ -300,10 +295,10 @@ class OracleView:
     query the value and derivatives the field and its Jacobian (the
     Hessian).
 
-    query(v, order) is the one counted query: the base problem's
-    oracle_eval at v's joint point, read as this view's (value, field[,
-    Jacobian]) at v.  mu is the (p+1)th-order uniform-convexity modulus (0
-    if unknown); Lp bounds the Lipschitz constant of the pth derivative.
+    query(v, order) is the one counted query: its problem's oracle_eval
+    at v's joint point, read as this view's (value, field[, Jacobian]) at
+    v.  mu is the (p+1)th-order uniform-convexity modulus (0 if unknown);
+    Lp bounds the Lipschitz constant of the pth derivative.
     """
 
     domain: Domain
@@ -362,12 +357,14 @@ class PowerRegularized(SaddleProblem):
     """Base problem plus (p+1)-power proximal regularizers on each side.
 
     x_terms/y_terms are lists of (coefficient, center); x terms are added,
-    y terms subtracted, keeping the function convex-concave.  Each query
-    asks the base oracle_eval at the same order, which checks the order
-    and answers from its memory or evaluates, then adds the regularizer
-    terms: each term takes its value, gradient and Hessian from one norm
-    of the block's offset from its center, and the value adds the x terms'
-    sum, then subtracts the y terms' sum.
+    y terms subtracted, keeping the function convex-concave.  Every view
+    of it asks its oracle_eval.  That asks the base problem's oracle_eval
+    at the same order, which checks the order and answers from its memory
+    or evaluates and counts, then adds the regularizer terms with no call:
+    each term takes its value, gradient and Hessian from one norm of the
+    block's offset from its center, and the value adds the x terms' sum,
+    then subtracts the y terms' sum.  It keeps no memory or count of its
+    own; oracle_counter and forget are the base problem's.
     """
 
     def __init__(self, base: SaddleProblem, x_terms, y_terms, name=""):
@@ -389,14 +386,7 @@ class PowerRegularized(SaddleProblem):
         self.mu2_y = base.mu2_y + extra_y
 
     def oracle_eval(self, z, order):
-        return self.extend(z, self.base.oracle_eval(z, order))
-
-    def extend(self, z, base):
-        """This problem's tuple at z from the base problem's tuple there,
-        of the same order; adds the power terms and makes no oracle call.
-        Every problem built on one base (f_eps, g_eps, h_eps) can extend
-        the same base tuple."""
-        order = len(base) - 1
+        base = self.base.oracle_eval(z, order)
         x, y = split(z, self.dx)
         xs = [_power_term(x - w, c, self.p, order) for c, w in self.x_terms]
         ys = [_power_term(y - w, c, self.p, order) for c, w in self.y_terms]
@@ -411,10 +401,6 @@ class PowerRegularized(SaddleProblem):
                 D[by] -= t[k]
             res.append(D)
         return tuple(res)
-
-    @property
-    def oracle_counter(self):
-        return self.base.oracle_counter
 
 
 def regularize_f_eps(problem: SaddleProblem, z0, mu_x: float,

@@ -92,16 +92,15 @@ def model_operator(op, z_bar, cfg: TensorStepConfig, F0=None):
     Building it queries the anchor at most once: at q = 1 for F(z_bar)
     unless F0 is given to stand in for it (past extragradient builds its
     step from the last half point's value); at q = 2 for F and the
-    Jacobian together (op.derivatives).  They are kept as G.F0 and G.J;
-    evaluating G makes no oracle call.
+    Jacobian together (op.derivatives), and F0 does not apply there.
+    They are kept as G.F0 and G.J; evaluating G makes no oracle call.
     """
     z_bar = np.asarray(z_bar, float)
     q = cfg.order
     scale = cfg.M / math.factorial(q)
     J = None
     if q == 2:
-        F, J = op.derivatives(z_bar)
-        F0 = F if F0 is None else F0
+        F0, J = op.derivatives(z_bar)
     F0 = np.asarray(op(z_bar) if F0 is None else F0, float)
 
     def G(z):
@@ -182,7 +181,8 @@ def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
 def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):
     """The order-q regularized step from z_bar; returns (z, F0), the new
     point and the operator value that built the model: F(z_bar), or the
-    F0 given to stand in for it at q = 1 (see model_operator)."""
+    F0 given to stand in for it, which applies only at q = 1 (see
+    model_operator)."""
     G = model_operator(op, z_bar, cfg, F0)
     z, _, _, _ = _solve_model(G, domain, cfg)
     return z, G.F0

@@ -895,6 +895,23 @@ def test_baseline_matches_hand_rolled_eg():
     assert rep.residual == best_r
 
 
+def test_baseline_runs_through_the_eg_module(monkeypatch):
+    # the baseline calls eg.eg_epoch through its module, so a wrapper put
+    # on eg (as a tracer installs one) sees its one run
+    runs = []
+    epoch = eg.eg_epoch
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return epoch(*args, **kwargs)
+
+    monkeypatch.setattr(eg, "eg_epoch", counting)
+    prob = make_bilinear(3, 1, 0)
+    _, rep = baseline_eg_solve(prob, 1e-2)
+    assert rep.ok and len(runs) == 1
+    assert prob.oracle_counter == sum(rep.counts.values()) == 354
+
+
 @pytest.mark.parametrize("make, args, eps", [
     (make_quadratic, (3, 1, 0), 1e-4),
     (make_bilinear, (3, 1, 0), 1e-2),

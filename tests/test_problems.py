@@ -220,8 +220,9 @@ def reference_power_term(w, c, p):
 
 
 def reference_extend(prob, z, base):
-    """prob.extend(z, base) with the reference terms, summed in the same
-    order: the value adds the x terms' sum and subtracts the y terms'."""
+    """prob.oracle_eval(z, order) from the base tuple there, with the
+    reference terms summed in the same order: the value adds the x terms'
+    sum and subtracts the y terms'."""
     order = len(base) - 1
     x, y = split(z, prob.dx)
     xs = [reference_power_term(x - w, c, prob.p) for c, w in prob.x_terms]
@@ -295,13 +296,26 @@ def test_one_query_counts_one_oracle_call_on_every_view(kind, p, seed):
     g_eps = surrogate_g(f_eps, base.x_domain.sample(rng), 0.5)
     h_eps = surrogate_h(g_eps, base.y_domain.sample(rng), 0.7)
     z = base.domain.sample(rng)
-    for prob in (base, f_eps, g_eps, h_eps):
-        for query in single_queries(prob, z):
-            # a query the oracle's memory cannot answer
-            prob.forget()
-            before = prob.oracle_counter
-            query()
-            assert prob.oracle_counter == before + 1
+    # every view's query is its own problem's oracle_eval: a surrogate's
+    # query enters PowerRegularized.oracle_eval once, on that surrogate
+    entered = []
+    reg_eval = PowerRegularized.oracle_eval
+
+    def recording(self, z, order):
+        entered.append(self)
+        return reg_eval(self, z, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PowerRegularized, "oracle_eval", recording)
+        for prob in (base, f_eps, g_eps, h_eps):
+            for query in single_queries(prob, z):
+                # a query the oracle's memory cannot answer
+                prob.forget()
+                before = prob.oracle_counter
+                entered.clear()
+                query()
+                assert prob.oracle_counter == before + 1
+                assert entered == ([] if prob is base else [prob])
     # a regularized query is the base query plus the regularizer terms
     v, g = base.oracle_eval(z, 1)
     x, y = split(z, base.dx)
