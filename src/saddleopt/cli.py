@@ -14,7 +14,6 @@ the JSON summary only.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import io
@@ -123,26 +122,48 @@ def fit_rate(rows) -> RateFit:
     return RateFit(slope=slope, half_width=2.0 * math.sqrt(s2 / sxx))
 
 
+def _blank_row(spec: dict) -> dict:
+    """A row as written before its solve: no residual, no calls."""
+    return {"row": spec["row"], "problem": "", "solver": spec["solver"],
+            "p": spec["problem_cfg"].get("p", 1), "eps": spec["eps"],
+            "seed": spec["seed"], "residual": math.nan, "target_met": False,
+            "oracle_calls": 0, "flags": "", "trace": [], "wall_time": 0.0}
+
+
 def _run_row(spec: dict) -> dict:
     """One (problem, solver, eps, seed) cell; exceptions become flags so a
-    bad cell cannot take down the suite."""
+    bad cell cannot take down the suite.
+
+    The row rechecks its own answer: the reported counts must sum to its
+    problem's counter delta, and a row that meets its target must have a
+    returned point whose residual, measured on a fresh instance, is at
+    most eps.  A miss adds a recheck: flag and unsets target_met."""
     prob_cfg = dict(spec["problem_cfg"], seed=spec["seed"])
-    out = {"row": spec["row"], "problem": "", "solver": spec["solver"],
-           "p": prob_cfg.get("p", 1), "eps": spec["eps"],
-           "seed": spec["seed"], "residual": math.nan, "target_met": False,
-           "oracle_calls": 0, "flags": "", "trace": [], "wall_time": 0.0}
+    out = _blank_row(spec)
     try:
         problem = from_config(prob_cfg)
         out["problem"] = problem.name
         eps = float(spec["eps"])
+        before = problem.oracle_counter
         if spec["solver"] == "minimax_aipe":
-            _, report = solve(problem, eps, derive_parameters(problem, eps))
+            z, report = solve(problem, eps, derive_parameters(problem, eps))
         else:
-            _, report = baseline_eg_solve(problem, eps)
+            z, report = baseline_eg_solve(problem, eps)
+        calls = int(sum(report.counts.values()))
+        delta = problem.oracle_counter - before
+        met = report.ok and report.residual <= eps
+        misses = []
+        if calls != delta:
+            misses.append(f"recheck:calls:{calls}!={delta}")
+        if met:
+            fresh = from_config(prob_cfg)
+            r = fresh.domain.tangent_residual(z, fresh.operator()(z))
+            if not r <= eps:
+                misses.append(f"recheck:residual:{_fmt(float(r))}>eps")
         out["residual"] = float(report.residual)
-        out["oracle_calls"] = int(sum(report.counts.values()))
-        out["flags"] = ";".join(report.flags)
-        out["target_met"] = report.ok and report.residual <= eps
+        out["oracle_calls"] = calls
+        out["flags"] = ";".join(report.flags + misses)
+        out["target_met"] = met and not misses
         out["trace"] = report.trace
         out["wall_time"] = report.wall_time
     except Exception as exc:                      # noqa: BLE001
@@ -150,10 +171,25 @@ def _run_row(spec: dict) -> dict:
     return out
 
 
+def _collect(future, spec: dict) -> dict:
+    """A worker's row, or an error: row when its worker died
+    (BrokenProcessPool) or its row could not come back."""
+    try:
+        return future.result()
+    except Exception as exc:                      # noqa: BLE001
+        return dict(_blank_row(spec),
+                    flags=f"error:{type(exc).__name__}:{exc}")
+
+
 def run_suite(config: BenchConfig, out_dir: str, jobs: int = 1) -> dict:
     """Runs every cell, writes results.csv, per-row trace CSVs, and
     summary.json; returns the summary dict.  Output order is by row index
-    regardless of completion order."""
+    regardless of completion order.
+
+    With jobs > 1 the rows run in min(jobs, rows) worker processes started
+    by fork (Linux), so call it from a single-threaded process.  Each row
+    rechecks its residual and call count in its worker (see _run_row); a
+    row whose worker dies becomes an error: flagged row."""
     os.makedirs(out_dir, exist_ok=True)
     specs = []
     for prob_cfg in config.problems:
@@ -163,8 +199,14 @@ def run_suite(config: BenchConfig, out_dir: str, jobs: int = 1) -> dict:
                     specs.append({"row": len(specs), "problem_cfg": prob_cfg,
                                   "solver": solver, "eps": eps, "seed": seed})
     if jobs > 1 and len(specs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_row, specs))
+        # imported here, so that importing the package does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(specs)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_row, s) for s in specs]
+            results = [_collect(f, s) for f, s in zip(futures, specs)]
     else:
         results = [_run_row(s) for s in specs]
     results.sort(key=lambda r: r["row"])

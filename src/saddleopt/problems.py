@@ -156,6 +156,19 @@ class SaddleProblem:
     def __init__(self, x_domain: Domain, y_domain: Domain, p: int,
                  value: Callable, grad: Callable, hess: Callable = None,
                  L1: float = 1.0, Lp: float = 1.0, name: str = ""):
+        self._shape(x_domain, y_domain, p, L1, Lp, name)
+        self._value = value
+        self._grad = grad
+        self._hess = hess
+        self._counter = 0
+        self._lock = threading.Lock()
+        self._memory = (None, None)   # (older, newer) (point bytes, tuple)
+        self.base = self
+
+    def _shape(self, x_domain: Domain, y_domain: Domain, p: int,
+               L1: float, Lp: float, name: str):
+        """What every problem has, whether it evaluates f or asks its base
+        problem: domains, order, constants and name."""
         if p not in (1, 2):
             raise ValueError("order p must be 1 or 2")
         if not L1 > 0 or Lp < 0:
@@ -163,19 +176,12 @@ class SaddleProblem:
         self.x_domain = x_domain
         self.y_domain = y_domain
         self.p = p
-        self._value = value
-        self._grad = grad
-        self._hess = hess
         self.L1 = float(L1)
         self.Lp = float(Lp)
         self.name = name
         self.domain = Product(x_domain, y_domain)
         self.dx = x_domain.dim
         self.dy = y_domain.dim
-        self._counter = 0
-        self._lock = threading.Lock()
-        self._memory = (None, None)   # (older, newer) (point bytes, tuple)
-        self.base = self
         # regularizer metadata (zero for raw problems)
         self.mu_x = 0.0
         self.mu_y = 0.0
@@ -363,8 +369,8 @@ class PowerRegularized(SaddleProblem):
     or evaluates and counts, then adds the regularizer terms with no call:
     each term takes its value, gradient and Hessian from one norm of the
     block's offset from its center, and the value adds the x terms' sum,
-    then subtracts the y terms' sum.  It keeps no memory or count of its
-    own; oracle_counter and forget are the base problem's.
+    then subtracts the y terms' sum.  It keeps no memory, count or lock
+    of its own; oracle_counter and forget are the base problem's.
     """
 
     def __init__(self, base: SaddleProblem, x_terms, y_terms, name=""):
@@ -374,8 +380,9 @@ class PowerRegularized(SaddleProblem):
         mu_x = base.mu_x + sum(c for c, _ in self.x_terms)
         mu_y = base.mu_y + sum(c for c, _ in self.y_terms)
         L1, Lp = power_lipschitz(base, mu_x, mu_y)
-        super().__init__(base.x_domain, base.y_domain, p, None, None,
-                         L1=L1, Lp=Lp, name=name or f"reg({base.name})")
+        # no count, lock or memory of its own: those are the base's
+        self._shape(base.x_domain, base.y_domain, p, L1, Lp,
+                    name or f"reg({base.name})")
         self.base = base
         self.mu_x = mu_x
         self.mu_y = mu_y

@@ -3,6 +3,7 @@ the package's public exports."""
 
 import ast
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from saddleopt import cli
 from saddleopt.cli import (LOWERBOUND_HEADER, RESULT_HEADER, BenchConfig,
                            fit_rate, lowerbound_csv, main, run_suite)
 from saddleopt.lowerbound import experiment_row
-from saddleopt.problems import _KIND_KEYS
+from saddleopt.problems import _KIND_KEYS, from_config
 
 QUAD2 = {"problem": "quadratic", "dim": 2, "p": 1}
 
@@ -104,6 +105,122 @@ def test_suite_cardinality_and_determinism(tmp_path):
     assert list(rows[0]) == RESULT_HEADER
     assert [r["row"] for r in rows] == ["0", "1", "2", "3"]
     assert all(r["target_met"] == "True" for r in rows)
+
+
+AIPE_SUITE = BenchConfig(problems=[QUAD2], eps_grid=[4e-2, 3e-2],
+                         solvers=["minimax_aipe"], seeds=[0])
+
+
+def _rows(out):
+    with open(out / "results.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_aipe_rows_in_worker_processes_keep_the_serial_bytes(
+        tmp_path, monkeypatch):
+    # jobs=2 and jobs above the row count write what jobs=1 writes
+    for jobs in (1, 2, 5):
+        summary = run_suite(AIPE_SUITE, str(tmp_path / str(jobs)), jobs=jobs)
+        assert summary["rows"] == 2 and summary["exit_code"] == 0
+    for name in ("results.csv", "trace_0000.csv", "trace_0001.csv"):
+        serial = (tmp_path / "1" / name).read_bytes()
+        assert (tmp_path / "2" / name).read_bytes() == serial
+        assert (tmp_path / "5" / name).read_bytes() == serial
+    assert all(r["target_met"] == "True" and r["flags"] == ""
+               for r in _rows(tmp_path / "1"))
+
+    # and the rows really run in other processes
+    real = cli.solve
+
+    def tagged(problem, eps, cfg):
+        z, report = real(problem, eps, cfg)
+        report.flags.append(f"pid:{os.getpid()}")
+        return z, report
+
+    monkeypatch.setattr(cli, "solve", tagged)
+    run_suite(AIPE_SUITE, str(tmp_path / "pids"), jobs=2)
+    pids = [r["flags"] for r in _rows(tmp_path / "pids")]
+    assert len(pids) == 2 and all(f.startswith("pid:") for f in pids)
+    assert f"pid:{os.getpid()}" not in pids
+
+
+def _off_by_one(real):
+    def solver(problem, eps, *args):
+        z, report = real(problem, eps, *args)
+        key = next(iter(report.counts))
+        counts = dict(report.counts, **{key: report.counts[key] + 1})
+        return z, dataclasses.replace(report, counts=counts)
+    return solver
+
+
+def _far_point(real):
+    # the point of the corner box with the largest residual, measured on
+    # an instance of its own so the row's counter does not move
+    def solver(problem, eps, *args):
+        z, report = real(problem, eps, *args)
+        other = from_config(dict(QUAD2, seed=0))
+        corners = [np.array(c, float) for c in
+                   np.ndindex(*(2,) * len(z))]
+        far = max((2.0 * c - 1.0 for c in corners), key=lambda c:
+                  other.domain.tangent_residual(c, other.operator()(c)))
+        return far, report
+    return solver
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("wrap, flag", [(_off_by_one, "recheck:calls:"),
+                                        (_far_point, "recheck:residual:")])
+def test_each_row_rechecks_its_calls_and_residual(tmp_path, monkeypatch,
+                                                  jobs, wrap, flag):
+    cfg = BenchConfig(problems=[QUAD2], eps_grid=[4e-2, 3e-2],
+                      solvers=["eg_baseline"], seeds=[0])
+    monkeypatch.setattr(cli, "baseline_eg_solve",
+                        wrap(cli.baseline_eg_solve))
+    summary = run_suite(cfg, str(tmp_path / "out"), jobs=jobs)
+    assert summary["exit_code"] == 2 and summary["flagged_rows"] == [0, 1]
+    for r in _rows(tmp_path / "out"):
+        assert r["target_met"] == "False"
+        (miss,) = [f for f in r["flags"].split(";")
+                   if f.startswith("recheck:")]
+        assert miss.startswith(flag), r["flags"]
+        assert float(r["residual"]) <= float(r["eps"])   # as reported
+
+
+def test_a_dead_worker_leaves_flagged_rows_not_a_traceback(tmp_path,
+                                                           monkeypatch):
+    # a worker that dies in the row at eps 3e-3 breaks the pool; every row
+    # the pool did not finish is an error row, and run_suite returns
+    cfg = BenchConfig(problems=[QUAD2], eps_grid=[1e-2, 3e-3],
+                      solvers=["eg_baseline"], seeds=[0, 1])
+    real = cli.baseline_eg_solve
+
+    def dies(problem, eps, *args):
+        if eps == 3e-3:
+            os._exit(1)
+        return real(problem, eps, *args)
+
+    monkeypatch.setattr(cli, "baseline_eg_solve", dies)
+    summary = run_suite(cfg, str(tmp_path / "out"), jobs=2)
+    assert summary["exit_code"] == 2
+    rows = _rows(tmp_path / "out")
+    assert len(rows) == 4
+    for r in rows:
+        dead = r["flags"].startswith("error:BrokenProcessPool:")
+        assert dead or (r["flags"] == "" and r["target_met"] == "True")
+        assert dead or float(r["eps"]) != 3e-3
+    assert {int(r["row"]) for r in rows if r["flags"]} >= {2, 3}
+    assert all(r["target_met"] == "False" for r in rows if r["flags"])
+
+
+def test_importing_the_package_loads_no_process_pool():
+    code = ("import sys, saddleopt, saddleopt.cli; print(sorted(m for m in "
+            "sys.modules if m.startswith(('multiprocessing', "
+            "'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(
+                             pathlib.Path(cli.__file__).parents[1])))
+    assert out.stdout.strip() == "[]"
 
 
 def test_bad_cell_is_flagged_and_run_continues(tmp_path):

@@ -486,6 +486,30 @@ def test_one_base_query_reads_through_every_view(p):
             view.name
 
 
+def test_surrogates_keep_no_count_lock_or_memory_of_their_own():
+    # f_eps, g_eps and h_eps are built once per prox call; only the base
+    # problem evaluates f, so only it holds a counter, a lock, a memory
+    # and the callables, and every surrogate's count and forget are its
+    rng = np.random.default_rng(60)
+    base = make_power(3, p=2, seed=2)
+    centers = (base.domain.sample(rng), base.x_domain.sample(rng),
+               base.y_domain.sample(rng))
+    own = ("_counter", "_lock", "_memory", "_value", "_grad", "_hess")
+    assert all(attr in vars(base) for attr in own)
+    z = base.domain.sample(rng)
+    for prob in surrogates(base, centers)[1:]:
+        assert prob.base is base
+        assert not [attr for attr in own if attr in vars(prob)], prob.name
+        prob.forget()
+        before = base.oracle_counter
+        prob.operator()(z)
+        base.operator()(z)                  # from the base's memory
+        assert prob.oracle_counter == base.oracle_counter == before + 1
+        prob.forget()
+        base.operator()(z)
+        assert prob.oracle_counter == before + 2
+
+
 def test_quadratic_hessian_signs():
     # f = x^2/2 - y^2/2 has operator-consistent Hessian diag(1, -1)
     def value(z):
