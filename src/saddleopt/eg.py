@@ -39,7 +39,9 @@ import numpy as np
 
 from .geometry import Domain, norm
 from .problems import PowerRegularized, SaddleProblem, surrogate_h
-from .tensor_step import TensorStepConfig, prox_certificate, tensor_step
+from .tensor_step import (
+    ProxAnswer, TensorStepConfig, prox_certificate, tensor_step,
+)
 
 
 @dataclass
@@ -246,13 +248,13 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
     the order-p query at the polished point), so the measurement repeats
     the probe's at no call and with the same bits.
 
-    Returns (y_hat, v_hat, certificate, z_hat, certified): the polished
-    point z_hat = (x_hat, y_hat) is measured by one order-p query.
-    certified is the run's EgTrace.certified, False when neither r_stop
-    nor the probe ended the run before its cap; the caller flags it.
-    x_hat is the argmin of g_eps(., y_hat) to within the certified dist_x,
-    since the y-prox term of h_eps does not depend on x, so the caller can
-    start its next solve on g_eps(., y_hat) there.
+    Returns a ProxAnswer with point y_hat, normal v_hat, its certificate,
+    start the polished point z_hat = (x_hat, y_hat), which one order-p
+    query measures, and certified the run's EgTrace.certified, False when
+    neither r_stop nor the probe ended the run before its cap; the caller
+    flags it.  x_hat is the argmin of g_eps(., y_hat) to within the
+    certified dist_x, since the y-prox term of h_eps does not depend on x,
+    so the caller can start its next solve on g_eps(., y_hat) there.
     """
     y_bar = np.asarray(y_bar, float)
     p = problem_g_eps.p
@@ -274,13 +276,11 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
         z_hat, c_hat = polish_step(op, domain, z, h_eps.L1)
         out = op.query(z_hat, p)
         resid_vec = out[1] + c_hat
-        y_hat = z_hat[dx:]
-        v_hat = c_hat[dx:]
         cert = prox_certificate(
-            y_bar, y_hat, v_hat,
+            y_bar, z_hat[dx:],
             dual_residual(norm(resid_vec[:dx]), norm(resid_vec[dx:])),
             gamma, p, delta)
-        return y_hat, v_hat, cert, z_hat
+        return ProxAnswer(z_hat[dx:], c_hat[dx:], cert, z_hat)
 
     def probe(zh, t):
         # t is the tangent vector at zh.  The certificate's bound at zh;
@@ -290,7 +290,7 @@ def iprox_psi(problem_g_eps: PowerRegularized, y_bar, gamma: float,
         bound = 0.5 * gamma * norm(zh[dx:] - y_bar) ** p + delta
         if dual_residual(norm(t[:dx]), norm(t[dx:])) > 0.5 * bound:
             return False
-        return measure(zh)[2].ok
+        return measure(zh).certificate.ok
 
     zS, tr = restarted_eg(h_eps, M, zeta3, z0, probe=probe)
-    return (*measure(zS), tr.certified)
+    return measure(zS)._replace(certified=tr.certified)

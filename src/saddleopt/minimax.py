@@ -64,7 +64,7 @@ from .problems import (
 # tensor_step is unused here, but perfbench/tracer.py patches it at this
 # import site, so the name must stay
 from .tensor_step import (  # noqa: F401
-    TensorStepConfig, prox_certificate, tensor_step,
+    ProxAnswer, TensorStepConfig, prox_certificate, tensor_step,
 )
 
 LEVELS = ("outer", "middle", "inner", "polish")
@@ -353,7 +353,8 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
     f_eps + (gamma/(p+1))||x - x_bar||^{p+1}; its answer comes from a
     recovery at a dual point y_hat: the envelope solve for the primal
     minimizer to distance zeta2, a polish step and the primal prox
-    certificate.  Returns (x_tilde, u_tilde, certificate, next_start);
+    certificate.  Returns a ProxAnswer with point x_tilde, normal u_tilde,
+    its certificate and start next_start (certified keeps its default);
     the certificate residual adds a Danskin-error bound (from the measured
     dual-side residual) to the directly measured polished gradient.  That
     measurement is one order-p query at (x_tilde, y_hat): the x-prox term
@@ -405,31 +406,31 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
             r_y = y_dom.tangent_residual(y_hat, F[dx:])
         dist_y = certified_distance(r_y, problem_f_eps.uc(False), p,
                                     mu2=problem_f_eps.mu2_y)
-        cert = prox_certificate(x_bar, x_t, u_t,
+        cert = prox_certificate(x_bar, x_t,
                                 norm(w) + problem_f_eps.L1 * dist_y, gamma, p,
                                 cfg.delta)
-        return x_t, u_t, cert, join(x_hat, y_hat)
+        return ProxAnswer(x_t, u_t, cert, join(x_hat, y_hat))
 
     def mid_iprox(yb, g):
         with tracker.level("inner"):
             yb = np.asarray(yb, float)
-            y_t, v_t, cert, z_hat, certified = iprox_psi(
-                g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
-                z0=join(env.pt, yb))
-        env.pt = z_hat[:dx]
-        if not certified:
+            ans = iprox_psi(g_eps, yb, g, cfg.delta, cfg.M_inner, zeta3,
+                            z0=join(env.pt, yb))
+        env.pt = ans.start[:dx]
+        cert = ans.certificate
+        if not ans.certified:
             flags.append("inner run ended uncertified at its step cap")
         if not cert.ok:
             flags.append(f"dual prox certificate: {cert.residual:.3e} "
                          f"> {cert.bound:.3e}")
-        return y_t, v_t
+        return ans.point, ans.normal
 
     def probe(y_best, stalled):
         if not stalled:
             return False
         probed.clear()
         ans = probed[y_best.tobytes()] = recover(y_best)
-        return ans[2].ok
+        return ans.certificate.ok
 
     env = Envelope(g_eps, True, start[:dx], iprox=mid_iprox)
     with tracker.level("middle"):
@@ -440,7 +441,7 @@ def iprox_phi(problem_f_eps: PowerRegularized, x_bar, gamma: float,
                                 cfg.S, probe=probe)
             y = np.asarray(y, float)
             out = probed.get(y.tobytes()) or recover(y)
-            if out[2].ok:
+            if out.certificate.ok:
                 break
     return out
 
@@ -498,13 +499,14 @@ def solve(problem: SaddleProblem, eps: float, cfg: MinimaxConfig = None,
 
     def out_iprox(xb, g):
         nonlocal mid
-        x_t, u_t, cert, mid = iprox_phi(
-            f_eps, xb, g, cfg, mid, tracker=tracker, flags=flags)
+        ans = iprox_phi(f_eps, xb, g, cfg, mid, tracker=tracker, flags=flags)
+        mid = ans.start
         outer.pt = mid[problem.dx:]
+        cert = ans.certificate
         if not cert.ok:
             flags.append(f"primal prox certificate: {cert.residual:.3e} > "
                          f"{cert.bound:.3e}")
-        return x_t, u_t
+        return ans.point, ans.normal
 
     outer = Envelope(f_eps, False, iprox=out_iprox)
     with tracker.level("outer"):

@@ -156,7 +156,7 @@ class SaddleProblem:
     def __init__(self, x_domain: Domain, y_domain: Domain, p: int,
                  value: Callable, grad: Callable, hess: Callable = None,
                  L1: float = 1.0, Lp: float = 1.0, name: str = ""):
-        self._shape(x_domain, y_domain, p, L1, Lp, name)
+        self._shape(Product(x_domain, y_domain), p, L1, Lp, name)
         self._value = value
         self._grad = grad
         self._hess = hess
@@ -165,23 +165,24 @@ class SaddleProblem:
         self._memory = (None, None)   # (older, newer) (point bytes, tuple)
         self.base = self
 
-    def _shape(self, x_domain: Domain, y_domain: Domain, p: int,
-               L1: float, Lp: float, name: str):
+    def _shape(self, domain: Product, p: int, L1: float, Lp: float,
+               name: str):
         """What every problem has, whether it evaluates f or asks its base
-        problem: domains, order, constants and name."""
+        problem: the joint domain and its blocks, order, constants and
+        name.  Problems on one domain share it."""
         if p not in (1, 2):
             raise ValueError("order p must be 1 or 2")
         if not L1 > 0 or Lp < 0:
             raise ValueError("need L1 > 0 and Lp >= 0")
-        self.x_domain = x_domain
-        self.y_domain = y_domain
+        self.domain = domain
+        self.x_domain = domain.left
+        self.y_domain = domain.right
         self.p = p
         self.L1 = float(L1)
         self.Lp = float(Lp)
         self.name = name
-        self.domain = Product(x_domain, y_domain)
-        self.dx = x_domain.dim
-        self.dy = y_domain.dim
+        self.dx = domain.left.dim
+        self.dy = domain.right.dim
         # regularizer metadata (zero for raw problems)
         self.mu_x = 0.0
         self.mu_y = 0.0
@@ -261,8 +262,7 @@ class SaddleProblem:
                 res.append(sign[:, None] * out[2])
             return tuple(res)
 
-        return OracleView(self.domain, query, self.p, self.Lp,
-                          name=self.name)
+        return OracleView(self.domain, query, self.p, self.Lp)
 
     def restricted(self, fixed, x_side: bool) -> "OracleView":
         """The function of one block with the other held at fixed: f(., y)
@@ -285,8 +285,7 @@ class SaddleProblem:
         # a regularized problem's Lp already counts its power terms
         return OracleView(
             self.x_domain if x_side else self.y_domain, query, self.p,
-            self.Lp, mu=self.uc(x_side),
-            name=f"{self.name}|{'x' if x_side else 'y'}")
+            self.Lp, mu=self.uc(x_side))
 
     def uc(self, x_side: bool) -> float:
         """The order-(p+1) uniform-convexity modulus of one block: each
@@ -312,7 +311,6 @@ class OracleView:
     p: int
     Lp: float
     mu: float = 0.0
-    name: str = ""
 
     def __call__(self, v):
         """The field (gradient) at v."""
@@ -381,8 +379,7 @@ class PowerRegularized(SaddleProblem):
         mu_y = base.mu_y + sum(c for c, _ in self.y_terms)
         L1, Lp = power_lipschitz(base, mu_x, mu_y)
         # no count, lock or memory of its own: those are the base's
-        self._shape(base.x_domain, base.y_domain, p, L1, Lp,
-                    name or f"reg({base.name})")
+        self._shape(base.domain, p, L1, Lp, name or f"reg({base.name})")
         self.base = base
         self.mu_x = mu_x
         self.mu_y = mu_y

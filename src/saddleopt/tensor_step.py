@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,18 +63,31 @@ class ProxCertificate:
     residual is the measured norm ||grad h(z) + u + lam (z - z_bar)||,
     bound the target (lam/2)||z - z_bar|| + delta.  ok records whether the
     certificate holds; callers treat a failed certificate as a diagnostic,
-    not an exception.
+    not an exception.  z and u are the point and normal of the ProxAnswer
+    that carries it.
     """
 
-    z: np.ndarray
-    u: np.ndarray
     lam: float
     residual: float
     bound: float
     ok: bool = True
 
 
-def prox_certificate(z_bar, z, u, residual, gamma: float, q: int,
+class ProxAnswer(NamedTuple):
+    """A prox oracle's answer: the point, a normal-cone element at it, the
+    point's certificate, where the caller's next solve starts, and whether
+    the oracle's capped inner run ended certified (iprox_psi's; iprox_phi
+    runs none of its own).  A NamedTuple, since perfbench/tracer.py reads
+    the certificate as answer[2]."""
+
+    point: np.ndarray
+    normal: np.ndarray
+    certificate: ProxCertificate
+    start: np.ndarray
+    certified: bool = True
+
+
+def prox_certificate(z_bar, z, residual, gamma: float, q: int,
                      delta: float) -> ProxCertificate:
     """The inexact-prox condition at z for the anchor z_bar:
     lam = gamma ||z - z_bar||^{q-1}, bound = (lam/2)||z - z_bar|| + delta,
@@ -82,7 +96,7 @@ def prox_certificate(z_bar, z, u, residual, gamma: float, q: int,
     s = norm(z - z_bar)
     lam = float(gamma) * s ** (q - 1)
     bound = 0.5 * lam * s + delta
-    return ProxCertificate(z=z, u=u, lam=lam, residual=residual, bound=bound,
+    return ProxCertificate(lam=lam, residual=residual, bound=bound,
                            ok=residual <= bound)
 
 
@@ -116,7 +130,7 @@ def _bisection_q2(F0, J, M):
     """Solve lam = (M/2)||s(lam)|| with s(lam) = -(J + lam I)^{-1} F0.
 
     For monotone J the map lam -> (M/2)||s(lam)|| is nonincreasing, so the
-    fixed point is unique; we bracket it and bisect.  Returns (s, lam).
+    fixed point is unique; we bracket it and bisect.  Returns s.
     """
     n = F0.shape[0]
     eye = np.eye(n)
@@ -130,8 +144,7 @@ def _bisection_q2(F0, J, M):
     lo = _LAMBDA_FLOOR
     t_lo = target(lo)
     if t_lo <= lo:
-        lam = max(t_lo, _LAMBDA_FLOOR)
-        return s_of(lam), lam
+        return s_of(max(t_lo, _LAMBDA_FLOOR))
     # target is nonincreasing, so target(hi) <= target(lo) = t_lo <= hi:
     # [lo, hi] brackets the fixed point
     hi = max(t_lo, 2 * lo)
@@ -143,39 +156,33 @@ def _bisection_q2(F0, J, M):
             hi = mid
         if hi - lo <= _BISECTION_TOL * max(1.0, hi):
             break
-    lam = 0.5 * (lo + hi)
-    s = s_of(lam)
+    s = s_of(0.5 * (lo + hi))
     # one fixed-point polish: re-solve at the lambda the final s implies
-    lam = max(0.5 * M * norm(s), _LAMBDA_FLOOR)
-    return s_of(lam), lam
+    return s_of(max(0.5 * M * norm(s), _LAMBDA_FLOOR))
 
 
 def _solve_model(G, domain: Domain, cfg: TensorStepConfig):
-    """Solve the VI of the model G built by model_operator; returns
-    (z, vi_slack, iters, ok)."""
+    """Solve the VI of the model G built by model_operator; returns the
+    point z.  At q = 2 a constrained solve stops at tangent residual <=
+    _VI_TOL (1 + ||F0||), or uncertified at its step cap, unreported."""
     z_bar, F0, J = G.z_bar, G.F0, G.J
     if cfg.order == 1:
-        z = domain.project(z_bar - F0 / cfg.M)
         # projection solves the model VI exactly
-        return z, 0.0, 0, True
+        return domain.project(z_bar - F0 / cfg.M)
 
     tol = _VI_TOL * (1.0 + norm(F0))
-    s, _lam = _bisection_q2(F0, J, cfg.M)
-    cand = z_bar + s
+    cand = z_bar + _bisection_q2(F0, J, cfg.M)
     # a feasible candidate with ||G|| <= tol has tangent residual <= tol,
     # the extragradient run's own stop
-    if domain._feasible(cand):
-        slack = norm(G(cand))
-        if slack <= tol:
-            return cand, slack, 0, True
+    if domain._feasible(cand) and norm(G(cand)) <= tol:
+        return cand
     # infeasible (or the bisection left too much slack): solve the VI by
     # q=1 extragradient steps on G from the projected candidate, starting
     # at the step's M; eg imports this module, so it is imported here
     from .eg import eg_epoch, eg_steps
     z = domain.project(cand)
-    z, tr = eg_epoch(eg_steps(G, domain, z, TensorStepConfig(1, cfg.M)), z,
-                     _MAX_INNER_ITERS, stop_residual=tol)
-    return z, tr.residual, len(tr.step_norms), tr.certified
+    return eg_epoch(eg_steps(G, domain, z, TensorStepConfig(1, cfg.M)), z,
+                    _MAX_INNER_ITERS, stop_residual=tol)[0]
 
 
 def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):
@@ -184,5 +191,4 @@ def tensor_step(op, domain: Domain, z_bar, cfg: TensorStepConfig, F0=None):
     F0 given to stand in for it, which applies only at q = 1 (see
     model_operator)."""
     G = model_operator(op, z_bar, cfg, F0)
-    z, _, _, _ = _solve_model(G, domain, cfg)
-    return z, G.F0
+    return _solve_model(G, domain, cfg), G.F0

@@ -92,9 +92,10 @@ def test_criterion_04_tensor_prox_certificate():
             h = quartic_oracle(dim=int(rng.integers(1, 21)), seed=k)
         cfg = TensorStepConfig(order=p, M=2.0 * h.Lp)
         z_bar = h.domain.sample(rng)
-        cert = iprox_via_tensor(h, h.domain, z_bar, certified_gamma(p, h.Lp),
-                                cfg)
-        snorm = np.linalg.norm(cert.z - z_bar)
+        ans = iprox_via_tensor(h, h.domain, z_bar, certified_gamma(p, h.Lp),
+                               cfg)
+        cert = ans.certificate
+        snorm = np.linalg.norm(ans.point - z_bar)
         assert cert.residual <= 0.5 * cert.lam * snorm + 1e-6
     assert time.monotonic() - t0 < 60.0
 

@@ -13,8 +13,8 @@ from saddleopt.aipe import (
 from saddleopt.geometry import Box
 from saddleopt.problems import OracleView
 from saddleopt.tensor_step import (
-    _VI_TOL, ProxCertificate, TensorStepConfig, _solve_model,
-    model_operator, prox_certificate,
+    _VI_TOL, ProxAnswer, TensorStepConfig, _solve_model, model_operator,
+    prox_certificate,
 )
 
 
@@ -24,9 +24,10 @@ def certified_gamma(q: int, Lp: float) -> float:
 
 
 def iprox_via_tensor(h_grad, domain, z_bar, gamma: float,
-                     cfg: TensorStepConfig) -> ProxCertificate:
+                     cfg: TensorStepConfig) -> ProxAnswer:
     """One inexact proximal step on a function through the library's tensor
-    step model, certified by its prox_certificate.
+    step model, certified by its prox_certificate; the answer's start is
+    its point.
 
     h_grad is the gradient operator (callable, with .derivatives for q = 2),
     such as an OracleView.  gamma sets the certificate's lam = gamma
@@ -34,7 +35,7 @@ def iprox_via_tensor(h_grad, domain, z_bar, gamma: float,
     M/q! makes the certificate exact when M >= 2 Lp (use certified_gamma).
     """
     G = model_operator(h_grad, z_bar, cfg)
-    z, _slack, _iters, _ok = _solve_model(G, domain, cfg)
+    z = _solve_model(G, domain, cfg)
     s = z - G.z_bar
 
     # leftover model force; its tangential part is inner-solve noise, the
@@ -45,9 +46,10 @@ def iprox_via_tensor(h_grad, domain, z_bar, gamma: float,
     grad_z = np.asarray(h_grad(z), float)
     delta = _VI_TOL * (1.0 + np.linalg.norm(G.F0)) * 2.0
     lam = float(gamma) * float(np.linalg.norm(s)) ** (cfg.order - 1)
-    return prox_certificate(
-        G.z_bar, z, u, float(np.linalg.norm(grad_z + u + lam * s)), gamma,
+    cert = prox_certificate(
+        G.z_bar, z, float(np.linalg.norm(grad_z + u + lam * s)), gamma,
         cfg.order, delta)
+    return ProxAnswer(z, u, cert, z)
 
 
 def restart_gaps(traces, f_star):
@@ -72,8 +74,8 @@ def exact_bundle(h: OracleView, domain, M, order, calls=None):
     def iprox(zb, g):
         if calls is not None:
             calls.append(zb)
-        c = iprox_via_tensor(h, domain, zb, g, cfg)
-        return c.z, c.u
+        ans = iprox_via_tensor(h, domain, zb, g, cfg)
+        return ans.point, ans.normal
 
     return SimpleNamespace(ifunc=lambda z, d: view_value(h, z),
                            igrad=lambda z, d: (view_value(h, z), h(z)),

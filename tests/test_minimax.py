@@ -6,7 +6,7 @@ import pytest
 
 from saddleopt import eg, minimax
 from saddleopt.aipe import gap_from_residual
-from saddleopt.geometry import Box
+from saddleopt.geometry import Box, norm
 from saddleopt.minimax import (
     CountTracker, Envelope, MinimaxConfig, baseline_eg_solve,
     derive_parameters, ifunc_igrad_primal, iprox_phi, solve,
@@ -15,7 +15,7 @@ from saddleopt.problems import (
     SaddleProblem, hard_instance, join, make_bilinear,
     make_power, make_quadratic, regularize_f_eps, split, surrogate_g,
 )
-from saddleopt.tensor_step import TensorStepConfig, tensor_step
+from saddleopt.tensor_step import ProxAnswer, TensorStepConfig, tensor_step
 
 
 def unit_square_problem():
@@ -251,8 +251,9 @@ def test_iprox_phi_tracks_surrogate_saddle():
     x_bar = np.array([0.3, -0.2, 0.5])
     g_eps = surrogate_g(f_eps, x_bar, cfg.gamma)
     x_star, _ = split(reference_saddle_g(g_eps), prob.dx)
-    x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg, None,
-                                   CountTracker(prob), [])
+    ans = iprox_phi(f_eps, x_bar, cfg.gamma, cfg, None, CountTracker(prob),
+                    [])
+    x_t, u_t = ans.point, ans.normal
     assert np.linalg.norm(x_t - x_star) <= 1e-3
     assert prob.x_domain.contains(x_t)
     # u lies in the normal cone: nonpositive against feasible directions
@@ -270,8 +271,8 @@ def test_iprox_phi_certificate_battery():
                                  cfg.mu_x, cfg.mu_y)
         rng = np.random.default_rng(100 + seed)
         x_bar = prob.x_domain.sample(rng)
-        x_t, u_t, cert, *_ = iprox_phi(f_eps, x_bar, cfg.gamma, cfg, None,
-                                       CountTracker(prob), [])
+        cert = iprox_phi(f_eps, x_bar, cfg.gamma, cfg, None,
+                         CountTracker(prob), []).certificate
         assert cert.ok, (seed, cert.residual, cert.bound)
         assert cert.residual <= cert.bound
 
@@ -341,16 +342,48 @@ def test_solve_reports_failed_dual_prox_certificate(monkeypatch):
     calls = []
 
     def first_fails(*args, **kwargs):
-        y_t, v_t, cert, at, certified = real(*args, **kwargs)
-        calls.append(cert)
+        ans = real(*args, **kwargs)
+        calls.append(ans.certificate)
         if len(calls) == 1:
-            cert = replace(cert, ok=False)
-        return y_t, v_t, cert, at, certified
+            ans = ans._replace(certificate=replace(ans.certificate, ok=False))
+        return ans
 
     monkeypatch.setattr(minimax, "iprox_psi", first_fails)
     z, rep = solve(make_quadratic(2, seed=8), 1e-2)
     assert calls
     assert any(f.startswith("dual prox certificate") for f in rep.flags)
+
+
+@pytest.mark.parametrize("problem, eps, z0", [
+    (make_quadratic(3, 1, 0), 4e-2, None),
+    (make_power(3, 2, 5), 1e-2, np.full(6, 0.1)),
+], ids=["quadratic", "power"])
+def test_prox_answers_are_read_by_name(monkeypatch, problem, eps, z0):
+    # both prox oracles answer with a ProxAnswer, whose certificate is
+    # also its item 2, where perfbench/tracer.py reads it.  iprox_psi's
+    # point is its start's y block; every normal lies in the normal cone
+    # at its point; iprox_phi runs no capped inner run, so it is certified
+    answers = []
+    for name in ("iprox_psi", "iprox_phi"):
+        def wrapped(*args, real=getattr(minimax, name), name=name, **kwargs):
+            answers.append((name, real(*args, **kwargs)))
+            return answers[-1][1]
+
+        monkeypatch.setattr(minimax, name, wrapped)
+    _, rep = solve(problem, eps, z0=z0)
+    assert rep.ok
+    assert {name for name, _ in answers} == {"iprox_psi", "iprox_phi"}
+    for name, ans in answers:
+        assert isinstance(ans, ProxAnswer) and ans[2] is ans.certificate
+        assert isinstance(ans.certified, bool)
+        if name == "iprox_psi":
+            assert ans.point.tobytes() == ans.start[problem.dx:].tobytes()
+            domain = problem.y_domain
+        else:
+            assert ans.certified
+            domain = problem.x_domain
+        t = domain.project_tangent(ans.point, ans.normal)
+        assert norm(t) <= 1e-12 * max(1.0, norm(ans.normal))
 
 
 def test_solve_accounting_identity():
@@ -478,7 +511,7 @@ def test_envelope_solve_starts_where_iprox_psi_ended(monkeypatch):
 
     def psi(*args, **kwargs):
         out = real_psi(*args, **kwargs)
-        events.append(("psi", out[3]))
+        events.append(("psi", out.start))
         return out
 
     def inner_min(oracle, target_gap, warm):
@@ -585,7 +618,7 @@ def test_middle_epochs_stop_on_the_primal_prox_certificate(monkeypatch):
     def iprox_phi(*args, **kwargs):
         solves.append([])
         out = real_phi(*args, **kwargs)
-        returned.append(out[3][problem.dx:].tobytes())
+        returned.append(out.start[problem.dx:].tobytes())
         return out
 
     monkeypatch.setattr(minimax, "aipe_restart", restart)
@@ -658,7 +691,7 @@ def test_inner_runs_stop_on_the_dual_prox_certificate(monkeypatch):
 
     def psi(*args, **kwargs):
         out = real_psi(*args, **kwargs)
-        handed.append((runs[-1][0], out[2], out[4]))
+        handed.append((runs[-1][0], out.certificate, out.certified))
         return out
 
     monkeypatch.setattr(minimax, "iprox_psi", psi)
@@ -694,7 +727,7 @@ def test_iprox_psi_measures_the_point_it_returns_once(monkeypatch):
     def psi(*args, **kwargs):
         start = len(queries)
         out = real_psi(*args, **kwargs)
-        key = (out[3].tobytes(), 1)     # the quadratic game has p = 1
+        key = (out.start.tobytes(), 1)  # the quadratic game has p = 1
         checks.append(([i for i in range(start, len(queries))
                         if queries[i] == key], ends[-1]))
         return out

@@ -478,18 +478,20 @@ def test_one_base_query_reads_through_every_view(p):
     got = [view.query(v, p) for view, v in views_at(base, centers, z)]
     assert base.oracle_counter == before
     new = make_power(3, p=p, seed=p)
-    for (view, v), kept in zip(views_at(new, centers, z), got):
+    labels = [f"{prob} {view}" for prob in ("f", "f_eps", "g_eps", "h_eps")
+              for view in ("operator", "x block", "y block")]
+    for (view, v), kept, label in zip(views_at(new, centers, z), got, labels):
         new.forget()
         fresh = view.query(v, p)
         assert len(kept) == len(fresh) == p + 1
-        assert all(np.array_equal(a, b) for a, b in zip(kept, fresh)), \
-            view.name
+        assert all(np.array_equal(a, b) for a, b in zip(kept, fresh)), label
 
 
 def test_surrogates_keep_no_count_lock_or_memory_of_their_own():
     # f_eps, g_eps and h_eps are built once per prox call; only the base
     # problem evaluates f, so only it holds a counter, a lock, a memory
-    # and the callables, and every surrogate's count and forget are its
+    # and the callables, and every surrogate's count and forget are its;
+    # each shares the base's joint domain, built once
     rng = np.random.default_rng(60)
     base = make_power(3, p=2, seed=2)
     centers = (base.domain.sample(rng), base.x_domain.sample(rng),
@@ -498,7 +500,7 @@ def test_surrogates_keep_no_count_lock_or_memory_of_their_own():
     assert all(attr in vars(base) for attr in own)
     z = base.domain.sample(rng)
     for prob in surrogates(base, centers)[1:]:
-        assert prob.base is base
+        assert prob.base is base and prob.domain is base.domain
         assert not [attr for attr in own if attr in vars(prob)], prob.name
         prob.forget()
         before = base.oracle_counter

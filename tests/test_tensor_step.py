@@ -199,7 +199,7 @@ def test_q2_constrained_step_queries_its_anchor_once(monkeypatch):
             .tobytes()
 
 
-def test_q2_model_on_the_hard_chain_is_solved_within_the_cap():
+def test_q2_model_on_the_hard_chain_is_solved_within_the_cap(monkeypatch):
     # a constrained q=2 model of solve(hard_instance(2, 4), 1e-2): h_eps at
     # mu = 5e-4 around the center, gamma = 1 at x_bar = center and at y_bar
     # below, anchored at z_bar with M = 12.004.  A constant-step subsolver
@@ -220,12 +220,23 @@ def test_q2_model_on_the_hard_chain_is_solved_within_the_cap():
     op = h_eps.operator()
     cfg = TensorStepConfig(order=2, M=12.004)
     G = model_operator(op, z_bar, cfg)
-    s, _ = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
+    s = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
     assert not op.domain._feasible(z_bar + s)
-    z, slack, iters, ok = tensor_step_module._solve_model(G, op.domain, cfg)
+    traces, real_epoch = [], eg.eg_epoch
+
+    def epoch(*args, **kwargs):
+        z, tr = real_epoch(*args, **kwargs)
+        traces.append(tr)
+        return z, tr
+
+    monkeypatch.setattr(eg, "eg_epoch", epoch)
+    z = tensor_step_module._solve_model(G, op.domain, cfg)
     tol = _VI_TOL * (1 + np.linalg.norm(G.F0))
-    assert ok and 0 < iters < tensor_step_module._MAX_INNER_ITERS
-    assert slack == op.domain.tangent_residual(z, G(z)) <= tol
+    [tr] = traces
+    iters = len(tr.step_norms)
+    assert tr.certified and 0 < iters < tensor_step_module._MAX_INNER_ITERS
+    slack = op.domain.tangent_residual(z, G(z))
+    assert slack == tr.residual and slack <= tol
 
 
 def test_q2_feasible_bisection_point_near_a_face_is_returned(monkeypatch):
@@ -246,7 +257,7 @@ def test_q2_feasible_bisection_point_near_a_face_is_returned(monkeypatch):
     monkeypatch.setattr(eg, "eg_epoch", no_run)
     z_bar = np.zeros(2)
     G = model_operator(op, z_bar, cfg)
-    s, _ = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
+    s = tensor_step_module._bisection_q2(G.F0, G.J, cfg.M)
     z, _ = tensor_step(op, box, z_bar, cfg)
     assert z.tobytes() == (z_bar + s).tobytes()
     assert box._feasible(z) and 0.0 < 1.0 - z[0] < 1e-6
@@ -282,18 +293,19 @@ def quad_oracle(dim=1, shift=0.0):
 @pytest.mark.parametrize("q, lam", [(1, 0.5), (2, 1.0)])
 def test_prox_certificate_holds_at_equality(q, lam):
     # s = 2, so bound = (lam/2) * 2 + delta = lam + 0.25 exactly
-    z_bar, z, u = np.array([0.0]), np.array([2.0]), np.array([0.0])
+    z_bar, z = np.array([0.0]), np.array([2.0])
     bound = lam + 0.25
-    cert = prox_certificate(z_bar, z, u, bound, 0.5, q, 0.25)
+    cert = prox_certificate(z_bar, z, bound, 0.5, q, 0.25)
     assert cert.lam == lam and cert.bound == bound and cert.ok
     above = np.nextafter(bound, np.inf)
-    assert not prox_certificate(z_bar, z, u, above, 0.5, q, 0.25).ok
+    assert not prox_certificate(z_bar, z, above, 0.5, q, 0.25).ok
 
 
 def test_iprox_scalar_frozen():
-    cert = iprox_via_tensor(quad_oracle(), Box([-10.0], [10.0]), [1.0],
-                            gamma=1.0, cfg=TensorStepConfig(order=1, M=2.0))
-    assert cert.z[0] == pytest.approx(0.5, abs=1e-12)
+    ans = iprox_via_tensor(quad_oracle(), Box([-10.0], [10.0]), [1.0],
+                           gamma=1.0, cfg=TensorStepConfig(order=1, M=2.0))
+    cert = ans.certificate
+    assert ans.point[0] == pytest.approx(0.5, abs=1e-12)
     assert cert.lam == pytest.approx(1.0)
     assert cert.residual == pytest.approx(0.0, abs=1e-12)
     assert cert.ok
@@ -303,10 +315,11 @@ def test_iprox_at_constrained_minimizer():
     # minimizer of ||z - 20||^2/2 over the box is the corner z = 10
     h = quad_oracle(dim=2, shift=20.0)
     zb = np.array([10.0, 10.0])
-    cert = iprox_via_tensor(h, h.domain, zb, gamma=2.0,
-                            cfg=TensorStepConfig(order=1, M=2.0))
-    assert np.allclose(cert.z, zb)
-    assert cert.lam * np.linalg.norm(cert.z - zb) == 0.0
+    ans = iprox_via_tensor(h, h.domain, zb, gamma=2.0,
+                           cfg=TensorStepConfig(order=1, M=2.0))
+    cert = ans.certificate
+    assert np.allclose(ans.point, zb)
+    assert cert.lam * np.linalg.norm(ans.point - zb) == 0.0
     assert cert.residual <= 1e-9
     assert cert.ok
 
@@ -321,13 +334,13 @@ def test_iprox_certificate_battery(p):
         if trial % 3 == 0:  # exercise anchors on faces too
             zb = h.domain.project(zb * 5)
         cfg = TensorStepConfig(order=p, M=2 * h.Lp)
-        cert = iprox_via_tensor(h, h.domain, zb, certified_gamma(p, h.Lp), cfg)
-        s = np.linalg.norm(cert.z - zb)
+        ans = iprox_via_tensor(h, h.domain, zb, certified_gamma(p, h.Lp), cfg)
+        cert, z, u = ans.certificate, ans.point, ans.normal
+        s = np.linalg.norm(z - zb)
         assert cert.residual <= 0.5 * cert.lam * s + 1e-6, \
             f"p={p} trial={trial}: {cert.residual} > {0.5 * cert.lam * s}"
-        assert h.domain.contains(cert.z)
+        assert h.domain.contains(z)
         # normal-cone membership of u, sampled
         for _ in range(5):
             zp = h.domain.sample(rng)
-            assert cert.u @ (zp - cert.z) <= 1e-9 * max(
-                1.0, np.linalg.norm(cert.u))
+            assert u @ (zp - z) <= 1e-9 * max(1.0, np.linalg.norm(u))
